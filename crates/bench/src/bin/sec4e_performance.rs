@@ -14,14 +14,12 @@
 //! timeline: the Chrome trace-event JSON goes to `FILE.json` (open it in
 //! Perfetto) and the slowest-traces-per-stage table to `FILE.json.slow.md`.
 //!
-//! Every run also benchmarks the wire-fed parse→merge hot path — the same
-//! pre-serialized MDF bytes through the zero-copy and owned parse modes —
-//! and writes the machine-readable result to `--bench-out` (default
-//! `BENCH_sec4e.json`). CI's `bench_gate` compares that file against the
-//! committed baseline.
+//! Every run also benchmarks the wire-fed parse→merge hot path over
+//! pre-serialized MDF bytes and writes the machine-readable result to
+//! `--bench-out` (default `BENCH_sec4e.json`). CI's `bench_gate` compares
+//! that file against the committed baseline.
 
 use mosaic_bench::{dataset, perf, run_pipeline_inputs, run_pipeline_traced, wire_inputs, Flags};
-use mosaic_pipeline::ParseMode;
 use std::time::Instant;
 
 fn main() {
@@ -88,41 +86,34 @@ fn main() {
     }
 
     // Wire-fed hot-path benchmark: serialize everything to MDF bytes first
-    // (outside the timed region), then run the identical inputs through both
-    // parse modes. This isolates parse→validate→merge→categorize.
+    // (outside the timed region), then run the identical inputs repeatedly.
+    // This isolates parse→validate→merge→categorize.
     let bench_out = flags.get("bench-out", "BENCH_sec4e.json".to_owned());
     let reps = flags.get("reps", 3usize).max(1);
     println!("\nwire-fed parse→merge benchmark (pre-serialized MDF bytes, best of {reps}):");
     let inputs = wire_inputs(&ds);
-    // Best-of-N with the modes interleaved: single passes over a small
-    // corpus finish in tens of milliseconds, where scheduler and frequency
-    // noise would dominate a one-shot comparison.
-    let timed = |mode: ParseMode| {
+    // Best-of-N: single passes over a small corpus finish in tens of
+    // milliseconds, where scheduler and frequency noise would dominate a
+    // one-shot measurement.
+    let timed = || {
         let started = Instant::now();
-        let run = run_pipeline_inputs(inputs.clone(), None, mode);
+        let run = run_pipeline_inputs(inputs.clone(), None);
         (started.elapsed().as_secs_f64(), run)
     };
-    let (mut zc_secs, mut zc_run) = timed(ParseMode::ZeroCopy);
-    let (mut owned_secs, owned_run) = timed(ParseMode::Owned);
-    assert_eq!(zc_run.funnel, owned_run.funnel, "parse modes must agree on every fate");
+    let (mut secs, mut run) = timed();
     for _ in 1..reps {
-        let (s, r) = timed(ParseMode::ZeroCopy);
-        if s < zc_secs {
-            (zc_secs, zc_run) = (s, r);
+        let (s, r) = timed();
+        if s < secs {
+            (secs, run) = (s, r);
         }
-        let (s, _) = timed(ParseMode::Owned);
-        owned_secs = owned_secs.min(s);
     }
     println!(
-        "  zero-copy {:>10.0} traces/s ({zc_secs:.2}s)   owned {:>10.0} traces/s \
-         ({owned_secs:.2}s)   speedup {:.2}x   (valid {})",
-        ds.len() as f64 / zc_secs,
-        ds.len() as f64 / owned_secs,
-        owned_secs / zc_secs,
-        zc_run.funnel.valid
+        "  {:>10.0} traces/s ({secs:.2}s)   (valid {})",
+        ds.len() as f64 / secs,
+        run.funnel.valid
     );
 
-    let report = perf::report(ds.len(), zc_secs, owned_secs, &zc_run);
+    let report = perf::report(ds.len(), secs, &run);
     perf::validate(&report).unwrap_or_else(|e| panic!("emitted report fails own schema: {e}"));
     let json = serde_json::to_string_pretty(&report).expect("report serialization");
     std::fs::write(&bench_out, json).unwrap_or_else(|e| panic!("writing {bench_out}: {e}"));

@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 
 use mosaic_core::CategorizerConfig;
-use mosaic_pipeline::executor::{process, ParseMode, PipelineConfig, PipelineResult};
+use mosaic_pipeline::executor::{process, PipelineConfig, PipelineResult};
 use mosaic_pipeline::source::{ClosureSource, TraceInput, VecSource};
 use mosaic_synth::{Dataset, DatasetConfig, Payload};
 use std::collections::HashMap;
@@ -83,7 +83,6 @@ pub fn run_pipeline_traced(
         categorizer: CategorizerConfig::default(),
         progress: None,
         trace_capacity,
-        parse_mode: ParseMode::default(),
         metrics: false,
     };
     process(&source, &config)
@@ -101,14 +100,10 @@ pub fn wire_inputs(ds: &Dataset) -> Vec<TraceInput> {
         .collect()
 }
 
-/// Run the pipeline over pre-built inputs with an explicit parse mode — the
-/// owned-vs-zerocopy comparison harness of `sec4e_performance`.
-pub fn run_pipeline_inputs(
-    inputs: Vec<TraceInput>,
-    threads: Option<usize>,
-    parse_mode: ParseMode,
-) -> PipelineResult {
-    let config = PipelineConfig { threads, parse_mode, ..Default::default() };
+/// Run the pipeline over pre-built inputs — the wire-fed harness of
+/// `sec4e_performance`.
+pub fn run_pipeline_inputs(inputs: Vec<TraceInput>, threads: Option<usize>) -> PipelineResult {
+    let config = PipelineConfig { threads, ..Default::default() };
     process(&VecSource::new(inputs), &config)
 }
 

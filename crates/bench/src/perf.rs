@@ -4,10 +4,7 @@
 //! `sec4e_performance` emits one report per run. The repository commits a
 //! baseline (`BENCH_sec4e.json` at the workspace root); `bench_gate`
 //! compares a fresh run against it and fails when throughput regresses by
-//! more than the configured fraction. The report also records the in-run
-//! zero-copy vs owned speedup, which is machine-portable evidence (both
-//! paths run on the same box seconds apart) independent of the absolute
-//! gate.
+//! more than the configured fraction.
 
 use mosaic_obs::RELATIVE_ERROR;
 use mosaic_pipeline::PipelineResult;
@@ -23,13 +20,11 @@ use serde_json::{json, Value};
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// Top-level keys every report must carry.
-pub const REQUIRED_KEYS: [&str; 9] = [
+pub const REQUIRED_KEYS: [&str; 7] = [
     "schema_version",
     "n_traces",
     "valid",
     "traces_per_sec",
-    "owned_traces_per_sec",
-    "speedup",
     "workers",
     "quantile_error_bound",
     "stages",
@@ -38,17 +33,13 @@ pub const REQUIRED_KEYS: [&str; 9] = [
 /// Per-stage keys every `stages[]` entry must carry.
 pub const STAGE_KEYS: [&str; 5] = ["stage", "calls", "p50_ns", "p99_ns", "max_ns"];
 
-/// Build the report for one wire-fed benchmark run. `zc_secs`/`owned_secs`
-/// are wall-clock seconds of the zero-copy and owned runs over the same
-/// pre-serialized inputs; per-stage percentiles come from the zero-copy
-/// run's quantile sketches (relative error ≤ `quantile_error_bound`,
-/// exported as nanoseconds).
-pub fn report(n_traces: usize, zc_secs: f64, owned_secs: f64, zc_run: &PipelineResult) -> Value {
-    let rate = |secs: f64| if secs > 0.0 { n_traces as f64 / secs } else { 0.0 };
-    let traces_per_sec = rate(zc_secs);
-    let owned_traces_per_sec = rate(owned_secs);
-    let speedup = if traces_per_sec > 0.0 { owned_secs / zc_secs } else { 0.0 };
-    let stages: Vec<Value> = zc_run
+/// Build the report for one wire-fed benchmark run. `secs` is the run's
+/// wall-clock seconds over pre-serialized inputs; per-stage percentiles
+/// come from the run's quantile sketches (relative error ≤
+/// `quantile_error_bound`, exported as nanoseconds).
+pub fn report(n_traces: usize, secs: f64, run: &PipelineResult) -> Value {
+    let traces_per_sec = if secs > 0.0 { n_traces as f64 / secs } else { 0.0 };
+    let stages: Vec<Value> = run
         .metrics
         .stages
         .iter()
@@ -66,11 +57,9 @@ pub fn report(n_traces: usize, zc_secs: f64, owned_secs: f64, zc_run: &PipelineR
     json!({
         "schema_version": SCHEMA_VERSION,
         "n_traces": n_traces,
-        "valid": zc_run.funnel.valid,
+        "valid": run.funnel.valid,
         "traces_per_sec": traces_per_sec,
-        "owned_traces_per_sec": owned_traces_per_sec,
-        "speedup": speedup,
-        "workers": zc_run.metrics.workers,
+        "workers": run.metrics.workers,
         "quantile_error_bound": RELATIVE_ERROR,
         "stages": stages,
     })
@@ -100,9 +89,6 @@ pub fn validate(v: &Value) -> Result<(), String> {
     }
     if f64_of(v, "traces_per_sec")? <= 0.0 {
         return Err("traces_per_sec must be > 0".to_owned());
-    }
-    if f64_of(v, "owned_traces_per_sec")? <= 0.0 {
-        return Err("owned_traces_per_sec must be > 0".to_owned());
     }
     let stages = v
         .get("stages")
@@ -210,14 +196,13 @@ pub fn gate(
 mod tests {
     use super::*;
     use crate::{run_pipeline_inputs, wire_inputs};
-    use mosaic_pipeline::ParseMode;
     use mosaic_synth::{Dataset, DatasetConfig};
 
     fn sample_report() -> Value {
         let ds = Dataset::new(DatasetConfig { n_traces: 40, corruption_rate: 0.3, seed: 7 });
         let inputs = wire_inputs(&ds);
-        let run = run_pipeline_inputs(inputs, Some(1), ParseMode::ZeroCopy);
-        report(ds.len(), 0.5, 0.8, &run)
+        let run = run_pipeline_inputs(inputs, Some(1));
+        report(ds.len(), 0.5, &run)
     }
 
     /// Return the report with `key` replaced (the shim `Value` has no
@@ -256,14 +241,13 @@ mod tests {
         assert_eq!(r["n_traces"].as_u64(), Some(40));
         assert!(r["valid"].as_u64().unwrap() > 0);
         assert!((r["traces_per_sec"].as_f64().unwrap() - 80.0).abs() < 1e-9);
-        assert!((r["speedup"].as_f64().unwrap() - 1.6).abs() < 1e-9);
         assert_eq!(r["stages"].as_array().unwrap().len(), 5);
     }
 
     #[test]
     fn schema_rejects_missing_keys_and_degenerate_values() {
-        let r = without_key(sample_report(), "speedup");
-        assert!(validate(&r).unwrap_err().contains("speedup"));
+        let r = without_key(sample_report(), "workers");
+        assert!(validate(&r).unwrap_err().contains("workers"));
 
         let r = with_key(sample_report(), "traces_per_sec", json!(0.0));
         assert!(validate(&r).unwrap_err().contains("traces_per_sec"));

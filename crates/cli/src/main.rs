@@ -15,7 +15,7 @@
 #![forbid(unsafe_code)]
 
 use mosaic_core::CategorizerConfig;
-use mosaic_pipeline::executor::{process, ParseMode, PipelineConfig};
+use mosaic_pipeline::executor::{process, PipelineConfig};
 use mosaic_pipeline::source::{ClosureSource, TraceInput};
 use mosaic_synth::truth::AccuracyReport;
 use mosaic_synth::{Dataset, DatasetConfig, Payload};
@@ -68,7 +68,7 @@ USAGE:
   mosaic analyze   [--n N | --dir DIR] [--seed S] [--threads T] [--json]
                    [--metrics FILE] [--markdown FILE] [--progress]
                    [--trace-out FILE.json] [--trace-md FILE.md]
-                   [--trace-capacity N] [--parse-mode zerocopy|owned]
+                   [--trace-capacity N]
                    [--metrics-out FILE] [--metrics-format prom|json]
                                                         (alias: mosaic run)
   mosaic evaluate  [--n N] [--sample K] [--seed S]
@@ -101,8 +101,8 @@ SUBCOMMANDS:
   lint          enforce workspace invariants: determinism (L2), unsafe
                 hygiene (L3), taxonomy (L4), call-graph panic-reachability
                 (L5), lossy-cast safety (L6), unit consistency (L7),
-                wire-taint dataflow (L8), parser guard parity (L9),
-                atomics discipline (L10), lock discipline (L11);
+                wire-taint dataflow (L8), atomics discipline (L10),
+                lock discipline (L11);
                 --debt ranks functions by complexity x git churn instead
 
 OPTIONS:
@@ -124,9 +124,6 @@ OPTIONS:
   --trace-capacity N
                    span ring size for --trace-out/--trace-md; older spans
                    beyond it are dropped and counted  (default 65536)
-  --parse-mode M   zerocopy (default) ingests wire bytes through the
-                   borrowed-view/columnar hot path; owned runs the
-                   reference parser for A/B timing and triage
   --metrics-out FILE
                    export the unified metrics registry (gauges, eviction
                    reasons, per-worker utilization, sketch-backed stage
@@ -289,15 +286,6 @@ fn analyze(args: &[String]) -> Result<(), String> {
     let tracing = trace_out.is_some() || trace_md.is_some();
     let trace_capacity: usize = flag(&flags, "trace-capacity", 65_536usize)?;
     let progress_on = flags.contains_key("progress");
-    // --parse-mode owned keeps the reference path reachable from the CLI
-    // for A/B timing and divergence triage; zero-copy is the default.
-    let parse_mode = match flags.get("parse-mode").map(String::as_str) {
-        None | Some("zerocopy") => ParseMode::ZeroCopy,
-        Some("owned") => ParseMode::Owned,
-        Some(other) => {
-            return Err(format!("--parse-mode must be zerocopy or owned, got {other:?}"))
-        }
-    };
     // --metrics-out attaches the unified registry; the format is validated
     // up front so a bad flag fails before a long run, not after it.
     let metrics_out = flags.get("metrics-out").cloned();
@@ -321,7 +309,6 @@ fn analyze(args: &[String]) -> Result<(), String> {
             ) as mosaic_pipeline::executor::ProgressFn
         }),
         trace_capacity: tracing.then_some(trace_capacity),
-        parse_mode,
         metrics: metrics_out.is_some(),
     };
     let started = std::time::Instant::now();

@@ -4,7 +4,6 @@
 use crate::category::{Category, OpKindTag};
 use crate::columnar;
 use crate::config::{CategorizerConfig, PeriodicityMethod};
-use crate::merge::merge_all;
 use crate::metadata::{self, MetadataResult};
 use crate::periodicity::{detect_periodic, PeriodicPattern};
 use crate::segment::segment;
@@ -118,64 +117,17 @@ impl Categorizer {
         self.categorize(&OperationView::from_log(log))
     }
 
-    /// Like [`Categorizer::categorize_log`], but also reports the wall-clock
-    /// split between merging and the rest of the categorization.
-    pub fn categorize_log_timed(&self, log: &TraceLog) -> (TraceReport, CategorizeTimings) {
-        self.categorize_timed(&OperationView::from_log(log))
-    }
-
-    /// Categorize an operation view. The core entry point.
+    /// Categorize an operation view: load it into a fresh
+    /// [`columnar::TraceArena`] and run [`Categorizer::categorize_arena_timed`].
     pub fn categorize(&self, view: &OperationView) -> TraceReport {
-        self.categorize_timed(view).0
+        let mut arena = columnar::TraceArena::default();
+        arena.trace.load_view(view);
+        self.categorize_arena_timed(&mut arena).0
     }
 
-    /// Like [`Categorizer::categorize`], but also reports the wall-clock
-    /// split between merging and the rest of the categorization.
-    pub fn categorize_timed(&self, view: &OperationView) -> (TraceReport, CategorizeTimings) {
-        // lint: allow(nondeterminism, "timings feed MetricsReport telemetry only, never ResultSnapshot digests")
-        let started = std::time::Instant::now();
-        let mut merge_nanos = 0u64;
-        let mut categories = BTreeSet::new();
-
-        let read = self.direction(
-            &view.reads,
-            view.runtime,
-            OpKind::Read,
-            &mut categories,
-            &mut merge_nanos,
-        );
-        let write = self.direction(
-            &view.writes,
-            view.runtime,
-            OpKind::Write,
-            &mut categories,
-            &mut merge_nanos,
-        );
-
-        let metadata = metadata::characterize(&view.meta, view.runtime, view.nprocs, &self.config);
-        for label in &metadata.labels {
-            categories.insert(Category::Metadata(*label));
-        }
-
-        let report = TraceReport {
-            categories,
-            read,
-            write,
-            metadata,
-            runtime: view.runtime,
-            nprocs: view.nprocs,
-        };
-        // lint: allow(cast, "elapsed nanoseconds exceed u64 only after ~584 years")
-        let total_nanos = started.elapsed().as_nanos() as u64;
-        let timings = CategorizeTimings { merge_nanos, total_nanos };
-        (report, timings)
-    }
-
-    /// Categorize a loaded [`columnar::TraceArena`] — the zero-copy
-    /// pipeline's entry point. Produces the same [`TraceReport`] as
-    /// [`Categorizer::categorize_timed`] on the equivalent
-    /// [`OperationView`] (the `zerocopy-vs-owned` oracle pins this), while
-    /// reusing the arena's buffers for merging and materialization.
+    /// Categorize a loaded [`columnar::TraceArena`] — the core entry point.
+    /// Reuses the arena's buffers for merging and materialization, and
+    /// reports the wall-clock split between merging and the rest.
     pub fn categorize_arena_timed(
         &self,
         arena: &mut columnar::TraceArena,
@@ -223,35 +175,6 @@ impl Categorizer {
         (report, CategorizeTimings { merge_nanos, total_nanos })
     }
 
-    fn direction(
-        &self,
-        raw: &[Operation],
-        runtime: f64,
-        kind: OpKind,
-        categories: &mut BTreeSet<Category>,
-        merge_nanos: &mut u64,
-    ) -> DirectionReport {
-        let tag = OpKindTag::from(kind);
-        // lint: allow(nondeterminism, "timings feed MetricsReport telemetry only, never ResultSnapshot digests")
-        let merge_started = std::time::Instant::now();
-        let merged = merge_all(raw, runtime, &self.config);
-        // lint: allow(cast, "elapsed nanoseconds exceed u64 only after ~584 years")
-        *merge_nanos += merge_started.elapsed().as_nanos() as u64;
-        let temporality = temporality::characterize(&merged, runtime, &self.config);
-        categories.insert(Category::Temporality { kind: tag, label: temporality.label });
-
-        // Periodicity is only meaningful for significant directions: an
-        // insignificant direction contributes no periodic categories even if
-        // its few tiny operations happen to be evenly spaced.
-        let significant = temporality.label != crate::category::TemporalityLabel::Insignificant;
-        let periodic =
-            if significant { self.detect_periodicity(&merged, runtime) } else { Vec::new() };
-
-        insert_periodic_categories(tag, &periodic, categories, self.config.busy_time_split);
-
-        DirectionReport { merged_ops: merged.len(), raw_ops: raw.len(), temporality, periodic }
-    }
-
     /// One direction of the arena path: columnar merge, columnar temporality,
     /// then segmentation/periodicity on the materialized (short) merged list.
     fn direction_columnar(
@@ -273,6 +196,9 @@ impl Categorizer {
             temporality::characterize_columnar(&scratch.merged, runtime, &self.config);
         categories.insert(Category::Temporality { kind: tag, label: temporality.label });
 
+        // Periodicity is only meaningful for significant directions: an
+        // insignificant direction contributes no periodic categories even if
+        // its few tiny operations happen to be evenly spaced.
         let significant = temporality.label != crate::category::TemporalityLabel::Insignificant;
         let periodic = if significant {
             scratch.merged.materialize(kind, &mut scratch.ops);
@@ -291,8 +217,7 @@ impl Categorizer {
         }
     }
 
-    /// Periodicity detection on one direction's merged operations — shared by
-    /// the row-oriented and columnar paths.
+    /// Periodicity detection on one direction's merged operations.
     fn detect_periodicity(&self, merged: &[Operation], runtime: f64) -> Vec<PeriodicPattern> {
         {
             let segments = segment(merged, runtime);
@@ -335,8 +260,7 @@ impl Categorizer {
     }
 }
 
-/// Insert the periodicity categories a direction's detected patterns imply —
-/// shared by the row-oriented and columnar paths.
+/// Insert the periodicity categories a direction's detected patterns imply.
 fn insert_periodic_categories(
     tag: OpKindTag,
     periodic: &[PeriodicPattern],
@@ -506,7 +430,9 @@ mod tests {
             vec![],
         );
         let c = categorizer();
-        let (timed, t) = c.categorize_timed(&v);
+        let mut arena = columnar::TraceArena::default();
+        arena.trace.load_view(&v);
+        let (timed, t) = c.categorize_arena_timed(&mut arena);
         assert_eq!(timed, c.categorize(&v));
         assert!(t.total_nanos >= t.merge_nanos, "{t:?}");
     }
@@ -514,8 +440,9 @@ mod tests {
     #[test]
     fn arena_path_matches_view_path() {
         // Build a log whose reads are periodic and whose writes end-load,
-        // run both the owned (view) and columnar (arena) paths, and demand
-        // identical reports — including the periodicity sub-structure.
+        // load it into the arena both as a log (validate, delete, extract a
+        // view) and as wire bytes, and demand identical reports — including
+        // the periodicity sub-structure.
         use mosaic_darshan::counter::PosixCounter as C;
         use mosaic_darshan::counter::PosixFCounter as F;
         use mosaic_darshan::job::JobHeader;
@@ -548,19 +475,19 @@ mod tests {
         let log = b.finish();
         let bytes = mdf::to_bytes(&log);
 
-        // Owned path.
+        // Log input.
         let report = validate::validate(&log);
         let mut sanitized = log.clone();
         validate::delete_invalid(&mut sanitized, &report);
-        let (owned, _) = categorizer().categorize_log_timed(&sanitized);
+        let from_log = categorizer().categorize_log(&sanitized);
 
-        // Arena path.
+        // Byte input.
         let tv = TraceView::parse(&bytes).unwrap();
         let mut arena = columnar::TraceArena::default();
         arena.trace.load(&tv, &validate_view(&tv));
         let (columnar_report, t) = categorizer().categorize_arena_timed(&mut arena);
 
-        assert_eq!(columnar_report, owned);
+        assert_eq!(columnar_report, from_log);
         assert!(columnar_report.has(Category::Periodic { kind: OpKindTag::Read }));
         assert!(t.total_nanos >= t.merge_nanos, "{t:?}");
 
@@ -568,7 +495,7 @@ mod tests {
         let tv = TraceView::parse(&bytes).unwrap();
         arena.trace.load(&tv, &validate_view(&tv));
         let (again, _) = categorizer().categorize_arena_timed(&mut arena);
-        assert_eq!(again, owned);
+        assert_eq!(again, from_log);
     }
 
     #[test]

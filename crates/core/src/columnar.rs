@@ -1,25 +1,26 @@
-//! Columnar (struct-of-arrays) interval storage and merging — the zero-copy
-//! hot path's counterpart to [`crate::merge`].
+//! Columnar (struct-of-arrays) interval storage and merging — the
+//! categorizer's production merge and temporality path.
 //!
-//! The row-oriented path clones `Vec<Operation>`s at every stage; at corpus
-//! scale the allocator traffic and pointer-chasing dominate parse→merge. This
-//! module keeps one direction's intervals as four parallel vectors
-//! ([`OpColumns`]) inside a reusable per-thread [`TraceArena`], so that
+//! Cloning `Vec<Operation>`s at every stage costs allocator traffic and
+//! pointer-chasing at corpus scale. This module keeps one direction's
+//! intervals as four parallel vectors ([`OpColumns`]) inside a reusable
+//! per-thread [`TraceArena`], so that
 //!
 //! * concurrent-overlap merging walks contiguous `starts`/`ends` arrays,
 //! * the quartile-chunk temporality scan streams the same arrays, and
 //! * per-trace allocations collapse to arena `clear()`s that keep capacity.
 //!
-//! **Equivalence contract:** every function here performs bit-identical
-//! arithmetic, in the same order, as its row-oriented twin — the
-//! `zerocopy-vs-owned` differential oracle and the agreement property tests
-//! pin this. The one structural difference is sorting: the owned path
-//! stable-sorts extraction order by `start` ([`OperationView::from_log`])
-//! and then stable-sorts that by `(start, end)` ([`crate::merge::
-//! merge_concurrent`]). Because both sorts are stable and the second key
-//! refines the first, the composition equals a single stable sort of
-//! extraction order by `(start, end)` — which is what
-//! [`merge_concurrent_columnar`] does with one index sort.
+//! **Reference contract:** [`crate::merge`] and
+//! [`crate::temporality::chunk_volumes`] are the obviously-correct row
+//! implementations. Every function here performs bit-identical arithmetic,
+//! in the same order — the `columnar-vs-reference` differential oracle and
+//! the unit tests below pin this. The one structural difference is sorting:
+//! the reference stable-sorts extraction order by `start`
+//! ([`OperationView::from_log`]) and then stable-sorts that by
+//! `(start, end)` ([`crate::merge::merge_concurrent`]). Because both sorts
+//! are stable and the second key refines the first, the composition equals
+//! a single stable sort of extraction order by `(start, end)` — which is
+//! what [`merge_concurrent_columnar`] does with one index sort.
 //!
 //! Arena ownership rule: an arena borrows nothing and owns all its buffers;
 //! a loaded [`ColumnarTrace`] is valid until the next `load`, and anything
@@ -28,7 +29,7 @@
 use crate::config::CategorizerConfig;
 use mosaic_darshan::convert::{nonneg_u64, usize_to_u64};
 use mosaic_darshan::counter::{PosixCounter as C, PosixFCounter as F};
-use mosaic_darshan::ops::{MetaEvent, MetaKind, OpKind, Operation};
+use mosaic_darshan::ops::{MetaEvent, MetaKind, OpKind, Operation, OperationView};
 use mosaic_darshan::validate::ValidityReport;
 use mosaic_darshan::view::TraceView;
 
@@ -116,7 +117,7 @@ impl OpColumns {
 
     /// Fuse operation `i` of `other` into operation `dst` of `self` —
     /// interval hull, byte sum, rank sum, the exact arithmetic (and
-    /// argument order, for NaN behaviour) of [`crate::merge`]'s `fuse`.
+    /// argument order, for NaN behaviour) of the reference [`crate::merge`].
     fn fuse_from(&mut self, dst: usize, other: &OpColumns, i: usize) {
         // lint: allow(panic, "dst < self.len() and i < other.len() by the merge walk's construction")
         self.starts[dst] = self.starts[dst].min(other.starts[i]);
@@ -139,7 +140,7 @@ impl OpColumns {
         }
     }
 
-    /// Load from row-oriented operations (bench + test helper).
+    /// Load from row-oriented operations.
     pub fn load_ops(&mut self, ops: &[Operation]) {
         self.clear();
         for op in ops {
@@ -149,8 +150,7 @@ impl OpColumns {
 }
 
 /// One trace's extracted operation view in columnar form — what the
-/// zero-copy pipeline hands the categorizer instead of an
-/// [`mosaic_darshan::OperationView`].
+/// categorizer runs on.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnarTrace {
     /// Job wallclock runtime in seconds.
@@ -165,12 +165,13 @@ pub struct ColumnarTrace {
     pub meta: Vec<MetaEvent>,
     /// Total bytes moved by the surviving records (the dedup weight),
     /// accumulated during extraction so the wire bytes are walked once.
+    /// Saturates at `i64::MAX`, like [`mosaic_darshan::TraceLog::io_weight`].
     pub weight: i64,
 }
 
 impl ColumnarTrace {
     /// Extract a borrowed trace into the columns, skipping the records the
-    /// validity `report` flagged (the zero-copy equivalent of
+    /// validity `report` flagged (the byte-input equivalent of
     /// `delete_invalid` + [`mosaic_darshan::OperationView::from_log`]).
     ///
     /// Extraction order, the per-record op/meta conditions, and the final
@@ -228,11 +229,25 @@ impl ColumnarTrace {
                     count: closes,
                 });
             }
-            bytes_read += rec.bytes_read();
-            bytes_written += rec.bytes_written();
+            bytes_read = bytes_read.saturating_add(rec.bytes_read());
+            bytes_written = bytes_written.saturating_add(rec.bytes_written());
         }
         self.meta.sort_by(|a, b| a.time.total_cmp(&b.time));
-        self.weight = bytes_read + bytes_written;
+        self.weight = bytes_read.saturating_add(bytes_written);
+    }
+
+    /// Load an already-extracted [`OperationView`] — how log inputs join
+    /// the byte path. A view carries no record counters, so `weight` is
+    /// reset to 0; log callers set it from
+    /// [`mosaic_darshan::TraceLog::io_weight`].
+    pub fn load_view(&mut self, view: &OperationView) {
+        self.runtime = view.runtime;
+        self.nprocs = view.nprocs;
+        self.reads.load_ops(&view.reads);
+        self.writes.load_ops(&view.writes);
+        self.meta.clear();
+        self.meta.extend_from_slice(&view.meta);
+        self.weight = 0;
     }
 }
 
@@ -355,9 +370,9 @@ pub fn merge_all_columnar(
     merge_neighbors_columnar(&mut scratch.merged, runtime, config);
 }
 
-/// Columnar twin of [`crate::temporality::chunk_volumes`]: apportion bytes
-/// over `chunks` equal time chunks, streaming the three column arrays.
-/// Float arithmetic and clamping are identical to the row version.
+/// Columnar [`crate::temporality::chunk_volumes`]: apportion bytes over
+/// `chunks` equal time chunks, streaming the three column arrays. Float
+/// arithmetic and clamping are identical to the row reference.
 pub fn chunk_volumes_columnar(cols: &OpColumns, runtime: f64, chunks: usize) -> Vec<f64> {
     let mut sums = vec![0.0; chunks];
     if runtime <= 0.0 || chunks == 0 {
@@ -504,10 +519,11 @@ mod tests {
     }
 
     #[test]
-    fn max_clamp_values_agree_between_parsers() {
-        // The PR-6 bomb-guard clamps, exercised at their exact boundary
-        // values through BOTH parsers: the borrowed parser must accept and
-        // reject the same inputs with the same errors.
+    fn max_clamp_values_are_rejected_at_their_boundaries() {
+        // The bomb-guard clamps, exercised at their exact boundary values:
+        // at the cap the payload cannot hold the claim (truncated), one past
+        // it the claim is implausible on its face.
+        use mosaic_darshan::FormatError;
         let log = TraceLogBuilder::new(JobHeader::new(1, 1, 1, 0, 10)).finish();
         let bytes = mdf::to_bytes(&log);
         let exe_len_off = 8 + 2 + 2 + 8 + 4 + 4 + 8 + 8;
@@ -523,19 +539,23 @@ mod tests {
             b[n - 4..].copy_from_slice(&crc.to_le_bytes());
             b
         };
-        for (off, value) in [
-            (n_records_off, mdf::MAX_RECORDS),     // at the cap: truncated
-            (n_records_off, mdf::MAX_RECORDS + 1), // past the cap: implausible
-            (n_records_off + 4, mdf::MAX_NAMES),   // name-table cap
-            (n_records_off + 4, mdf::MAX_NAMES + 1),
-            (exe_len_off, mdf::MAX_EXE_LEN),     // exe cap: truncated
-            (exe_len_off, mdf::MAX_EXE_LEN + 1), // past: implausible
+        let implausible =
+            |context, value: u32| FormatError::ImplausibleLength { context, len: u64::from(value) };
+        for (off, value, expected) in [
+            (n_records_off, mdf::MAX_RECORDS, FormatError::Truncated { context: "record array" }),
+            (
+                n_records_off,
+                mdf::MAX_RECORDS + 1,
+                implausible("record count", mdf::MAX_RECORDS + 1),
+            ),
+            (n_records_off + 4, mdf::MAX_NAMES, FormatError::Truncated { context: "name table" }),
+            (n_records_off + 4, mdf::MAX_NAMES + 1, implausible("name count", mdf::MAX_NAMES + 1)),
+            (exe_len_off, mdf::MAX_EXE_LEN, FormatError::Truncated { context: "exe" }),
+            (exe_len_off, mdf::MAX_EXE_LEN + 1, implausible("exe", mdf::MAX_EXE_LEN + 1)),
         ] {
             let b = patch(off, value);
-            let owned = mdf::from_bytes(&b).map(|_| ());
-            let borrowed = TraceView::parse(&b).map(|_| ());
-            assert_eq!(borrowed, owned, "clamp at offset {off} value {value}");
-            assert!(owned.is_err(), "clamp value {value} must be rejected");
+            let parsed = TraceView::parse(&b).map(|_| ());
+            assert_eq!(parsed, Err(expected), "clamp at offset {off} value {value}");
         }
     }
 
@@ -568,7 +588,7 @@ mod tests {
         let log = b.finish();
         let bytes = mdf::to_bytes(&log);
 
-        // Owned path: validate, delete, extract.
+        // Reference path: validate the log, delete, extract.
         let report = validate::validate(&log);
         let mut sanitized = log.clone();
         validate::delete_invalid(&mut sanitized, &report);
@@ -585,8 +605,8 @@ mod tests {
         assert_eq!(trace.nprocs, view_owned.nprocs);
         assert_eq!(trace.meta, view_owned.meta);
         assert_eq!(trace.weight, sanitized.io_weight());
-        // Columns are pre-sort; the owned view is start-sorted. Compare
-        // through the merge (where the owned path sorts anyway).
+        // Columns are pre-sort; the reference view is start-sorted. Compare
+        // through the merge (where the reference sorts anyway).
         let mut scratch = MergeScratch::default();
         merge_all_columnar(&trace.reads, trace.runtime, &cfg(), &mut scratch);
         let mut merged_cols = Vec::new();
@@ -596,6 +616,37 @@ mod tests {
         let mut merged_w = Vec::new();
         scratch.merged.materialize(OpKind::Write, &mut merged_w);
         assert_eq!(merged_w, merge_all(&view_owned.writes, view_owned.runtime, &cfg()));
+    }
+
+    #[test]
+    fn load_saturates_hostile_byte_volumes() {
+        // Valid counters whose sum overflows `i64`: the weight saturates
+        // instead of panicking (debug) or wrapping negative (release), and
+        // agrees with the log's own total.
+        let mut b = TraceLogBuilder::new(JobHeader::new(1, 1, 4, 0, 1000));
+        for rank in 0..2 {
+            let r = b.begin_record(&format!("/huge.{rank}"), rank);
+            b.record_mut(r)
+                .set(C::Reads, 1)
+                .set(C::BytesRead, 1 << 62)
+                .set(C::Writes, 1)
+                .set(C::BytesWritten, 1 << 62)
+                .setf(F::ReadStartTimestamp, 10.0)
+                .setf(F::ReadEndTimestamp, 20.0)
+                .setf(F::WriteStartTimestamp, 30.0)
+                .setf(F::WriteEndTimestamp, 40.0);
+        }
+        let log = b.finish();
+        let bytes = mdf::to_bytes(&log);
+        let tv = TraceView::parse(&bytes).unwrap();
+        let report = validate_view(&tv);
+        assert!(report.is_clean(), "{report:?}");
+        let mut trace = ColumnarTrace::default();
+        trace.load(&tv, &report);
+        assert_eq!(trace.weight, i64::MAX);
+        assert_eq!(trace.weight, log.io_weight());
+        assert_eq!(trace.reads.len(), 2);
+        assert_eq!(trace.writes.len(), 2);
     }
 
     #[test]

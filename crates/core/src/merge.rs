@@ -12,6 +12,11 @@
 //!   than 1 % of the duration of the nearby merged operation — also fuse.
 //!   This catches slow drift that has already slid operations past the
 //!   overlap point.
+//!
+//! This module is the obviously-correct **reference** implementation over
+//! row `Operation`s. The categorizer runs the columnar merge in
+//! [`crate::columnar`]; the `columnar-vs-reference` differential oracle and
+//! the columnar unit tests check that the two agree bit for bit.
 
 use crate::config::CategorizerConfig;
 use mosaic_darshan::ops::Operation;

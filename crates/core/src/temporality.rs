@@ -37,6 +37,10 @@ pub struct TemporalityResult {
 
 /// Apportion operation bytes over `chunks` equal time chunks of
 /// `[0, runtime]`.
+///
+/// The row reference implementation: production runs
+/// [`crate::columnar::chunk_volumes_columnar`], and the
+/// `columnar-vs-reference` differential oracle checks the two agree.
 pub fn chunk_volumes(ops: &[Operation], runtime: f64, chunks: usize) -> Vec<f64> {
     let mut sums = vec![0.0; chunks];
     if runtime <= 0.0 || chunks == 0 {
@@ -58,7 +62,6 @@ pub fn chunk_volumes(ops: &[Operation], runtime: f64, chunks: usize) -> Vec<f64>
             // Instantaneous operation: all bytes in its containing chunk.
             // lint: allow(cast, "f64-to-usize `as` saturates; s >= 0 and min(chunks - 1) clamps above")
             let c = ((s / width) as usize).min(chunks - 1);
-            // lint: allow(panic, "c is clamped to chunks - 1 == sums.len() - 1")
             sums[c] += op.bytes as f64;
             continue;
         }
@@ -72,7 +75,6 @@ pub fn chunk_volumes(ops: &[Operation], runtime: f64, chunks: usize) -> Vec<f64>
             let lo = s.max(c as f64 * width);
             let hi = e.min((c + 1) as f64 * width);
             if hi > lo {
-                // lint: allow(panic, "c <= last, which is clamped to chunks - 1 == sums.len() - 1")
                 sums[c] += density * (hi - lo);
             }
         }
@@ -94,21 +96,8 @@ fn positional_label(i: usize, n: usize) -> TemporalityLabel {
     }
 }
 
-/// Characterize the temporality of one direction from its (merged)
-/// operations.
-pub fn characterize(
-    ops: &[Operation],
-    runtime: f64,
-    config: &CategorizerConfig,
-) -> TemporalityResult {
-    let total_bytes: u64 = ops.iter().map(|o| o.bytes).sum();
-    let chunk_bytes = chunk_volumes(ops, runtime, config.chunks);
-    characterize_from_chunks(chunk_bytes, total_bytes, config)
-}
-
-/// Characterize from columnar (struct-of-arrays) merged operations — the
-/// zero-copy path's entry point. The chunk apportioning streams the column
-/// arrays; the decision core is shared with [`characterize`].
+/// Characterize the temporality of one direction from its merged
+/// operations, held in columnar (struct-of-arrays) form.
 pub fn characterize_columnar(
     cols: &crate::columnar::OpColumns,
     runtime: f64,
@@ -119,9 +108,8 @@ pub fn characterize_columnar(
     characterize_from_chunks(chunk_bytes, total_bytes, config)
 }
 
-/// The label decision, shared verbatim by the row and columnar entry points
-/// so the two paths cannot drift.
-pub fn characterize_from_chunks(
+/// The label decision over the apportioned chunk volumes.
+fn characterize_from_chunks(
     chunk_bytes: Vec<f64>,
     total_bytes: u64,
     config: &CategorizerConfig,
@@ -198,9 +186,20 @@ pub fn characterize_from_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::OpColumns;
     use mosaic_darshan::ops::OpKind;
 
     const MB: u64 = 1 << 20;
+
+    fn characterize(
+        ops: &[Operation],
+        runtime: f64,
+        config: &CategorizerConfig,
+    ) -> TemporalityResult {
+        let mut cols = OpColumns::default();
+        cols.load_ops(ops);
+        characterize_columnar(&cols, runtime, config)
+    }
 
     fn op(start: f64, end: f64, bytes: u64) -> Operation {
         Operation { kind: OpKind::Read, start, end, bytes, ranks: 1 }

@@ -8,13 +8,9 @@
 //! module *before* the length sizes an allocation.
 //!
 //! Centralizing the bounds here (rather than per-parser `const`s) gives the
-//! static analyses a single anchor:
-//!
-//! * **L8 (wire-taint)** accepts a comparison against a `MAX_*` constant as
-//!   the sanitizer that lets a wire-read length reach an allocation sink.
-//! * **L9 (guard parity)** extracts the set of `MAX_*` constants each MDF
-//!   parser compares against and fails the build if the owned (`mdf`) and
-//!   borrowed (`view`) parsers drift apart.
+//! static analysis a single anchor: **L8 (wire-taint)** accepts a comparison
+//! against a `MAX_*` constant as the sanitizer that lets a wire-read length
+//! reach an allocation sink.
 //!
 //! The bounds are plausibility limits, not correctness limits: a legitimate
 //! Blue Waters-scale log (the MOSAIC paper's corpus is 462k logs) sits orders

@@ -61,14 +61,16 @@ impl TraceLog {
         self.names.get(&record_id).map(String::as_str)
     }
 
-    /// Total bytes read across all records.
+    /// Total bytes read across all records, saturating at the `i64` range
+    /// (valid traces may carry counters near `i64::MAX`).
     pub fn total_bytes_read(&self) -> i64 {
-        self.records.iter().map(|r| r.get(PosixCounter::BytesRead)).sum()
+        self.records.iter().map(|r| r.get(PosixCounter::BytesRead)).fold(0, i64::saturating_add)
     }
 
-    /// Total bytes written across all records.
+    /// Total bytes written across all records, saturating like
+    /// [`TraceLog::total_bytes_read`].
     pub fn total_bytes_written(&self) -> i64 {
-        self.records.iter().map(|r| r.get(PosixCounter::BytesWritten)).sum()
+        self.records.iter().map(|r| r.get(PosixCounter::BytesWritten)).fold(0, i64::saturating_add)
     }
 
     /// Total metadata operations across all records.
@@ -79,7 +81,7 @@ impl TraceLog {
     /// I/O "heaviness" of the trace: total bytes moved. MOSAIC keeps the
     /// heaviest trace of each application's execution set (step ①).
     pub fn io_weight(&self) -> i64 {
-        self.total_bytes_read() + self.total_bytes_written()
+        self.total_bytes_read().saturating_add(self.total_bytes_written())
     }
 
     /// Drop records for which `keep` returns `false`, along with their name
@@ -174,6 +176,21 @@ mod tests {
         assert_eq!(log.total_bytes_written(), 500);
         assert_eq!(log.io_weight(), 1500);
         assert_eq!(log.total_meta_ops(), 17);
+    }
+
+    #[test]
+    fn totals_saturate_instead_of_overflowing() {
+        // Each counter is a valid `i64`, but the sums are not: reads alone
+        // overflow, and reads plus writes would overflow again.
+        let mut b = TraceLogBuilder::new(JobHeader::new(1, 1, 4, 0, 100));
+        for rank in 0..2 {
+            let r = b.begin_record(&format!("/huge.{rank}"), rank);
+            b.record_mut(r).set(C::BytesRead, 1 << 62).set(C::BytesWritten, 1 << 61);
+        }
+        let log = b.finish();
+        assert_eq!(log.total_bytes_read(), i64::MAX);
+        assert_eq!(log.total_bytes_written(), 1 << 62);
+        assert_eq!(log.io_weight(), i64::MAX);
     }
 
     #[test]

@@ -30,15 +30,13 @@
 //! [`FormatError`]s, which the MOSAIC pre-processing step ① counts as
 //! *corrupted traces* and evicts.
 
-use crate::convert::{u32_to_usize, usize_to_u64};
-use crate::counter::{Module, N_POSIX_COUNTERS, N_POSIX_FCOUNTERS};
+use crate::convert::usize_to_u64;
+use crate::counter::{N_POSIX_COUNTERS, N_POSIX_FCOUNTERS};
 use crate::error::FormatError;
-use crate::job::JobHeader;
 use crate::log::TraceLog;
-use crate::record::PosixRecord;
 use crate::synthutil::Crc32;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::collections::BTreeMap;
+use crate::view::TraceView;
+use bytes::{BufMut, BytesMut};
 
 /// File magic.
 pub const MAGIC: &[u8; 8] = b"MOSAICDF";
@@ -46,14 +44,13 @@ pub const MAGIC: &[u8; 8] = b"MOSAICDF";
 pub const VERSION: u16 = 1;
 
 // Decompression-bomb guards live in [`crate::limits`]; re-exported here so
-// existing `mdf::MAX_*` call sites (and the L9 guard-parity anchor) keep one
-// canonical definition.
+// existing `mdf::MAX_*` call sites keep one canonical definition.
 pub use crate::limits::{MAX_EXE_LEN, MAX_NAMES, MAX_RECORDS};
 
 /// Exact wire size of one record (fixed-width fields only).
 pub const RECORD_WIRE_BYTES: usize = 8 + 4 + 1 + N_POSIX_COUNTERS * 8 + N_POSIX_FCOUNTERS * 8;
 /// Minimum wire size of one name-table entry (id + length prefix).
-const NAME_WIRE_MIN_BYTES: usize = 8 + 2;
+pub const NAME_WIRE_MIN_BYTES: usize = 8 + 2;
 
 /// Serialize a trace to MDF bytes.
 ///
@@ -121,135 +118,16 @@ fn wire_len(len: usize, context: &'static str) -> Result<u32, FormatError> {
 
 /// Conservative size estimate used to pre-allocate the encode buffer.
 pub fn estimated_size(log: &TraceLog) -> usize {
-    let rec = 8 + 4 + 1 + N_POSIX_COUNTERS * 8 + N_POSIX_FCOUNTERS * 8;
-    let names: usize = log.names().values().map(|n| 10 + n.len()).sum();
-    64 + log.header().exe.len() + log.records().len() * rec + names
+    let names: usize = log.names().values().map(|n| NAME_WIRE_MIN_BYTES + n.len()).sum();
+    64 + log.header().exe.len() + log.records().len() * RECORD_WIRE_BYTES + names
 }
 
 /// Parse MDF bytes into a [`TraceLog`].
 ///
-/// The whole payload is checksummed before structural decoding so that a
-/// flipped bit anywhere is reported as [`FormatError::ChecksumMismatch`]
-/// rather than as garbage data.
+/// The one MDF parser is [`TraceView::parse`]; this materializes its
+/// borrowed view for callers that want an owned log.
 pub fn from_bytes(data: &[u8]) -> Result<TraceLog, FormatError> {
-    if data.len() < MAGIC.len() + 4 + 4 {
-        return Err(FormatError::Truncated { context: "file header" });
-    }
-    if !data.starts_with(MAGIC) {
-        return Err(FormatError::BadMagic);
-    }
-    let (payload, footer) = data.split_at(data.len() - 4);
-    // lint: allow(panic, "footer is the exact 4-byte tail of split_at(len - 4), guarded by the len >= 16 check above")
-    let expected = u32::from_le_bytes(footer.try_into().expect("4-byte footer"));
-    let actual = Crc32::checksum(payload);
-    if expected != actual {
-        return Err(FormatError::ChecksumMismatch { expected, actual });
-    }
-
-    // lint: allow(panic, "payload.len() = data.len() - 4 >= 12 by the header-length guard, so the magic can be sliced off")
-    let mut buf = Bytes::copy_from_slice(&payload[8..]);
-    let version = get_u16(&mut buf, "version")?;
-    if version > VERSION {
-        return Err(FormatError::UnsupportedVersion(version));
-    }
-    let _flags = get_u16(&mut buf, "flags")?;
-
-    let job_id = get_u64(&mut buf, "job_id")?;
-    let uid = get_u32(&mut buf, "uid")?;
-    let nprocs = get_u32(&mut buf, "nprocs")?;
-    let start = get_i64(&mut buf, "start_time")?;
-    let end = get_i64(&mut buf, "end_time")?;
-    let exe_len = get_u32(&mut buf, "exe length")?;
-    if exe_len > MAX_EXE_LEN {
-        return Err(FormatError::ImplausibleLength { context: "exe", len: u64::from(exe_len) });
-    }
-    let exe = get_string(&mut buf, u32_to_usize(exe_len), "exe")?;
-    let header = JobHeader::new(job_id, uid, nprocs, start, end).with_exe(exe);
-
-    let n_records = get_u32(&mut buf, "record count")?;
-    if n_records > MAX_RECORDS {
-        return Err(FormatError::ImplausibleLength {
-            context: "record count",
-            len: u64::from(n_records),
-        });
-    }
-    // Pre-allocation bomb guard: a crafted header claiming millions of
-    // records must not drive `with_capacity` into a multi-GB allocation.
-    // Every record occupies RECORD_WIRE_BYTES, so a count the remaining
-    // payload cannot possibly hold is rejected before any allocation.
-    if u64::from(n_records) * usize_to_u64(RECORD_WIRE_BYTES) > usize_to_u64(buf.remaining()) {
-        return Err(FormatError::Truncated { context: "record array" });
-    }
-    let mut records = Vec::with_capacity(u32_to_usize(n_records));
-    for _ in 0..n_records {
-        let record_id = get_u64(&mut buf, "record id")?;
-        let rank = get_i32(&mut buf, "record rank")?;
-        let tag = get_u8(&mut buf, "record module")?;
-        let module = Module::from_tag(tag).ok_or(FormatError::UnknownModule(tag))?;
-        let mut rec = PosixRecord::new(record_id, rank);
-        rec.module = module;
-        for c in rec.counters.iter_mut() {
-            *c = get_i64(&mut buf, "counter")?;
-        }
-        for c in rec.fcounters.iter_mut() {
-            *c = get_f64(&mut buf, "fcounter")?;
-        }
-        records.push(rec);
-    }
-
-    let n_names = get_u32(&mut buf, "name count")?;
-    if n_names > MAX_NAMES {
-        return Err(FormatError::ImplausibleLength {
-            context: "name count",
-            len: u64::from(n_names),
-        });
-    }
-    // Same guard for the name table: each entry needs at least its id and
-    // length prefix on the wire.
-    if u64::from(n_names) * usize_to_u64(NAME_WIRE_MIN_BYTES) > usize_to_u64(buf.remaining()) {
-        return Err(FormatError::Truncated { context: "name table" });
-    }
-    let mut names = BTreeMap::new();
-    for _ in 0..n_names {
-        let id = get_u64(&mut buf, "name id")?;
-        let len = usize::from(get_u16(&mut buf, "name length")?);
-        let name = get_string(&mut buf, len, "name")?;
-        names.insert(id, name);
-    }
-    if buf.has_remaining() {
-        return Err(FormatError::ImplausibleLength {
-            context: "trailing bytes",
-            len: usize_to_u64(buf.remaining()),
-        });
-    }
-    Ok(TraceLog::from_parts(header, records, names))
-}
-
-macro_rules! getter {
-    ($name:ident, $ty:ty, $get:ident, $size:expr) => {
-        fn $name(buf: &mut Bytes, context: &'static str) -> Result<$ty, FormatError> {
-            if buf.remaining() < $size {
-                return Err(FormatError::Truncated { context });
-            }
-            Ok(buf.$get())
-        }
-    };
-}
-
-getter!(get_u8, u8, get_u8, 1);
-getter!(get_u16, u16, get_u16_le, 2);
-getter!(get_u32, u32, get_u32_le, 4);
-getter!(get_i32, i32, get_i32_le, 4);
-getter!(get_u64, u64, get_u64_le, 8);
-getter!(get_i64, i64, get_i64_le, 8);
-getter!(get_f64, f64, get_f64_le, 8);
-
-fn get_string(buf: &mut Bytes, len: usize, context: &'static str) -> Result<String, FormatError> {
-    if buf.remaining() < len {
-        return Err(FormatError::Truncated { context });
-    }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| FormatError::InvalidUtf8 { context })
+    TraceView::parse(data).map(|view| view.to_log())
 }
 
 #[cfg(test)]
@@ -257,6 +135,7 @@ mod tests {
     use super::*;
     use crate::counter::PosixCounter as C;
     use crate::counter::PosixFCounter as F;
+    use crate::job::JobHeader;
     use crate::log::TraceLogBuilder;
 
     fn sample() -> TraceLog {

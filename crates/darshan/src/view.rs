@@ -1,12 +1,10 @@
-//! Borrowed, zero-copy views over MDF wire bytes.
+//! The MDF parser: borrowed, zero-copy views over MDF wire bytes.
 //!
-//! [`crate::mdf::from_bytes`] materializes an owned [`TraceLog`] — a
-//! `String` for the exe, a `Vec<PosixRecord>` and a `BTreeMap` name table —
-//! on every parse, even for traces that validation will evict a microsecond
-//! later. [`TraceView::parse`] instead performs the *same* structural
-//! verification (byte-for-byte identical accept/reject decisions and error
-//! precedence, pinned by the `zerocopy_agreement` property tests) but keeps
-//! everything borrowed:
+//! [`TraceView::parse`] is the only MDF decoder in the workspace. It runs
+//! the full structural verification (magic, checksum, header, bomb guards,
+//! module tags, name-table shape, trailing bytes) but keeps everything
+//! borrowed, so a trace that validation evicts a microsecond later never
+//! costs an owned `String`, `Vec<PosixRecord>` or `BTreeMap`:
 //!
 //! * header fields are decoded to scalars, the exe stays a `&str` into the
 //!   input buffer;
@@ -15,7 +13,8 @@
 //!   [`PosixRecord`], still heap-free) when validation or extraction needs
 //!   it;
 //! * the name table is reduced to a sorted id list (validation only needs
-//!   membership) plus the raw region for the rare full materialization.
+//!   membership) plus the raw region for the rare full materialization
+//!   ([`TraceView::to_log`], which is all [`crate::mdf::from_bytes`] adds).
 //!
 //! The ownership rule for everything downstream: a `TraceView` borrows the
 //! wire buffer and must not outlive it; anything that survives the trace
@@ -27,7 +26,7 @@ use crate::error::FormatError;
 use crate::job::JobHeader;
 use crate::limits::{MAX_EXE_LEN, MAX_NAMES, MAX_RECORDS};
 use crate::log::TraceLog;
-use crate::mdf::{MAGIC, RECORD_WIRE_BYTES, VERSION};
+use crate::mdf::{MAGIC, NAME_WIRE_MIN_BYTES, RECORD_WIRE_BYTES, VERSION};
 use crate::record::{PosixRecord, SHARED_RANK};
 use crate::synthutil::Crc32;
 use crate::validate::{check_header_fields, check_record, ValidityReport};
@@ -38,12 +37,9 @@ use std::collections::BTreeMap;
 const COUNTERS_OFF: usize = 8 + 4 + 1;
 /// Byte offset of the fcounter array inside one wire record.
 const FCOUNTERS_OFF: usize = COUNTERS_OFF + N_POSIX_COUNTERS * 8;
-/// Minimum wire size of one name-table entry (id + length prefix).
-const NAME_WIRE_MIN_BYTES: usize = 8 + 2;
 
-/// A borrowing cursor over the payload, mirroring the owned parser's
-/// `Bytes` getters: every read names the field it was after, so truncation
-/// errors carry the same context strings.
+/// A borrowing cursor over the payload: every read names the field it was
+/// after, so truncation errors say which field ran out.
 struct Cursor<'a> {
     buf: &'a [u8],
 }
@@ -261,9 +257,8 @@ impl<'a> RecordView<'a> {
 
 /// A structurally verified MDF trace, borrowed from its wire buffer.
 ///
-/// Produced by [`TraceView::parse`], which accepts and rejects exactly the
-/// inputs [`crate::mdf::from_bytes`] does — same errors, same precedence —
-/// without materializing records or the name table.
+/// Produced by [`TraceView::parse`] without materializing records or the
+/// name table.
 pub struct TraceView<'a> {
     /// Scheduler job identifier.
     pub job_id: u64,
@@ -289,10 +284,11 @@ pub struct TraceView<'a> {
 impl<'a> TraceView<'a> {
     /// Parse MDF bytes into a borrowed view.
     ///
-    /// The structural pass — magic, checksum, header decoding, bomb guards,
-    /// per-record module tags, name-table shape, trailing-byte check — is
-    /// identical to [`crate::mdf::from_bytes`]; only the materialization is
-    /// skipped.
+    /// The whole payload is checksummed before structural decoding, so a
+    /// flipped bit anywhere is reported as
+    /// [`FormatError::ChecksumMismatch`] rather than as garbage data. The
+    /// structural pass then covers header decoding, bomb guards, per-record
+    /// module tags, name-table shape and the trailing-byte check.
     pub fn parse(data: &'a [u8]) -> Result<TraceView<'a>, FormatError> {
         if data.len() < MAGIC.len() + 4 + 4 {
             return Err(FormatError::Truncated { context: "file header" });
@@ -333,16 +329,17 @@ impl<'a> TraceView<'a> {
                 len: u64::from(n_records),
             });
         }
-        // Same pre-allocation bomb guard as the owned parser: a claimed
-        // count the remaining payload cannot hold is rejected up front.
+        // Pre-allocation bomb guard: a crafted header claiming millions of
+        // records is rejected before any allocation when the remaining
+        // payload cannot possibly hold them.
         if u64::from(n_records) * usize_to_u64(RECORD_WIRE_BYTES) > usize_to_u64(cur.remaining()) {
             return Err(FormatError::Truncated { context: "record array" });
         }
         let n_records = u32_to_usize(n_records);
         // Cannot overflow: the product fit inside `remaining` above.
         let records = cur.take(n_records * RECORD_WIRE_BYTES, "record array")?;
-        // The owned parser rejects unknown module tags record by record;
-        // walking the tag bytes here keeps the accept set identical.
+        // Unknown module tags are rejected here, so record views can decode
+        // the tag without a fallible path.
         for i in 0..n_records {
             let tag = le_u8(records, i * RECORD_WIRE_BYTES + 12);
             if Module::from_tag(tag).is_none() {
@@ -357,6 +354,8 @@ impl<'a> TraceView<'a> {
                 len: u64::from(n_names),
             });
         }
+        // Same guard for the name table: each entry needs at least its id
+        // and length prefix on the wire.
         if u64::from(n_names) * usize_to_u64(NAME_WIRE_MIN_BYTES) > usize_to_u64(cur.remaining()) {
             return Err(FormatError::Truncated { context: "name table" });
         }
@@ -442,9 +441,9 @@ impl<'a> TraceView<'a> {
         (self.uid, self.app_name().to_owned())
     }
 
-    /// Materialize the owned [`TraceLog`] this view verifies. Exactly what
-    /// [`crate::mdf::from_bytes`] would have produced — used by tests and by
-    /// callers that need the name strings after all.
+    /// Materialize the owned [`TraceLog`] this view verifies — what
+    /// [`crate::mdf::from_bytes`] returns, for callers that need the name
+    /// strings after all.
     pub fn to_log(&self) -> TraceLog {
         let header =
             JobHeader::new(self.job_id, self.uid, self.nprocs, self.start_time, self.end_time)
@@ -513,15 +512,15 @@ mod tests {
     }
 
     #[test]
-    fn view_roundtrip_matches_owned_parser() {
+    fn view_roundtrip_preserves_the_written_log() {
         let log = sample();
         let bytes = mdf::to_bytes(&log);
         let view = TraceView::parse(&bytes).unwrap();
-        assert_eq!(view.to_log(), mdf::from_bytes(&bytes).unwrap());
-        assert_eq!(view.n_records(), log.records().len());
+        assert_eq!(view.to_log(), log);
         assert_eq!(view.exe, log.header().exe);
-        assert_eq!(view.app_key(), log.header().app_key());
-        assert_eq!(view.runtime(), log.header().runtime());
+        assert_eq!(view.n_names(), log.names().len());
+        assert!(log.records().iter().all(|r| view.has_name(r.record_id)));
+        assert!(view.record(view.n_records()).is_none());
     }
 
     #[test]
@@ -529,6 +528,9 @@ mod tests {
         let log = sample();
         let bytes = mdf::to_bytes(&log);
         let view = TraceView::parse(&bytes).unwrap();
+        assert_eq!(view.n_records(), log.records().len());
+        assert_eq!(view.app_key(), log.header().app_key());
+        assert_eq!(view.runtime(), log.header().runtime());
         for (owned, borrowed) in log.records().iter().zip(view.records()) {
             assert_eq!(&borrowed.decode(), owned);
             assert_eq!(borrowed.record_id(), owned.record_id);
@@ -536,25 +538,6 @@ mod tests {
             assert_eq!(borrowed.read_interval(), owned.read_interval());
             assert_eq!(borrowed.write_interval(), owned.write_interval());
             assert_eq!(borrowed.rank_count(256), owned.rank_count(256));
-        }
-    }
-
-    #[test]
-    fn errors_match_owned_parser_on_corrupted_inputs() {
-        let bytes = mdf::to_bytes(&sample());
-        // Truncations at every prefix length must agree exactly.
-        for cut in 0..bytes.len() {
-            let owned = mdf::from_bytes(&bytes[..cut]);
-            let borrowed = TraceView::parse(&bytes[..cut]).map(|_| ());
-            assert_eq!(borrowed, owned.map(|_| ()), "cut at {cut}");
-        }
-        // Bit flips anywhere must agree (checksum mismatch, mostly).
-        for pos in (0..bytes.len()).step_by(7) {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 0x20;
-            let owned = mdf::from_bytes(&corrupt).map(|_| ());
-            let borrowed = TraceView::parse(&corrupt).map(|_| ());
-            assert_eq!(borrowed, owned, "flip at {pos}");
         }
     }
 
@@ -604,7 +587,7 @@ mod tests {
         assert_eq!(view.exe, "");
         assert!(view.record(0).is_none());
         assert_eq!(view.to_log(), log);
-        // Header errors (zero runtime, zero procs) agree with the owned path.
+        // Header errors (zero runtime, zero procs) agree with the log validator.
         assert_eq!(validate_view(&view), validate::validate(&log));
     }
 

@@ -1,4 +1,4 @@
-//! L8/L9 — interprocedural wire-taint dataflow and guard-set parity.
+//! L8 — interprocedural wire-taint dataflow.
 //!
 //! **L8 (wire-taint)** answers one question statically: can a length that an
 //! attacker controls — a value read straight off the wire by one of the
@@ -16,8 +16,8 @@
 //!
 //! * **Sources** — calls to wire-read helpers (`get_u32`, `get_u32_le`,
 //!   `le_u32`, cursor methods `u16`/`u32`/`u64`/…) inside the parser files.
-//!   The mdf getters are macro-generated and invisible to the item parser,
-//!   which is why sources are seeded by *name*, scoped to the parser files.
+//!   Sources are seeded by *name*, scoped to the parser files, so helpers
+//!   the item parser cannot see (macro-generated getters) still count.
 //! * **Propagation** — through `let` bindings, assignments, arithmetic,
 //!   field/`?`/method chains, and across calls via summaries: a callee can
 //!   *return* wire taint, *pass through* a parameter, or *sink* a parameter.
@@ -30,12 +30,6 @@
 //! * **Sinks** — `with_capacity`/`reserve`/`reserve_exact` arguments,
 //!   `vec![elem; n]` lengths, and slice-range bounds.
 //!
-//! **L9 (guard parity)** is the static twin of the runtime differential
-//! oracle: it extracts the set of `MAX_*` constants each parser actually
-//! compares against and fails if the owned (`mdf.rs`) and borrowed
-//! (`view.rs`) parsers drift, or if a parser guards with a constant that is
-//! not declared in the shared `limits.rs` module.
-//!
 //! Known approximations (all of which err toward *under*-reporting noise,
 //! not false alarms, and are covered by fixtures): match-arm pattern
 //! bindings and closure parameters are not tracked, and a guard inside an
@@ -44,12 +38,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::graph::CallGraph;
-use crate::lex::{in_ranges, test_line_ranges, Lexed, Tok};
+use crate::lex::{Lexed, Tok};
 use crate::parse::CallSite;
-
-/// Files whose wire-read helper names seed taint. Matching is by basename so
-/// the fixtures can exercise the pass without living in `crates/darshan`.
-const WIRE_FILE_BASENAMES: &[&str] = &["mdf.rs", "dxt.rs", "view.rs"];
 
 /// Free functions (or method names) that read a scalar off the wire.
 const WIRE_FREE_FNS: &[&str] = &[
@@ -90,7 +80,9 @@ const CLEAN_METHODS: &[&str] = &["len", "is_empty", "remaining", "capacity", "co
 /// as tainted as the *arguments* (`n.min(MAX_ACCESSES)` is clean).
 const CLAMP_METHODS: &[&str] = &["min", "clamp"];
 
-/// `true` for files whose wire-read names are taint sources.
+/// `true` for files whose wire-read names are taint sources. Matching is by
+/// basename so the fixtures can exercise the pass without living in
+/// `crates/darshan`.
 fn is_wire_file(rel: &str) -> bool {
     matches!(rel.rsplit('/').next(), Some("mdf.rs" | "dxt.rs" | "view.rs"))
 }
@@ -122,7 +114,7 @@ fn is_var(name: &str) -> bool {
         )
 }
 
-/// One L8/L9 diagnostic, pre-`Finding` (the rule is attached in `rules.rs`).
+/// One L8 diagnostic, pre-`Finding` (the rule is attached in `rules.rs`).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct TaintFinding {
     /// Workspace-relative path.
@@ -1171,149 +1163,10 @@ impl Walker<'_, '_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// L9 — guard-set parity
-// ---------------------------------------------------------------------------
-
-/// Run the L9 pass: per-directory, the `mdf.rs`/`view.rs` parser pair must
-/// compare against the same `MAX_*` constants, and every guard constant used
-/// by a parser must be declared in the sibling `limits.rs`.
-pub(crate) fn check_guard_parity(files: &[(&str, &Lexed)]) -> Vec<TaintFinding> {
-    let mut by_dir: BTreeMap<&str, BTreeMap<&str, &Lexed>> = BTreeMap::new();
-    for (rel, lx) in files {
-        let (dir, base) = rel.rsplit_once('/').unwrap_or(("", rel));
-        if matches!(base, "mdf.rs" | "view.rs" | "dxt.rs" | "limits.rs") {
-            by_dir.entry(dir).or_default().insert(base, lx);
-        }
-    }
-    let join = |dir: &str, base: &str| {
-        if dir.is_empty() {
-            base.to_owned()
-        } else {
-            format!("{dir}/{base}")
-        }
-    };
-    let mut out = Vec::new();
-    for (dir, members) in &by_dir {
-        let uses: BTreeMap<&str, BTreeMap<String, u32>> = members
-            .iter()
-            .filter(|(b, _)| WIRE_FILE_BASENAMES.contains(*b))
-            .map(|(b, lx)| (*b, guard_uses(lx)))
-            .collect();
-        if let (Some(m), Some(v)) = (uses.get("mdf.rs"), uses.get("view.rs")) {
-            for (c, line) in m {
-                if !v.contains_key(c) {
-                    out.push(TaintFinding {
-                        rel: join(dir, "view.rs"),
-                        line: 1,
-                        message: format!(
-                            "guard-set drift: the owned parser compares against `{c}` \
-                             ({}:{line}) but the borrowed parser never does; the twin MDF \
-                             parsers must enforce one `MAX_*` guard set",
-                            join(dir, "mdf.rs")
-                        ),
-                    });
-                }
-            }
-            for (c, line) in v {
-                if !m.contains_key(c) {
-                    out.push(TaintFinding {
-                        rel: join(dir, "mdf.rs"),
-                        line: 1,
-                        message: format!(
-                            "guard-set drift: the borrowed parser compares against `{c}` \
-                             ({}:{line}) but the owned parser never does; the twin MDF \
-                             parsers must enforce one `MAX_*` guard set",
-                            join(dir, "view.rs")
-                        ),
-                    });
-                }
-            }
-        }
-        if let Some(lim) = members.get("limits.rs") {
-            let declared = declared_guard_consts(lim);
-            for (base, us) in &uses {
-                for (c, line) in us {
-                    if !declared.contains(c) {
-                        out.push(TaintFinding {
-                            rel: join(dir, base),
-                            line: *line,
-                            message: format!(
-                                "guard constant `{c}` is not declared in `{}`; \
-                                 decompression-bomb bounds must live in the shared `limits` \
-                                 module so both parsers anchor to one definition",
-                                join(dir, "limits.rs")
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    out.sort();
-    out.dedup();
-    out
-}
-
-/// `MAX_*` constants a file compares against (or clamps with), mapped to the
-/// first line of use. Declarations, imports and test code do not count —
-/// only a comparison context proves the parser *enforces* the bound.
-fn guard_uses(lexed: &Lexed) -> BTreeMap<String, u32> {
-    let tests = test_line_ranges(lexed);
-    let mut out = BTreeMap::new();
-    let toks = &lexed.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        let Some(name) = lexed.ident(i) else { continue };
-        if !is_guard_const(name) || in_ranges(&tests, tok.line) {
-            continue;
-        }
-        if lexed.ident(i.wrapping_sub(1)) == Some("const") {
-            continue;
-        }
-        // Walk back over a `limits::MAX_X` path to the token left of it.
-        let mut j = i;
-        while j >= 3
-            && lexed.is_punct(j - 1, ':')
-            && lexed.is_punct(j - 2, ':')
-            && lexed.ident(j - 3).is_some()
-        {
-            j -= 3;
-        }
-        let left_cmp = lexed.is_punct(j.wrapping_sub(1), '<')
-            || lexed.is_punct(j.wrapping_sub(1), '>')
-            || (lexed.is_punct(j.wrapping_sub(1), '=')
-                && (lexed.is_punct(j.wrapping_sub(2), '<')
-                    || lexed.is_punct(j.wrapping_sub(2), '>')));
-        let right_cmp = lexed.is_punct(i + 1, '<') || lexed.is_punct(i + 1, '>');
-        let clamp_arg = lexed.is_punct(j.wrapping_sub(1), '(')
-            && matches!(lexed.ident(j.wrapping_sub(2)), Some("min" | "clamp"))
-            && lexed.is_punct(j.wrapping_sub(3), '.');
-        if left_cmp || right_cmp || clamp_arg {
-            out.entry(name.to_owned()).or_insert(toks[i].line);
-        }
-    }
-    out
-}
-
-/// `MAX_*` constants declared (`const MAX_X: …`) in a `limits.rs`.
-fn declared_guard_consts(lexed: &Lexed) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for i in 0..lexed.tokens.len() {
-        if lexed.ident(i) == Some("const") {
-            if let Some(name) = lexed.ident(i + 1) {
-                if is_guard_const(name) {
-                    out.insert(name.to_owned());
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lex::lex;
+    use crate::lex::{lex, test_line_ranges};
     use crate::parse::{parse_file, ParsedFile};
 
     /// Lex+parse a set of files, build the call graph, run L8.
@@ -1327,13 +1180,6 @@ mod tests {
         let map: BTreeMap<&str, &Lexed> =
             files.iter().zip(&lexed).map(|((r, _), l)| (*r, l)).collect();
         check_wire_taint(&graph, &map)
-    }
-
-    fn run_l9(files: &[(&str, &str)]) -> Vec<TaintFinding> {
-        let lexed: Vec<Lexed> = files.iter().map(|(_, s)| lex(s)).collect();
-        let inputs: Vec<(&str, &Lexed)> =
-            files.iter().zip(&lexed).map(|((r, _), l)| (*r, l)).collect();
-        check_guard_parity(&inputs)
     }
 
     const MDF: &str = "crates/x/src/mdf.rs";
@@ -1579,62 +1425,5 @@ pub fn from_bytes(buf: &[u8]) {
         let f = run_l8(&[(MDF, src)]);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 4);
-    }
-
-    #[test]
-    fn guard_parity_flags_drift_in_both_directions() {
-        let mdf = "\
-pub fn from_bytes(n: u32) {
-    if n > MAX_RECORDS { return; }
-    if n > MAX_NAMES { return; }
-}
-";
-        let view = "\
-pub fn parse(n: u32) {
-    if n > MAX_RECORDS { return; }
-    if n > MAX_EXE_LEN { return; }
-}
-";
-        let f = run_l9(&[("crates/x/src/mdf.rs", mdf), ("crates/x/src/view.rs", view)]);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f[0].rel.ends_with("mdf.rs") && f[0].message.contains("`MAX_EXE_LEN`"));
-        assert!(f[1].rel.ends_with("view.rs") && f[1].message.contains("`MAX_NAMES`"));
-    }
-
-    #[test]
-    fn guard_parity_is_quiet_when_in_sync() {
-        let both = "\
-pub fn f(n: u32) {
-    if n > MAX_RECORDS { return; }
-    if limits::MAX_NAMES < n { return; }
-}
-";
-        assert!(run_l9(&[("crates/x/src/mdf.rs", both), ("crates/x/src/view.rs", both)]).is_empty());
-    }
-
-    #[test]
-    fn guard_consts_must_anchor_in_limits() {
-        let mdf = "pub fn f(n: u32) { if n > MAX_ROGUE { return; } }\n";
-        let view = "pub fn f(n: u32) { if n > MAX_ROGUE { return; } }\n";
-        let limits = "pub const MAX_RECORDS: u32 = 1;\n";
-        let f = run_l9(&[
-            ("crates/x/src/mdf.rs", mdf),
-            ("crates/x/src/view.rs", view),
-            ("crates/x/src/limits.rs", limits),
-        ]);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().all(|t| t.message.contains("`MAX_ROGUE`")));
-        assert!(f.iter().all(|t| t.message.contains("limits.rs")));
-    }
-
-    #[test]
-    fn imports_and_declarations_are_not_guard_uses() {
-        let mdf = "\
-pub use crate::limits::{MAX_EXE_LEN, MAX_NAMES, MAX_RECORDS};
-const MAX_LOCAL: u32 = 9;
-pub fn f(n: u32) { if n > MAX_RECORDS { return; } }
-";
-        let view = "pub fn f(n: u32) { if n > MAX_RECORDS { return; } }\n";
-        assert!(run_l9(&[("crates/x/src/mdf.rs", mdf), ("crates/x/src/view.rs", view)]).is_empty());
     }
 }

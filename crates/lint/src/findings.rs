@@ -26,10 +26,6 @@ pub enum Rule {
     /// sizes an allocation (`with_capacity`, `reserve`, `vec![x; n]`,
     /// slice-range bounds), on every interprocedural path.
     WireTaint,
-    /// L9 — guard parity: the owned (`mdf.rs`) and borrowed (`view.rs`)
-    /// MDF parsers must compare against the same set of `MAX_*` guard
-    /// constants — the static twin of the runtime differential oracle.
-    GuardParity,
     /// L10 — atomics discipline: every `store(Release)` pairs with a
     /// `load(Acquire)` on the same atomic (and vice versa); `Relaxed` is
     /// reserved for counters whose loaded value never guards a read of
@@ -61,7 +57,6 @@ impl Rule {
             Rule::LossyCast => "L6/lossy-cast",
             Rule::UnitMix => "L7/unit-consistency",
             Rule::WireTaint => "L8/wire-taint",
-            Rule::GuardParity => "L9/guard-parity",
             Rule::AtomicsDiscipline => "L10/atomics-discipline",
             Rule::LockDiscipline => "L11/lock-discipline",
             Rule::MalformedAllow => "allow-syntax",
@@ -70,7 +65,7 @@ impl Rule {
     }
 
     /// The `lint: allow(<key>, "...")` key that can suppress this rule, if
-    /// any. Structural rules (L3, L4, L9) and the allow machinery itself
+    /// any. Structural rules (L3, L4) and the allow machinery itself
     /// have no per-line escape hatch.
     pub fn allow_key(self) -> Option<&'static str> {
         match self {
@@ -81,7 +76,7 @@ impl Rule {
             Rule::UnitMix => Some("unit"),
             Rule::WireTaint => Some("taint"),
             Rule::AtomicsDiscipline | Rule::LockDiscipline => Some("sync"),
-            Rule::Taxonomy | Rule::GuardParity | Rule::MalformedAllow | Rule::UnusedAllow => None,
+            Rule::Taxonomy | Rule::MalformedAllow | Rule::UnusedAllow => None,
         }
     }
 
@@ -99,7 +94,6 @@ impl Rule {
             Rule::WireTaint => {
                 "Wire-read lengths must be MAX_*-guard-dominated before sizing allocations"
             }
-            Rule::GuardParity => "Owned and borrowed MDF parsers share one MAX_* guard set",
             Rule::AtomicsDiscipline => {
                 "Release/Acquire pairing, seqlock brackets and Relaxed hygiene on atomics"
             }
@@ -121,7 +115,6 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::LossyCast,
     Rule::UnitMix,
     Rule::WireTaint,
-    Rule::GuardParity,
     Rule::AtomicsDiscipline,
     Rule::LockDiscipline,
     Rule::MalformedAllow,

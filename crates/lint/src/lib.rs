@@ -33,10 +33,6 @@
 //!   (`with_capacity`, `reserve`, `vec![x; n]`, slice-range bounds),
 //!   on every interprocedural path; findings print the full taint
 //!   path. Escape hatch: `// lint: allow(taint, "<proof>")`.
-//! - **L9 guard parity**: the owned (`mdf.rs`) and borrowed (`view.rs`)
-//!   parsers must enforce the same `MAX_*` guard set, anchored in the
-//!   shared `darshan::limits` module — the static twin of the runtime
-//!   differential oracle.
 //! - **L10 atomics discipline** ([`sync`]): every Release-strength
 //!   publish on an atomic must have an Acquire-strength consumer on the
 //!   same field somewhere in the workspace (and vice versa); `Relaxed`
@@ -230,7 +226,6 @@ pub fn cli_main(args: &[String]) -> i32 {
                      points, L6 lossy-cast safety, L7 unit consistency,\n\
                      L8 wire-taint dataflow (untrusted lengths must be\n\
                      MAX_*-guard-dominated before sizing allocations),\n\
-                     L9 owned/borrowed parser guard-set parity,\n\
                      L10 atomics discipline (Release/Acquire pairing, seqlock\n\
                      brackets, Relaxed hygiene), L11 lock discipline (no guard\n\
                      across fan-out, acyclic lock order, poison parity), and\n\

@@ -13,7 +13,7 @@ use crate::lex::{in_ranges, Lexed, Tok};
 /// One call site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallSite {
-    /// Callee identifier (`from_bytes`, `categorize_log_timed`, …).
+    /// Callee identifier (`from_bytes`, `categorize_log`, …).
     pub name: String,
     /// The path segment immediately before `::name`, when the call is
     /// qualified (`mdf` in `mdf::from_bytes`, `Module` in

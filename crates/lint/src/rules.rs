@@ -199,7 +199,6 @@ pub fn lint_files(files: &[FileInput]) -> Report {
 
     check_crate_roots(files, &prepared, &mut report.findings);
     check_taxonomy(files, &prepared, &mut report.findings);
-    check_guard_parity_rule(files, &prepared, &mut report.findings);
 
     report.normalize();
     report
@@ -280,21 +279,6 @@ pub fn sync_report_json(files: &[FileInput]) -> String {
         .map(|((rel, lexed), (tests, parsed))| crate::sync::SyncInput { rel, lexed, tests, parsed })
         .collect();
     crate::sync::report_json(&inputs)
-}
-
-/// L9: guard-set parity between the owned and borrowed parsers, plus the
-/// `limits.rs` anchoring check. Structural — no per-line escape hatch.
-fn check_guard_parity_rule(files: &[FileInput], prepared: &[Prepared], out: &mut Vec<Finding>) {
-    let inputs: Vec<(&str, &Lexed)> =
-        prepared.iter().map(|p| (files[p.idx].rel.as_str(), &p.lexed)).collect();
-    for t in crate::dataflow::check_guard_parity(&inputs) {
-        out.push(Finding {
-            rule: Rule::GuardParity,
-            file: t.rel,
-            line: t.line,
-            message: t.message,
-        });
-    }
 }
 
 /// `true` when `rel` starts with any of the given path prefixes.

@@ -162,48 +162,31 @@ fn l8_fixture_flags_each_unguarded_sink_with_its_taint_path() {
     assert_eq!(stale.len(), 1, "{findings:?}");
 }
 
+/// L8 covers the one MDF parser: the real `view.rs` is quiet, and the same
+/// file with its `n_names > MAX_NAMES` guard deleted yields exactly one
+/// finding, at the name-id allocation the guard protects.
 #[test]
-fn l9_fixture_flags_guard_drift_in_both_directions() {
-    let findings = lint_fixture_set(&[
-        ("l9_mdf.rs", "crates/darshan/src/mdf.rs"),
-        ("l9_view.rs", "crates/darshan/src/view.rs"),
-    ]);
-    let l9: Vec<_> = findings.iter().filter(|(r, ..)| *r == Rule::GuardParity).collect();
-    assert_eq!(l9.len(), 2, "{findings:?}");
-    assert!(
-        l9.iter().any(|(_, f, _, m)| f.ends_with("view.rs")
-            && m.contains("`MAX_NAMES`")
-            && m.contains("the borrowed parser never does")),
-        "{l9:?}"
-    );
-    assert!(
-        l9.iter().any(|(_, f, _, m)| f.ends_with("mdf.rs")
-            && m.contains("`MAX_EXE_LEN`")
-            && m.contains("the owned parser never does")),
-        "{l9:?}"
-    );
-    // Both halves guard correctly, so the taint pass stays quiet.
-    assert!(!findings.iter().any(|(r, ..)| *r == Rule::WireTaint), "{findings:?}");
-}
-
-#[test]
-fn l9_guard_constants_must_anchor_in_the_limits_module() {
-    let findings = lint_fixture_set(&[
-        ("l9_mdf.rs", "crates/darshan/src/mdf.rs"),
-        ("l9_view.rs", "crates/darshan/src/view.rs"),
-        ("l9_limits.rs", "crates/darshan/src/limits.rs"),
-    ]);
-    let anchor: Vec<_> = findings
-        .iter()
-        .filter(|(r, _, _, m)| *r == Rule::GuardParity && m.contains("is not declared in"))
-        .collect();
-    // `MAX_RECORDS` is declared; `MAX_NAMES` (mdf) and `MAX_EXE_LEN`
-    // (view) are not.
-    assert_eq!(anchor.len(), 2, "{findings:?}");
-    assert!(anchor.iter().any(|(_, f, _, m)| f.ends_with("mdf.rs") && m.contains("`MAX_NAMES`")));
-    assert!(anchor
-        .iter()
-        .any(|(_, f, _, m)| f.ends_with("view.rs") && m.contains("`MAX_EXE_LEN`")));
+fn l8_flags_the_parser_when_its_name_count_guard_is_deleted() {
+    let path = fixture_dir().join("../../../darshan/src/view.rs");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let guard = "if n_names > MAX_NAMES {";
+    let start = text.find(guard).expect("view.rs has a name-count guard");
+    let end = start + text[start..].find("\n        }\n").expect("guard block closes") + 10;
+    let mutant = format!("{}{}", &text[..start], &text[end..]);
+    let l8 = |text: String| {
+        let inputs = [FileInput { rel: "crates/darshan/src/view.rs".to_owned(), text }];
+        lint_files(&inputs)
+            .findings
+            .into_iter()
+            .filter(|f| f.rule == Rule::WireTaint)
+            .map(|f| f.message)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(l8(text), Vec::<String>::new());
+    let findings = l8(mutant);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].contains("with_capacity"), "{findings:?}");
 }
 
 #[test]

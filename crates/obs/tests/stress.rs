@@ -79,11 +79,18 @@ fn check_snapshot(snap: &TraceTimeline) {
 fn concurrent_writers_and_reader_never_corrupt_the_ring() {
     let tracer = Tracer::new(CAPACITY);
     let writers_done = AtomicBool::new(false);
+    // Writers hold off until the reader is running, so a loaded machine
+    // cannot schedule every write before the first snapshot.
+    let reader_started = AtomicBool::new(false);
     let snapshots_taken = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..WRITERS)
             .map(|w| {
                 let tracer = &tracer;
+                let reader_started = &reader_started;
                 scope.spawn(move || {
+                    while !reader_started.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
                     for i in 0..SPANS_PER_WRITER {
                         tracer.record(span_for(w * TRACE_BASE + i, w));
                     }
@@ -92,6 +99,7 @@ fn concurrent_writers_and_reader_never_corrupt_the_ring() {
             .collect();
         let reader = scope.spawn(|| {
             let mut taken = 0u64;
+            reader_started.store(true, Ordering::Release);
             while !writers_done.load(Ordering::Acquire) {
                 check_snapshot(&tracer.snapshot());
                 taken += 1;

@@ -4,10 +4,12 @@ use crate::dedup::{heaviest_per_app, AppKey};
 use crate::funnel::FunnelStats;
 use crate::source::{TraceInput, TraceSource};
 use mosaic_core::category::Category;
+use mosaic_core::columnar::TraceArena;
 use mosaic_core::report::CategoryCounts;
 use mosaic_core::{Categorizer, CategorizerConfig, JaccardMatrix, TraceReport};
 use mosaic_darshan::convert::usize_to_u64;
-use mosaic_darshan::{mdf, validate, EvictClass, EvictReason, TraceLog};
+use mosaic_darshan::view::validate_view;
+use mosaic_darshan::{validate, EvictClass, EvictReason, OperationView, TraceLog, TraceView};
 use mosaic_obs::{
     MetricsReport, MetricsSnapshot, PipelineMetrics, Recorder, Span, SpanOutcome, Stage,
     TraceTimeline,
@@ -24,25 +26,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// without any extra bookkeeping on the hot path.
 pub type ProgressFn = Arc<dyn Fn(usize, usize, &Recorder) + Send + Sync>;
 
-/// How byte-fed traces are parsed and carried through the funnel.
-///
-/// Both modes produce byte-identical [`PipelineResult`]s (the
-/// `zerocopy-vs-owned` differential oracle pins this); they differ only in
-/// allocation behaviour. Log-fed inputs ([`TraceInput::Log`]) always take
-/// the owned path — there are no wire bytes to borrow from.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ParseMode {
-    /// Borrowed [`mosaic_darshan::TraceView`] over the wire bytes plus a
-    /// per-thread columnar arena: no per-record materialization, no
-    /// per-trace interval vectors. The default.
-    #[default]
-    ZeroCopy,
-    /// Decode into an owned [`TraceLog`] ([`mdf::from_bytes`]) and
-    /// categorize through row-oriented `Vec<Operation>`s — the reference
-    /// implementation, kept as the differential baseline.
-    Owned,
-}
-
 /// Executor configuration.
 #[derive(Clone, Default)]
 pub struct PipelineConfig {
@@ -58,8 +41,6 @@ pub struct PipelineConfig {
     /// [`TraceTimeline`] to the [`PipelineResult`]. `None` (the default)
     /// keeps the aggregate metrics only — zero extra allocation per trace.
     pub trace_capacity: Option<usize>,
-    /// Parse/carry strategy for byte-fed traces; see [`ParseMode`].
-    pub parse_mode: ParseMode,
     /// Unified metrics registry: `true` attaches a
     /// [`mosaic_obs::PipelineMetrics`] (gauges, eviction-by-reason
     /// counters, per-worker utilization) and exports a
@@ -76,7 +57,6 @@ impl std::fmt::Debug for PipelineConfig {
             .field("categorizer", &self.categorizer)
             .field("progress", &self.progress.is_some())
             .field("trace_capacity", &self.trace_capacity)
-            .field("parse_mode", &self.parse_mode)
             .field("metrics", &self.metrics)
             .finish()
     }
@@ -247,124 +227,68 @@ impl<'a> SpanScope<'a> {
 }
 
 thread_local! {
-    /// The per-worker trace arena of the zero-copy path. Thread-local (not
-    /// per-call) so steady-state ingestion reuses grown buffers instead of
-    /// reallocating per trace; `ColumnarTrace::load` and the merge scratch
-    /// only ever `clear()` it.
-    static ARENA: std::cell::RefCell<mosaic_core::columnar::TraceArena> =
-        std::cell::RefCell::new(mosaic_core::columnar::TraceArena::default());
+    /// The per-worker trace arena. Thread-local (not per-call) so
+    /// steady-state ingestion reuses grown buffers instead of reallocating
+    /// per trace; loading and the merge scratch only ever `clear()` it.
+    static ARENA: std::cell::RefCell<TraceArena> = std::cell::RefCell::new(TraceArena::default());
 }
 
-/// The zero-copy ingest path: borrowed parse, borrowed validation, columnar
-/// extraction into the worker's arena, arena categorization. Stage spans
-/// mirror the owned path one-for-one (same stages, same outcomes).
-fn ingest_zero_copy(
+/// What the extraction step hands the shared categorize tail besides the
+/// loaded arena: the per-trace fields of the eventual [`RunOutcome`].
+struct Extracted {
+    app_key: AppKey,
+    sanitized_records: usize,
+    start_time: i64,
+    end_time: i64,
+}
+
+/// Byte input: borrowed parse, borrowed validation, columnar extraction
+/// into the arena. The arena load skips the records validation flagged,
+/// which is what `delete_invalid` does for log inputs.
+fn extract_bytes(
     bytes: &[u8],
-    index: usize,
-    categorizer: &Categorizer,
+    arena: &mut TraceArena,
     recorder: &Recorder,
     scope: SpanScope<'_>,
-    wire: u64,
-) -> Ingested {
+) -> Result<Extracted, Ingested> {
+    let wire = usize_to_u64(bytes.len());
     let t0 = recorder.now_ns();
-    let parsed = mosaic_darshan::TraceView::parse(bytes);
+    let parsed = TraceView::parse(bytes);
     let dur = recorder.now_ns().saturating_sub(t0);
     let view = match parsed {
         Ok(view) => {
             scope.emit(Stage::Parse, t0, dur, wire, SpanOutcome::Ok, None);
             view
         }
-        Err(err) => return scope.evict(Stage::Parse, t0, dur, wire, EvictReason::from(&err)),
+        Err(err) => return Err(scope.evict(Stage::Parse, t0, dur, wire, EvictReason::from(&err))),
     };
 
     let t0 = recorder.now_ns();
-    let report = mosaic_darshan::view::validate_view(&view);
+    let report = validate_view(&view);
     let dur = recorder.now_ns().saturating_sub(t0);
     if report.is_fatal() {
-        return scope.evict(Stage::Validate, t0, dur, 0, report.evict_reason());
+        return Err(scope.evict(Stage::Validate, t0, dur, 0, report.evict_reason()));
     }
     scope.emit(Stage::Validate, t0, dur, 0, SpanOutcome::Ok, None);
-    // No delete pass: the arena load below skips the flagged records, which
-    // is the zero-copy equivalent of `delete_invalid`.
-    let sanitized_records = report.record_errors.len();
 
-    ARENA.with(|cell| {
-        let mut arena = cell.borrow_mut();
-        arena.trace.load(&view, &report);
-        if let Some(metrics) = recorder.pipeline_metrics() {
-            let resident = arena.resident_bytes();
-            metrics.arena_resident().set(resident);
-            metrics.arena_peak().set_max(resident);
-        }
-        let t0 = recorder.now_ns();
-        let (trace_report, timings) = categorizer.categorize_arena_timed(&mut arena);
-        scope.emit(Stage::Merge, t0, timings.merge_nanos, 0, SpanOutcome::Ok, None);
-        scope.emit(
-            Stage::Categorize,
-            t0.saturating_add(timings.merge_nanos),
-            timings.total_nanos.saturating_sub(timings.merge_nanos),
-            0,
-            SpanOutcome::Ok,
-            None,
-        );
-        Ingested::Valid(Box::new(RunOutcome {
-            index,
-            app_key: view.app_key(),
-            weight: arena.trace.weight,
-            sanitized_records,
-            start_time: view.start_time,
-            end_time: view.end_time,
-            report: trace_report,
-        }))
+    arena.trace.load(&view, &report);
+    Ok(Extracted {
+        app_key: view.app_key(),
+        sanitized_records: report.record_errors.len(),
+        start_time: view.start_time,
+        end_time: view.end_time,
     })
 }
 
-/// Parse → validate → categorize one fetched input, recording per-stage
-/// timings and spans. The fetch itself (and its span) is the caller's
-/// business; the `Err` fate of a fetch is still accounted here so batch and
-/// streaming funnels agree.
-pub(crate) fn ingest_one(
-    fetched: std::io::Result<TraceInput>,
-    index: usize,
-    categorizer: &Categorizer,
+/// Log input: validate copy-on-write — the read-only pass decides the fate,
+/// and the log is cloned out of its `Arc` only when records actually need
+/// deleting — then extract its operation view into the arena.
+fn extract_log(
+    log: Arc<TraceLog>,
+    arena: &mut TraceArena,
     recorder: &Recorder,
-    mode: ParseMode,
-) -> Ingested {
-    let scope = SpanScope::current(recorder, index);
-    let input = match fetched {
-        Ok(input) => input,
-        Err(_) => {
-            recorder.count_eviction();
-            if let Some(metrics) = recorder.pipeline_metrics() {
-                metrics.count_eviction(&EvictReason::IoError.slug());
-            }
-            return Ingested::Evicted(EvictReason::IoError);
-        }
-    };
-    let wire = usize_to_u64(input.wire_len());
-    let log: Arc<TraceLog> = match input {
-        TraceInput::Bytes(bytes) if mode == ParseMode::ZeroCopy => {
-            return ingest_zero_copy(&bytes, index, categorizer, recorder, scope, wire);
-        }
-        TraceInput::Bytes(bytes) => {
-            let t0 = recorder.now_ns();
-            let parsed = mdf::from_bytes(&bytes);
-            let dur = recorder.now_ns().saturating_sub(t0);
-            match parsed {
-                Ok(log) => {
-                    scope.emit(Stage::Parse, t0, dur, wire, SpanOutcome::Ok, None);
-                    Arc::new(log)
-                }
-                Err(err) => {
-                    return scope.evict(Stage::Parse, t0, dur, wire, EvictReason::from(&err))
-                }
-            }
-        }
-        TraceInput::Log(log) => log,
-    };
-
-    // Validate copy-on-write: the read-only pass decides the fate; the log
-    // is cloned out of its `Arc` only when records actually need deleting.
+    scope: SpanScope<'_>,
+) -> Result<Extracted, Ingested> {
     let t0 = recorder.now_ns();
     let report = validate::validate(&log);
     let fate = if report.is_fatal() {
@@ -379,32 +303,84 @@ pub(crate) fn ingest_one(
     let dur = recorder.now_ns().saturating_sub(t0);
     let (log, sanitized_records) = match fate {
         Ok(pair) => pair,
-        Err(reason) => return scope.evict(Stage::Validate, t0, dur, 0, reason),
+        Err(reason) => return Err(scope.evict(Stage::Validate, t0, dur, 0, reason)),
     };
     scope.emit(Stage::Validate, t0, dur, 0, SpanOutcome::Ok, None);
 
-    // Categorization times itself; merge starts at `t0` and the three
-    // characterizations follow it, so the two spans tile the measured total.
-    let t0 = recorder.now_ns();
-    let (report, timings) = categorizer.categorize_log_timed(&log);
-    scope.emit(Stage::Merge, t0, timings.merge_nanos, 0, SpanOutcome::Ok, None);
-    scope.emit(
-        Stage::Categorize,
-        t0.saturating_add(timings.merge_nanos),
-        timings.total_nanos.saturating_sub(timings.merge_nanos),
-        0,
-        SpanOutcome::Ok,
-        None,
-    );
-    Ingested::Valid(Box::new(RunOutcome {
-        index,
-        app_key: log.header().app_key(),
-        weight: log.io_weight(),
+    arena.trace.load_view(&OperationView::from_log(&log));
+    arena.trace.weight = log.io_weight();
+    let header = log.header();
+    Ok(Extracted {
+        app_key: header.app_key(),
         sanitized_records,
-        start_time: log.header().start_time,
-        end_time: log.header().end_time,
-        report,
-    }))
+        start_time: header.start_time,
+        end_time: header.end_time,
+    })
+}
+
+/// Parse → validate → categorize one fetched input, recording per-stage
+/// timings and spans. The fetch itself (and its span) is the caller's
+/// business; the `Err` fate of a fetch is still accounted here so batch and
+/// streaming funnels agree.
+///
+/// Byte and log inputs differ only in how they are extracted into the
+/// worker's arena; from there they share one categorize tail.
+pub(crate) fn ingest_one(
+    fetched: std::io::Result<TraceInput>,
+    index: usize,
+    categorizer: &Categorizer,
+    recorder: &Recorder,
+) -> Ingested {
+    let scope = SpanScope::current(recorder, index);
+    let input = match fetched {
+        Ok(input) => input,
+        Err(_) => {
+            recorder.count_eviction();
+            if let Some(metrics) = recorder.pipeline_metrics() {
+                metrics.count_eviction(&EvictReason::IoError.slug());
+            }
+            return Ingested::Evicted(EvictReason::IoError);
+        }
+    };
+    ARENA.with(|cell| {
+        let mut arena = cell.borrow_mut();
+        let extracted = match input {
+            TraceInput::Bytes(bytes) => extract_bytes(&bytes, &mut arena, recorder, scope),
+            TraceInput::Log(log) => extract_log(log, &mut arena, recorder, scope),
+        };
+        let extracted = match extracted {
+            Ok(extracted) => extracted,
+            Err(evicted) => return evicted,
+        };
+        if let Some(metrics) = recorder.pipeline_metrics() {
+            let resident = arena.resident_bytes();
+            metrics.arena_resident().set(resident);
+            metrics.arena_peak().set_max(resident);
+        }
+        // Categorization times itself; merge starts at `t0` and the three
+        // characterizations follow it, so the two spans tile the measured
+        // total.
+        let t0 = recorder.now_ns();
+        let (report, timings) = categorizer.categorize_arena_timed(&mut arena);
+        scope.emit(Stage::Merge, t0, timings.merge_nanos, 0, SpanOutcome::Ok, None);
+        scope.emit(
+            Stage::Categorize,
+            t0.saturating_add(timings.merge_nanos),
+            timings.total_nanos.saturating_sub(timings.merge_nanos),
+            0,
+            SpanOutcome::Ok,
+            None,
+        );
+        Ingested::Valid(Box::new(RunOutcome {
+            index,
+            app_key: extracted.app_key,
+            weight: arena.trace.weight,
+            sanitized_records: extracted.sanitized_records,
+            start_time: extracted.start_time,
+            end_time: extracted.end_time,
+            report,
+        }))
+    })
 }
 
 /// A memoized Rayon pool per explicit thread count. Building a pool spawns
@@ -461,7 +437,7 @@ pub fn process<S: TraceSource>(source: &S, config: &PipelineConfig) -> PipelineR
                 let wire = fetched.as_ref().map(|f| usize_to_u64(f.wire_len())).unwrap_or(0);
                 let outcome = if fetched.is_ok() { SpanOutcome::Ok } else { SpanOutcome::IoError };
                 scope.emit(Stage::Fetch, t0, dur, wire, outcome, None);
-                let out = ingest_one(fetched, i, &categorizer, &recorder, config.parse_mode);
+                let out = ingest_one(fetched, i, &categorizer, &recorder);
                 if let Some(metrics) = metrics {
                     metrics.inflight().sub(1);
                 }
@@ -509,7 +485,7 @@ mod tests {
     use mosaic_darshan::counter::PosixFCounter as F;
     use mosaic_darshan::job::JobHeader;
     use mosaic_darshan::log::TraceLogBuilder;
-    use mosaic_darshan::ValidityError;
+    use mosaic_darshan::{mdf, ValidityError};
 
     fn log_for(uid: u32, exe: &str, bytes: i64) -> TraceLog {
         let mut b = TraceLogBuilder::new(JobHeader::new(1, uid, 4, 0, 1000).with_exe(exe));
@@ -816,7 +792,7 @@ mod tests {
         assert_eq!(evictions.samples[0].value, 1.0);
         assert!(
             family("mosaic.arena.peak_bytes").samples[0].value > 0.0,
-            "zero-copy default must report arena residency"
+            "every valid trace loads the arena, so residency must be reported"
         );
         let latency = family("mosaic.stage.latency_ns");
         let parse = latency
@@ -834,10 +810,12 @@ mod tests {
     }
 
     #[test]
-    fn parse_modes_agree_on_mixed_inputs() {
-        // Valid, corrupt, fatally-invalid, and partially-corrupt byte-fed
-        // traces: both parse modes must produce identical funnels, outcomes,
-        // and representatives — and the same span structure when traced.
+    fn log_and_byte_inputs_agree_on_mixed_inputs() {
+        // Valid, corrupt, fatally-invalid, and partially-corrupt traces, fed
+        // once as wire bytes and once as decoded logs (corrupt bytes have no
+        // log form and stay bytes): the two extraction paths must produce
+        // identical funnels, outcomes, and representatives — and the same
+        // span structure when traced, minus the parse spans log inputs skip.
         let mut partially_bad =
             TraceLogBuilder::new(JobHeader::new(3, 7, 4, 0, 1000).with_exe("/bin/m"));
         let g = partially_bad.begin_record("/good", 0);
@@ -849,36 +827,54 @@ mod tests {
             .setf(F::WriteEndTimestamp, 960.0);
         let bad = partially_bad.begin_record("/bad", 0);
         partially_bad.record_mut(bad).set(C::BytesRead, -5);
-        let inputs: Vec<TraceInput> = vec![
+        let byte_inputs: Vec<TraceInput> = vec![
             TraceInput::bytes(mdf::to_bytes(&log_for(1, "/bin/a", 900 << 20))),
             TraceInput::bytes(b"garbage".to_vec()),
             TraceInput::bytes(mdf::to_bytes(
                 &TraceLogBuilder::new(JobHeader::new(1, 1, 4, 5, 5)).finish(),
             )),
             TraceInput::bytes(mdf::to_bytes(&partially_bad.finish())),
-            TraceInput::log(log_for(2, "/bin/b", 700 << 20)),
+            TraceInput::bytes(mdf::to_bytes(&log_for(2, "/bin/b", 700 << 20))),
         ];
-        let zc_cfg = PipelineConfig { trace_capacity: Some(256), ..Default::default() };
-        assert_eq!(zc_cfg.parse_mode, ParseMode::ZeroCopy, "zero-copy must be the default");
-        let owned_cfg = PipelineConfig {
-            parse_mode: ParseMode::Owned,
-            trace_capacity: Some(256),
-            ..zc_cfg.clone()
-        };
-        let zc = process(&VecSource::new(inputs.clone()), &zc_cfg);
-        let owned = process(&VecSource::new(inputs), &owned_cfg);
-        assert_eq!(zc.funnel, owned.funnel);
-        assert_eq!(zc.outcomes, owned.outcomes);
-        assert_eq!(zc.representatives, owned.representatives);
-        assert_eq!(zc.outcomes[1].sanitized_records, 1, "partial corruption sanitized");
-        let spans = |r: &PipelineResult| {
+        let log_inputs: Vec<TraceInput> = byte_inputs
+            .iter()
+            .map(|input| match input {
+                TraceInput::Bytes(bytes) => match mdf::from_bytes(bytes) {
+                    Ok(log) => TraceInput::log(log),
+                    Err(_) => input.clone(),
+                },
+                TraceInput::Log(_) => input.clone(),
+            })
+            .collect();
+        let config = PipelineConfig { trace_capacity: Some(256), ..Default::default() };
+        let from_bytes = process(&VecSource::new(byte_inputs), &config);
+        let from_logs = process(&VecSource::new(log_inputs), &config);
+        assert_eq!(from_bytes.funnel, from_logs.funnel);
+        assert_eq!(from_bytes.outcomes, from_logs.outcomes);
+        assert_eq!(from_bytes.representatives, from_logs.representatives);
+        assert_eq!(from_bytes.outcomes[1].sanitized_records, 1, "partial corruption sanitized");
+        let spans = |r: &PipelineResult, skip_parse_of_valid: bool| {
             let t = r.timeline.as_ref().expect("traced");
             t.events
                 .iter()
+                .filter(|e| {
+                    !(skip_parse_of_valid
+                        && e.stage == Stage::Parse
+                        && e.outcome == SpanOutcome::Ok)
+                })
                 .map(|e| (e.trace, format!("{:?}", e.stage), format!("{:?}", e.outcome)))
                 .collect::<BTreeSet<_>>()
         };
-        assert_eq!(spans(&zc), spans(&owned), "span structure must match stage-for-stage");
+        assert_eq!(
+            spans(&from_bytes, true),
+            spans(&from_logs, false),
+            "span structure must match stage-for-stage"
+        );
+        assert_eq!(
+            spans(&from_logs, false).iter().filter(|(_, stage, _)| stage == "Parse").count(),
+            1,
+            "only the corrupt input reaches parse when fed as logs"
+        );
     }
 
     #[test]

@@ -127,13 +127,7 @@ impl IncrementalAnalyzer {
     pub fn ingest_fetched(&mut self, fetched: std::io::Result<TraceInput>) -> Option<TraceReport> {
         let index = self.funnel.total;
         self.funnel.total += 1;
-        let outcome = match ingest_one(
-            fetched,
-            index,
-            &self.categorizer,
-            &self.recorder,
-            crate::executor::ParseMode::default(),
-        ) {
+        let outcome = match ingest_one(fetched, index, &self.categorizer, &self.recorder) {
             Ingested::Evicted(reason) => {
                 self.funnel.record_eviction(reason);
                 self.offer_window();
@@ -261,6 +255,26 @@ mod tests {
         let metrics = inc.metrics();
         assert_eq!(metrics.traces, 40);
         assert!(metrics.stages.iter().any(|s| s.stage == "parse" && s.calls > 0));
+    }
+
+    #[test]
+    fn streaming_log_and_byte_inputs_agree() {
+        // The same traces streamed as decoded logs and as wire bytes must
+        // land in the same funnel and category counts: the two input kinds
+        // differ only in how they are extracted into the arena.
+        let logs: Vec<TraceLog> = (0..12)
+            .map(|i| log_for(i % 3, &format!("/bin/app{}", i % 3), (i as i64 + 1) << 20))
+            .collect();
+        let mut from_logs = IncrementalAnalyzer::new(CategorizerConfig::default());
+        let mut from_bytes = IncrementalAnalyzer::new(CategorizerConfig::default());
+        for log in &logs {
+            from_bytes.ingest(TraceInput::bytes(mdf::to_bytes(log)));
+            from_logs.ingest(TraceInput::log(log.clone()));
+        }
+        assert_eq!(from_logs.funnel(), from_bytes.funnel());
+        assert_eq!(from_logs.funnel().valid, 12);
+        assert_eq!(from_logs.all_runs_counts(), from_bytes.all_runs_counts());
+        assert_eq!(from_logs.single_run_counts(), from_bytes.single_run_counts());
     }
 
     #[test]

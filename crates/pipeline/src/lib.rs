@@ -53,7 +53,7 @@ pub mod snapshot;
 pub mod source;
 pub mod stability;
 
-pub use executor::{process, ParseMode, PipelineConfig, PipelineResult, RunOutcome};
+pub use executor::{process, PipelineConfig, PipelineResult, RunOutcome};
 pub use funnel::FunnelStats;
 pub use incremental::IncrementalAnalyzer;
 pub use snapshot::{RepSnapshot, ResultSnapshot};

@@ -1,7 +1,7 @@
 //! Differential oracles: independent implementations of the same contract
 //! must produce bit-identical results.
 //!
-//! Three pairings, each run over every standard mini-corpus:
+//! The pairings, each run over every standard mini-corpus:
 //!
 //! * **serial vs parallel** — the batch executor on a 1-thread pool vs
 //!   2- and 4-thread pools vs Rayon's global default. Categorization is a
@@ -12,8 +12,11 @@
 //!   through the same `ingest_one`, so funnel and both category
 //!   distributions must agree exactly;
 //! * **MDF roundtrip** — `write → parse → re-write` must be byte-stable for
-//!   every parseable trace, and a pipeline fed serialized bytes must answer
-//!   exactly like one fed the decoded logs;
+//!   every parseable trace;
+//! * **log source vs bytes source** — a pipeline fed serialized bytes must
+//!   answer exactly like one fed the decoded logs. The two input kinds
+//!   differ only in how they are extracted into the categorizer's arena,
+//!   so this pins that one remaining fork;
 //! * **traced vs untraced** — a run with structured span tracing enabled
 //!   must snapshot byte-identically to one without: the timeline is
 //!   observability, never part of the answer;
@@ -21,14 +24,21 @@
 //!   snapshot byte-identically to one without, and must actually attach a
 //!   registry export: gauges, sketches, and eviction counters are
 //!   telemetry, never part of the answer;
-//! * **zero-copy vs owned** — the borrowed-view/columnar parse mode against
-//!   the owned reference path, over the same wire bytes: per corpus, and
-//!   once over a 2 000-trace mixed-corruption synthetic sweep. The hot-path
-//!   rewrite may not move the answer by a byte.
+//! * **columnar vs reference** — for every valid trace, the production
+//!   columnar extraction and merge ([`merge_all_columnar`], materialized)
+//!   must equal the row reference [`merge::merge_all`] over the log's
+//!   operation view, and [`chunk_volumes_columnar`] must equal
+//!   [`chunk_volumes`] on the merged operations: per corpus, and once over
+//!   a 2 000-trace mixed-corruption synthetic sweep.
 
 use crate::VerifyReport;
-use mosaic_darshan::mdf;
-use mosaic_pipeline::executor::{process, ParseMode, PipelineConfig};
+use mosaic_core::columnar::{chunk_volumes_columnar, merge_all_columnar, TraceArena};
+use mosaic_core::merge;
+use mosaic_core::temporality::chunk_volumes;
+use mosaic_core::CategorizerConfig;
+use mosaic_darshan::view::validate_view;
+use mosaic_darshan::{mdf, validate, OpKind, OperationView, TraceView};
+use mosaic_pipeline::executor::{process, PipelineConfig};
 use mosaic_pipeline::source::{TraceInput, VecSource};
 use mosaic_pipeline::{IncrementalAnalyzer, ResultSnapshot};
 use mosaic_synth::{Dataset, DatasetConfig, MiniCorpus, Payload};
@@ -65,6 +75,64 @@ fn compare(report: &mut VerifyReport, name: String, a: &ResultSnapshot, b: &Resu
             ),
         );
     }
+}
+
+/// The columnar-vs-reference check over one set of wire buffers: every
+/// valid trace is extracted twice — into the production arena straight
+/// from the wire, and as a sanitized log's [`OperationView`] — and each
+/// direction's columnar merge and chunk volumes must equal the row
+/// reference's, bit for bit.
+fn columnar_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<u8>]) {
+    let config = CategorizerConfig::default();
+    let mut arena = TraceArena::default();
+    let mut merged = Vec::new();
+    let mut valid = 0usize;
+    let mut diverged = Vec::new();
+    for (i, wire) in wires.iter().enumerate() {
+        let Ok(view) = TraceView::parse(wire) else { continue };
+        let validity = validate_view(&view);
+        if validity.is_fatal() {
+            continue;
+        }
+        valid += 1;
+        arena.trace.load(&view, &validity);
+        let mut log = view.to_log();
+        let log_validity = validate::validate(&log);
+        validate::delete_invalid(&mut log, &log_validity);
+        let rows = OperationView::from_log(&log);
+        let runtime = arena.trace.runtime;
+        for (kind, cols, raw) in [
+            (OpKind::Read, &arena.trace.reads, &rows.reads),
+            (OpKind::Write, &arena.trace.writes, &rows.writes),
+        ] {
+            merge_all_columnar(cols, runtime, &config, &mut arena.scratch);
+            arena.scratch.merged.materialize(kind, &mut merged);
+            let reference = merge::merge_all(raw, rows.runtime, &config);
+            if merged != reference {
+                diverged.push(format!(
+                    "trace {i} {kind:?}: columnar merge kept {} ops, reference {}",
+                    merged.len(),
+                    reference.len()
+                ));
+            }
+            let columnar = chunk_volumes_columnar(&arena.scratch.merged, runtime, config.chunks);
+            let row = chunk_volumes(&reference, rows.runtime, config.chunks);
+            if columnar != row {
+                diverged.push(format!(
+                    "trace {i} {kind:?}: chunk volumes {columnar:?} vs reference {row:?}"
+                ));
+            }
+        }
+    }
+    report.check(
+        name,
+        diverged.is_empty(),
+        if diverged.is_empty() {
+            format!("{valid} valid traces: columnar merge and chunk volumes equal the reference")
+        } else {
+            diverged.join("\n")
+        },
+    );
 }
 
 /// Run every differential oracle, appending one check per comparison.
@@ -189,10 +257,10 @@ pub fn run(report: &mut VerifyReport) {
         );
 
         // A pipeline fed wire bytes answers exactly like one fed logs.
-        let byte_inputs: Vec<TraceInput> =
-            (0..corpus.len()).map(|i| TraceInput::bytes(corpus.mdf_bytes(i))).collect();
+        let wires: Vec<Vec<u8>> = (0..corpus.len()).map(|i| corpus.mdf_bytes(i)).collect();
+        let byte_inputs: Vec<TraceInput> = wires.iter().cloned().map(TraceInput::bytes).collect();
         let from_bytes =
-            ResultSnapshot::of(&process(&VecSource::new(byte_inputs.clone()), &config(Some(2))));
+            ResultSnapshot::of(&process(&VecSource::new(byte_inputs), &config(Some(2))));
         compare(
             report,
             format!("differential/log-source-vs-bytes-source/{}", corpus.name()),
@@ -200,33 +268,28 @@ pub fn run(report: &mut VerifyReport) {
             &from_bytes,
         );
 
-        // Zero-copy vs owned parse mode over the same wire bytes: the
-        // borrowed-view/columnar hot path against the reference owned path.
-        let owned_config = PipelineConfig { parse_mode: ParseMode::Owned, ..config(Some(2)) };
-        let from_owned = ResultSnapshot::of(&process(&VecSource::new(byte_inputs), &owned_config));
-        compare(
+        columnar_vs_reference(
             report,
-            format!("differential/zerocopy-vs-owned/{}", corpus.name()),
-            &from_bytes,
-            &from_owned,
+            format!("differential/columnar-vs-reference/{}", corpus.name()),
+            &wires,
         );
     }
 
-    // Zero-copy vs owned over a 2 000-trace synthetic sweep (mixed
-    // corruption), byte-fed through both parse modes — the at-scale pin the
-    // mini-corpora cannot give.
+    // Columnar vs reference over a 2 000-trace synthetic sweep (mixed
+    // corruption) — the at-scale pin the mini-corpora cannot give.
     let sweep =
         Dataset::new(DatasetConfig { n_traces: 2000, corruption_rate: 0.32, seed: 0xC011A9E });
-    let sweep_inputs: Vec<TraceInput> = (0..sweep.len())
+    let sweep_wires: Vec<Vec<u8>> = (0..sweep.len())
         .map(|i| match sweep.generate(i).payload {
-            Payload::Log(log) => TraceInput::bytes(mdf::to_bytes(&log)),
-            Payload::Bytes(bytes) => TraceInput::bytes(bytes),
+            Payload::Log(log) => mdf::to_bytes(&log),
+            Payload::Bytes(bytes) => bytes,
         })
         .collect();
-    let zc = ResultSnapshot::of(&process(&VecSource::new(sweep_inputs.clone()), &config(Some(2))));
-    let owned_config = PipelineConfig { parse_mode: ParseMode::Owned, ..config(Some(2)) };
-    let owned = ResultSnapshot::of(&process(&VecSource::new(sweep_inputs), &owned_config));
-    compare(report, "differential/zerocopy-vs-owned/synthetic-2k".to_owned(), &zc, &owned);
+    columnar_vs_reference(
+        report,
+        "differential/columnar-vs-reference/synthetic-2k".to_owned(),
+        &sweep_wires,
+    );
 }
 
 #[cfg(test)]
@@ -240,9 +303,43 @@ mod tests {
         assert!(report.passed(), "{}", report.render());
         // 9 checks per corpus (3 pool comparisons, incremental, roundtrip,
         // traced-vs-untraced, metrics-on-vs-off, bytes-source,
-        // zerocopy-vs-owned) × 3 corpora, plus the 2k-sweep
-        // zerocopy-vs-owned check.
+        // columnar-vs-reference) × 3 corpora, plus the 2k-sweep
+        // columnar-vs-reference check.
         assert_eq!(report.checks.len(), 28);
+    }
+
+    #[test]
+    fn columnar_vs_reference_compares_only_valid_traces() {
+        use mosaic_darshan::counter::PosixCounter as C;
+        use mosaic_darshan::counter::PosixFCounter as F;
+        use mosaic_darshan::job::JobHeader;
+        use mosaic_darshan::log::TraceLogBuilder;
+        // A valid trace carrying one invalid record (sanitized away on both
+        // sides), a trace whose every record is invalid (fatal), and bytes
+        // that do not parse: only the first is compared.
+        let mut b = TraceLogBuilder::new(JobHeader::new(1, 1, 4, 0, 100).with_exe("/bin/a"));
+        for rank in 0..3 {
+            let r = b.begin_record(&format!("/in.{rank}"), rank);
+            b.record_mut(r)
+                .set(C::Reads, 2)
+                .set(C::BytesRead, 4096)
+                .setf(F::ReadStartTimestamp, f64::from(rank) * 10.0)
+                .setf(F::ReadEndTimestamp, f64::from(rank) * 10.0 + 5.0);
+        }
+        let bad = b.begin_record("/bad", 9); // rank out of range
+        b.record_mut(bad).set(C::BytesWritten, 7);
+        let valid = b.finish();
+        let mut b = TraceLogBuilder::new(JobHeader::new(2, 1, 4, 0, 100).with_exe("/bin/b"));
+        let bad = b.begin_record("/bad", 9);
+        b.record_mut(bad).set(C::BytesRead, 7);
+        let fatal = b.finish();
+        let wires = vec![mdf::to_bytes(&valid), mdf::to_bytes(&fatal), vec![7u8; 32]];
+
+        let mut report = VerifyReport::default();
+        columnar_vs_reference(&mut report, "columnar".to_owned(), &wires);
+        assert!(report.passed(), "{}", report.render());
+        assert_eq!(report.checks.len(), 1);
+        assert!(report.checks[0].detail.starts_with("1 valid traces"), "{}", report.render());
     }
 
     #[test]

@@ -291,3 +291,74 @@ fn pipeline_survives_a_source_of_pure_garbage() {
     assert_eq!(result.funnel.format_corrupt, 200);
     assert!(result.outcomes.is_empty());
 }
+
+#[test]
+fn hostile_byte_volumes_saturate_the_dedup_weight() {
+    // A trace that passes validation yet carries two records of 2^62 bytes
+    // read: their sum overflows `i64`. The dedup weight must saturate at
+    // `i64::MAX` on both input kinds instead of panicking (debug) or
+    // wrapping negative (release).
+    use mosaic_darshan::counter::PosixCounter as C;
+    use mosaic_darshan::counter::PosixFCounter as F;
+    use mosaic_pipeline::executor::{process, PipelineConfig};
+    use mosaic_pipeline::source::{TraceInput, VecSource};
+    let mut b = mosaic_darshan::log::TraceLogBuilder::new(
+        mosaic_darshan::job::JobHeader::new(1, 1, 4, 0, 1000).with_exe("/bin/huge"),
+    );
+    for rank in 0..2 {
+        let r = b.begin_record(&format!("/huge.{rank}"), rank);
+        b.record_mut(r)
+            .set(C::Reads, 1)
+            .set(C::BytesRead, 1 << 62)
+            .setf(F::ReadStartTimestamp, 10.0)
+            .setf(F::ReadEndTimestamp, 20.0);
+    }
+    let log = b.finish();
+    assert!(mosaic_darshan::validate::validate(&log).is_clean());
+
+    let run = |input: TraceInput| process(&VecSource::new(vec![input]), &PipelineConfig::default());
+    let from_bytes = run(TraceInput::bytes(mdf::to_bytes(&log)));
+    let from_log = run(TraceInput::log(log));
+    for result in [&from_bytes, &from_log] {
+        assert_eq!(result.funnel.valid, 1, "{:?}", result.funnel);
+        assert_eq!(result.outcomes[0].weight, i64::MAX);
+    }
+    assert_eq!(from_bytes.outcomes, from_log.outcomes);
+}
+
+#[test]
+fn hostile_mixed_volumes_saturate_the_dedup_weight() {
+    // Reads and writes that each fit in `i64` but whose total does not:
+    // the weight saturates identically whether the trace arrives as bytes
+    // or as a log, and the categorization is unaffected by the clamp.
+    use mosaic_darshan::counter::PosixCounter as C;
+    use mosaic_darshan::counter::PosixFCounter as F;
+    use mosaic_pipeline::executor::{process, PipelineConfig};
+    use mosaic_pipeline::source::{TraceInput, VecSource};
+    let mut b = mosaic_darshan::log::TraceLogBuilder::new(
+        mosaic_darshan::job::JobHeader::new(1, 1, 4, 0, 1000).with_exe("/bin/mixed"),
+    );
+    let r = b.begin_record("/in", 0);
+    b.record_mut(r)
+        .set(C::Reads, 1)
+        .set(C::BytesRead, 3 << 61)
+        .setf(F::ReadStartTimestamp, 10.0)
+        .setf(F::ReadEndTimestamp, 20.0);
+    let w = b.begin_record("/out", 1);
+    b.record_mut(w)
+        .set(C::Writes, 1)
+        .set(C::BytesWritten, 3 << 61)
+        .setf(F::WriteStartTimestamp, 900.0)
+        .setf(F::WriteEndTimestamp, 950.0);
+    let log = b.finish();
+    assert!(mosaic_darshan::validate::validate(&log).is_clean());
+
+    let run = |input: TraceInput| process(&VecSource::new(vec![input]), &PipelineConfig::default());
+    let from_bytes = run(TraceInput::bytes(mdf::to_bytes(&log)));
+    let from_log = run(TraceInput::log(log));
+    for result in [&from_bytes, &from_log] {
+        assert_eq!(result.funnel.valid, 1, "{:?}", result.funnel);
+        assert_eq!(result.outcomes[0].weight, i64::MAX);
+    }
+    assert_eq!(from_bytes.outcomes, from_log.outcomes);
+}

@@ -32,7 +32,7 @@ fn full_harness_is_green_on_fresh_checkout() {
     let report = run(&VerifyOptions::default());
     assert!(report.passed(), "{}", report.render());
     // 9 differential + 5 metamorphic + 1 golden check per corpus × 3, plus
-    // the 2k-sweep zerocopy-vs-owned differential check.
+    // the 2k-sweep columnar-vs-reference differential check.
     assert_eq!(report.checks.len(), 46, "{}", report.render());
 }
 
