@@ -72,13 +72,18 @@ impl<const D: usize> Clustering<D> {
         self.labels.iter().enumerate().filter_map(|(i, &l)| (l == c).then_some(i)).collect()
     }
 
-    /// Iterate clusters as `(center, member indices)`, skipping empty ones.
+    /// Iterate clusters as `(center, member indices)` in cluster order,
+    /// skipping empty ones. Members are ascending, as [`Clustering::members`]
+    /// returns them; one pass over the labels buckets them all.
     pub fn clusters(&self) -> impl Iterator<Item = ([f64; D], Vec<usize>)> + '_ {
-        (0..self.centers.len()).filter_map(move |c| {
-            let m = self.members(c);
-            // lint: allow(panic, "c ranges over 0..centers.len()")
-            (!m.is_empty()).then_some((self.centers[c], m))
-        })
+        let mut buckets = vec![Vec::new(); self.centers.len()];
+        for (i, &l) in self.labels.iter().enumerate() {
+            // Noise (and any label without a center) belongs to no bucket.
+            if let Some(bucket) = buckets.get_mut(l) {
+                bucket.push(i);
+            }
+        }
+        self.centers.iter().zip(buckets).filter(|(_, m)| !m.is_empty()).map(|(&c, m)| (c, m))
     }
 }
 
@@ -113,5 +118,21 @@ mod tests {
         assert_eq!(c.members(0), vec![0, 2]);
         let all: Vec<_> = c.clusters().collect();
         assert_eq!(all.len(), 2);
+    }
+
+    #[test]
+    fn clusters_equal_members_of_each_nonempty_cluster() {
+        let noise = Clustering::<1>::NOISE;
+        let c = Clustering::<1> {
+            labels: vec![3, 0, noise, 3, 1, 0, 3, noise, 1],
+            centers: vec![[0.0], [1.0], [2.0], [3.0]],
+        };
+        let expected: Vec<_> = (0..c.n_clusters())
+            .map(|k| (c.centers[k], c.members(k)))
+            .filter(|(_, m)| !m.is_empty())
+            .collect();
+        let got: Vec<_> = c.clusters().collect();
+        assert_eq!(got, expected);
+        assert_eq!(got, vec![([0.0], vec![1, 5]), ([1.0], vec![4, 8]), ([3.0], vec![0, 3, 6])]);
     }
 }

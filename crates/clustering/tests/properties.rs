@@ -3,15 +3,83 @@
 
 use mosaic_clustering::dbscan::Dbscan;
 use mosaic_clustering::kmeans::KMeans;
+use mosaic_clustering::meanshift::{reference, GRID_MIN_POINTS};
 use mosaic_clustering::metrics::{inertia, rand_index};
 use mosaic_clustering::scale::{scale_uniform, ScaleKind};
-use mosaic_clustering::{Clustering, MeanShift};
+use mosaic_clustering::{Clustering, Kernel, MeanShift};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_points() -> impl Strategy<Value = Vec<[f64; 2]>> {
     prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 0..80)
         .prop_map(|v| v.into_iter().map(|(a, b)| [a, b]).collect())
+}
+
+const KERNELS: [Kernel; 2] = [Kernel::Flat, Kernel::Gaussian];
+
+/// The grid-indexed fit must equal the linear-scan reference bit for bit:
+/// the same labels and the same center bits. NaN is the one exception:
+/// Rust leaves the sign and payload of a NaN result unspecified, so an
+/// optimizer may produce different NaN bits from the same sums, and every
+/// NaN compares as one value.
+fn agrees_with_reference<const D: usize>(ms: &MeanShift, points: &[[f64; D]]) -> TestCaseResult {
+    let grid = ms.fit(points);
+    let scan = reference::fit(ms, points);
+    let bits = |c: &Clustering<D>| -> Vec<[u64; D]> {
+        let canonical = |x: f64| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() };
+        c.centers.iter().map(|p| p.map(canonical)).collect()
+    };
+    prop_assert_eq!(
+        &grid.labels,
+        &scan.labels,
+        "labels, kernel {:?} h {}",
+        ms.kernel,
+        ms.bandwidth
+    );
+    prop_assert_eq!(bits(&grid), bits(&scan), "centers, kernel {:?} h {}", ms.kernel, ms.bandwidth);
+    Ok(())
+}
+
+/// Both kernels at bandwidth `h`.
+fn agrees_for_both_kernels<const D: usize>(h: f64, points: &[[f64; D]]) -> TestCaseResult {
+    for kernel in KERNELS {
+        agrees_with_reference(&MeanShift::new(h).kernel(kernel), points)?;
+    }
+    Ok(())
+}
+
+/// A lattice coordinate `k · unit`, where `unit` is the bandwidth, one of
+/// the two kernels' grid-cell sides (support × (1 + 2⁻²⁰)) or the support
+/// itself, optionally nudged one ulp: points exactly `h` apart and on exact
+/// cell boundaries.
+fn lattice(h: f64, k: i64, unit: usize) -> f64 {
+    let side = |support: f64| support * (1.0 + 1.0 / 1_048_576.0);
+    let x = k as f64;
+    match unit {
+        0 => x * h,
+        1 => x * side(h),
+        2 => x * side(3.0 * h),
+        3 => x * 3.0 * h,
+        4 => (x * h).next_up(),
+        _ => (x * side(h)).next_down(),
+    }
+}
+
+/// Coordinate `x`, or for `code < 4` a hostile one from `family`: NaN,
+/// ±inf, or a finite |x| ≈ 1e300 too large to key. Any of them makes the
+/// whole input one block.
+fn hostile(family: usize, code: usize, x: f64) -> f64 {
+    let huge = 1e300 * x.signum() + x;
+    match (code, family) {
+        (4.., _) => x,
+        (_, 0) => f64::NAN,
+        (_, 1) => f64::INFINITY * x.signum(),
+        (_, 2) => huge,
+        (0, _) => f64::NAN,
+        (1, _) => f64::INFINITY,
+        (2, _) => f64::NEG_INFINITY,
+        _ => huge,
+    }
 }
 
 proptest! {
@@ -117,5 +185,119 @@ proptest! {
         }
         let c = MeanShift::new(3.0).fit(&points);
         prop_assert!(c.n_clusters() >= 2, "gap {gap} merged into {}", c.n_clusters());
+    }
+}
+
+/// Input sizes on both sides of [`GRID_MIN_POINTS`]: below it the whole
+/// input is one block, from it on the grid is keyed.
+fn arb_len() -> std::ops::Range<usize> {
+    0..GRID_MIN_POINTS + 150
+}
+
+// Grid inputs hold at least `GRID_MIN_POINTS` points and the reference
+// fit is quadratic, so these properties run fewer cases.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn meanshift_matches_reference_1d(
+        xs in prop::collection::vec(-5.0f64..5.0, arb_len()),
+        h in 0.05f64..2.0,
+    ) {
+        let points: Vec<[f64; 1]> = xs.into_iter().map(|x| [x]).collect();
+        agrees_for_both_kernels(h, &points)?;
+    }
+
+    #[test]
+    fn meanshift_matches_reference_2d(
+        xy in prop::collection::vec((-5.0f64..5.0, -5.0f64..5.0), arb_len()),
+        h in 0.05f64..1.0,
+    ) {
+        let points: Vec<[f64; 2]> = xy.into_iter().map(|(x, y)| [x, y]).collect();
+        agrees_for_both_kernels(h, &points)?;
+        // The production bandwidth on the same shape.
+        agrees_for_both_kernels(0.15, &points)?;
+    }
+
+    #[test]
+    fn meanshift_matches_reference_on_lattices(
+        ks in prop::collection::vec(
+            (-12i64..12, -12i64..12, 0usize..6, 0usize..6),
+            GRID_MIN_POINTS..GRID_MIN_POINTS + 100,
+        ),
+        h in 0.05f64..1.5,
+    ) {
+        let points: Vec<[f64; 2]> =
+            ks.iter().map(|&(a, b, ua, ub)| [lattice(h, a, ua), lattice(h, b, ub)]).collect();
+        agrees_for_both_kernels(h, &points)?;
+        let line: Vec<[f64; 1]> = ks.iter().map(|&(a, _, ua, _)| [lattice(h, a, ua)]).collect();
+        agrees_for_both_kernels(h, &line)?;
+    }
+
+    #[test]
+    fn meanshift_matches_reference_on_scattered_singletons(
+        jitter in prop::collection::vec(
+            (-0.4f64..0.4, -0.4f64..0.4),
+            GRID_MIN_POINTS..GRID_MIN_POINTS + 100,
+        ),
+        h in 0.05f64..1.0,
+    ) {
+        let points: Vec<[f64; 2]> = jitter
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, b))| [(i as f64 * 7.0 + a) * h, -((i % 11) as f64 * 5.0 + b) * h])
+            .collect();
+        agrees_for_both_kernels(h, &points)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn meanshift_matches_reference_on_a_dense_cluster_with_duplicates(
+        centre in (0.5f64..8.0, 3.0f64..9.0),
+        spread in 0.0f64..0.2,
+        n in 300usize..900,
+        copies in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        // The dense_periodic shape: one tight cluster of hundreds of
+        // near-identical operations, some repeated exactly.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut points = Vec::with_capacity(n);
+        while points.len() < n {
+            let p = [
+                centre.0 + spread * rng.gen_range(-1.0..1.0),
+                centre.1 + spread * rng.gen_range(-1.0..1.0),
+            ];
+            for _ in 0..copies {
+                points.push(p);
+            }
+        }
+        agrees_with_reference(&MeanShift::new(0.15), &points)?;
+        agrees_with_reference(&MeanShift::new(0.15).kernel(Kernel::Gaussian), &points[..n / 3])?;
+    }
+
+    #[test]
+    fn meanshift_matches_reference_on_non_finite_and_huge_input(
+        family in 0usize..4,
+        raw in prop::collection::vec(
+            (0usize..60, -3.0f64..3.0, -3.0f64..3.0),
+            GRID_MIN_POINTS..GRID_MIN_POINTS + 40,
+        ),
+        h in 0.1f64..2.0,
+    ) {
+        // A NaN point is in range of every position, so every ascent runs
+        // to the iteration cap; a low cap keeps the reference affordable.
+        let points: Vec<[f64; 2]> =
+            raw.iter().map(|&(code, x, y)| [hostile(family, code, x), y]).collect();
+        let line: Vec<[f64; 1]> =
+            raw.iter().map(|&(code, x, _)| [hostile(family, code, x)]).collect();
+        for kernel in KERNELS {
+            let ms = MeanShift::new(h).kernel(kernel).max_iter(8);
+            agrees_with_reference(&ms, &points)?;
+            agrees_with_reference(&ms, &line)?;
+        }
     }
 }

@@ -59,8 +59,9 @@ impl PeriodicPattern {
 }
 
 /// Clustering feature of one segment's opening operation:
-/// `(log10(1 + op duration), log10(1 + volume))`.
-fn op_feature(s: &Segment) -> [f64; 2] {
+/// `(log10(1 + op duration), log10(1 + volume))`. Public so conformance
+/// checks can fit exactly the points [`detect_periodic`] fits.
+pub fn op_feature(s: &Segment) -> [f64; 2] {
     [(1.0 + s.op_duration.max(0.0)).log10(), (1.0 + s.bytes as f64).log10()]
 }
 

@@ -29,15 +29,28 @@
 //!   must equal the row reference [`merge::merge_all`] over the log's
 //!   operation view, and [`chunk_volumes_columnar`] must equal
 //!   [`chunk_volumes`] on the merged operations: per corpus, and once over
-//!   a 2 000-trace mixed-corruption synthetic sweep.
+//!   a 2 000-trace mixed-corruption synthetic sweep;
+//! * **Mean Shift vs reference** — for every significant direction of every
+//!   valid trace, the grid-indexed [`MeanShift::fit`] on the segments'
+//!   [`op_feature`]s must return the labels and center bits of the
+//!   linear-scan [`reference::fit`]: per corpus, over the same sweep, and
+//!   over six dense periodic traces, the only inputs here large enough to
+//!   reach the grid.
 
 use crate::VerifyReport;
+use mosaic_clustering::meanshift::{reference, MeanShift, GRID_MIN_POINTS};
 use mosaic_core::columnar::{chunk_volumes_columnar, merge_all_columnar, TraceArena};
 use mosaic_core::merge;
-use mosaic_core::temporality::chunk_volumes;
-use mosaic_core::CategorizerConfig;
+use mosaic_core::periodicity::op_feature;
+use mosaic_core::segment::segment;
+use mosaic_core::temporality::{characterize_columnar, chunk_volumes};
+use mosaic_core::{CategorizerConfig, TemporalityLabel};
+use mosaic_darshan::counter::PosixCounter as C;
+use mosaic_darshan::counter::PosixFCounter as F;
+use mosaic_darshan::record::SHARED_RANK;
+use mosaic_darshan::validate::ValidityReport;
 use mosaic_darshan::view::validate_view;
-use mosaic_darshan::{mdf, validate, OpKind, OperationView, TraceView};
+use mosaic_darshan::{mdf, validate, JobHeader, OpKind, OperationView, TraceLogBuilder, TraceView};
 use mosaic_pipeline::executor::{process, PipelineConfig};
 use mosaic_pipeline::source::{TraceInput, VecSource};
 use mosaic_pipeline::{IncrementalAnalyzer, ResultSnapshot};
@@ -77,6 +90,18 @@ fn compare(report: &mut VerifyReport, name: String, a: &ResultSnapshot, b: &Resu
     }
 }
 
+/// The traces of `wires` that parse and are not fatally invalid, with their
+/// index and validity report.
+fn valid_views(
+    wires: &[Vec<u8>],
+) -> impl Iterator<Item = (usize, TraceView<'_>, ValidityReport)> + '_ {
+    wires.iter().enumerate().filter_map(|(i, wire)| {
+        let view = TraceView::parse(wire).ok()?;
+        let validity = validate_view(&view);
+        (!validity.is_fatal()).then_some((i, view, validity))
+    })
+}
+
 /// The columnar-vs-reference check over one set of wire buffers: every
 /// valid trace is extracted twice — into the production arena straight
 /// from the wire, and as a sanitized log's [`OperationView`] — and each
@@ -88,12 +113,7 @@ fn columnar_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<u
     let mut merged = Vec::new();
     let mut valid = 0usize;
     let mut diverged = Vec::new();
-    for (i, wire) in wires.iter().enumerate() {
-        let Ok(view) = TraceView::parse(wire) else { continue };
-        let validity = validate_view(&view);
-        if validity.is_fatal() {
-            continue;
-        }
+    for (i, view, validity) in valid_views(wires) {
         valid += 1;
         arena.trace.load(&view, &validity);
         let mut log = view.to_log();
@@ -133,6 +153,121 @@ fn columnar_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<u
             diverged.join("\n")
         },
     );
+}
+
+/// The Mean-Shift-vs-reference check over one set of wire buffers: every
+/// valid trace goes through the categorizer's own steps up to clustering
+/// (columnar merge, temporality, segmentation) and each significant
+/// direction's [`op_feature`]s are fitted twice. The grid-indexed fit must
+/// return the reference's labels and center bits.
+fn meanshift_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<u8>]) {
+    let config = CategorizerConfig::default();
+    let ms = MeanShift::new(config.meanshift_bandwidth);
+    let mut arena = TraceArena::default();
+    let mut merged = Vec::new();
+    let (mut fits, mut grid_fits, mut points) = (0usize, 0usize, 0usize);
+    let mut diverged = Vec::new();
+    for (i, view, validity) in valid_views(wires) {
+        arena.trace.load(&view, &validity);
+        let runtime = arena.trace.runtime;
+        for (kind, cols) in
+            [(OpKind::Read, &arena.trace.reads), (OpKind::Write, &arena.trace.writes)]
+        {
+            merge_all_columnar(cols, runtime, &config, &mut arena.scratch);
+            let temporality = characterize_columnar(&arena.scratch.merged, runtime, &config);
+            if temporality.label == TemporalityLabel::Insignificant {
+                continue;
+            }
+            arena.scratch.merged.materialize(kind, &mut merged);
+            let features: Vec<[f64; 2]> =
+                segment(&merged, runtime).iter().map(op_feature).collect();
+            let grid = ms.fit(&features);
+            let scan = reference::fit(&ms, &features);
+            let bits = |c: &[[f64; 2]]| c.iter().map(|p| p.map(f64::to_bits)).collect::<Vec<_>>();
+            if grid.labels != scan.labels || bits(&grid.centers) != bits(&scan.centers) {
+                diverged.push(format!(
+                    "trace {i} {kind:?}: {} points, grid fit {} clusters, reference {}",
+                    features.len(),
+                    grid.n_clusters(),
+                    scan.n_clusters()
+                ));
+            }
+            fits += 1;
+            grid_fits += usize::from(features.len() >= GRID_MIN_POINTS);
+            points += features.len();
+        }
+    }
+    report.check(
+        name,
+        diverged.is_empty(),
+        if diverged.is_empty() {
+            format!(
+                "{fits} fits ({grid_fits} on the grid) over {points} points: \
+                 labels and center bits equal the reference"
+            )
+        } else {
+            diverged.join("\n")
+        },
+    );
+}
+
+/// Large periodic traces for the Mean Shift oracle. The mini corpora and
+/// the sweep carry tens of operations per direction, below
+/// [`GRID_MIN_POINTS`], so only these traces reach the grid. Trace `t`
+/// writes a checkpoint train of `GRID_MIN_POINTS + 90·t` operations and
+/// reads a train half as long, each jittered by a fixed hash, plus 24
+/// one-off writes of scattered sizes and durations.
+fn dense_wires() -> Vec<Vec<u8>> {
+    const NPROCS: u32 = 64;
+    let jitter = |k: usize, salt: usize| ((k * 7919 + salt * 104_729) % 1000) as f64 / 1000.0 - 0.5;
+    (0..6)
+        .map(|t| {
+            let ops = GRID_MIN_POINTS + 90 * t;
+            let period = 10.0 + 7.0 * t as f64;
+            let runtime = period * (ops as f64 + 1.0);
+            let header = JobHeader::new(t as u64 + 1, 1, NPROCS, 0, runtime.ceil() as i64)
+                .with_exe("/bin/dense");
+            let mut b = TraceLogBuilder::new(header);
+            let mut op = |kind: OpKind, k: usize, start: f64, secs: f64, bytes: f64| {
+                let r = b.begin_record(&format!("/dense/{kind:?}{k}"), SHARED_RANK);
+                let (n, bytes, end) = (i64::from(NPROCS), bytes as i64, start + secs);
+                let rec = b
+                    .record_mut(r)
+                    .set(C::Opens, n)
+                    .set(C::Closes, n)
+                    .setf(F::OpenStartTimestamp, start)
+                    .setf(F::CloseEndTimestamp, end);
+                match kind {
+                    OpKind::Read => rec
+                        .set(C::Reads, n)
+                        .set(C::BytesRead, bytes)
+                        .setf(F::ReadStartTimestamp, start)
+                        .setf(F::ReadEndTimestamp, end),
+                    OpKind::Write => rec
+                        .set(C::Writes, n)
+                        .set(C::BytesWritten, bytes)
+                        .setf(F::WriteStartTimestamp, start)
+                        .setf(F::WriteEndTimestamp, end),
+                };
+            };
+            for k in 0..ops {
+                let start = period * (k as f64 + 0.3 + 0.02 * jitter(k, 1));
+                let secs = period * 0.02 * (1.0 + 0.1 * jitter(k, 2));
+                op(OpKind::Write, k, start, secs, 64e6 * (1.0 + 0.1 * jitter(k, 3)));
+            }
+            for k in 0..ops / 2 {
+                let start = period * (2.0 * k as f64 + 0.6 + 0.02 * jitter(k, 4));
+                let secs = period * 0.05 * (1.0 + 0.1 * jitter(k, 5));
+                op(OpKind::Read, k, start, secs, 8e6 * (1.0 + 0.1 * jitter(k, 6)));
+            }
+            for k in 0..24 {
+                let start = period * (k as f64 * ops as f64 / 24.0 + 0.75);
+                let secs = period * 0.001 * (1 + k % 7) as f64;
+                op(OpKind::Write, ops + k, start, secs, 1e3 * 4f64.powi(k as i32 % 9));
+            }
+            mdf::to_bytes(&b.finish())
+        })
+        .collect()
 }
 
 /// Run every differential oracle, appending one check per comparison.
@@ -273,6 +408,11 @@ pub fn run(report: &mut VerifyReport) {
             format!("differential/columnar-vs-reference/{}", corpus.name()),
             &wires,
         );
+        meanshift_vs_reference(
+            report,
+            format!("differential/meanshift-vs-reference/{}", corpus.name()),
+            &wires,
+        );
     }
 
     // Columnar vs reference over a 2 000-trace synthetic sweep (mixed
@@ -290,6 +430,16 @@ pub fn run(report: &mut VerifyReport) {
         "differential/columnar-vs-reference/synthetic-2k".to_owned(),
         &sweep_wires,
     );
+    meanshift_vs_reference(
+        report,
+        "differential/meanshift-vs-reference/synthetic-2k".to_owned(),
+        &sweep_wires,
+    );
+    meanshift_vs_reference(
+        report,
+        "differential/meanshift-vs-reference/dense-periodic".to_owned(),
+        &dense_wires(),
+    );
 }
 
 #[cfg(test)]
@@ -301,11 +451,12 @@ mod tests {
         let mut report = VerifyReport::default();
         run(&mut report);
         assert!(report.passed(), "{}", report.render());
-        // 9 checks per corpus (3 pool comparisons, incremental, roundtrip,
+        // 10 checks per corpus (3 pool comparisons, incremental, roundtrip,
         // traced-vs-untraced, metrics-on-vs-off, bytes-source,
-        // columnar-vs-reference) × 3 corpora, plus the 2k-sweep
-        // columnar-vs-reference check.
-        assert_eq!(report.checks.len(), 28);
+        // columnar-vs-reference, meanshift-vs-reference) × 3 corpora, plus
+        // the 2k-sweep columnar-vs-reference and meanshift-vs-reference
+        // checks and the dense-periodic meanshift-vs-reference check.
+        assert_eq!(report.checks.len(), 33);
     }
 
     #[test]
@@ -340,6 +491,27 @@ mod tests {
         assert!(report.passed(), "{}", report.render());
         assert_eq!(report.checks.len(), 1);
         assert!(report.checks[0].detail.starts_with("1 valid traces"), "{}", report.render());
+    }
+
+    #[test]
+    fn meanshift_vs_reference_fits_real_directions() {
+        // Not vacuous: the corpus's significant directions reach the fit,
+        // and the dense traces reach the grid. All six write directions
+        // hold at least GRID_MIN_POINTS operations; the read trains
+        // (ops / 2) do from the fourth trace on.
+        let corpus = MiniCorpus::standard().remove(0);
+        let mut wires: Vec<Vec<u8>> = (0..corpus.len()).map(|i| corpus.mdf_bytes(i)).collect();
+        wires.push(vec![7u8; 32]);
+        let mut report = VerifyReport::default();
+        meanshift_vs_reference(&mut report, "meanshift".to_owned(), &wires);
+        meanshift_vs_reference(&mut report, "dense".to_owned(), &dense_wires());
+        assert!(report.passed(), "{}", report.render());
+        let counts = |detail: &str| -> (usize, usize) {
+            let words: Vec<&str> = detail.split(['(', ' ']).collect();
+            (words[0].parse().unwrap(), words[3].parse().unwrap())
+        };
+        assert!(counts(&report.checks[0].detail).0 > 0, "{}", report.render());
+        assert_eq!(counts(&report.checks[1].detail), (12, 9), "{}", report.render());
     }
 
     #[test]
