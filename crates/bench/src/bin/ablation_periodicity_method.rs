@@ -9,6 +9,8 @@
 //! cargo run --release -p mosaic-bench --bin ablation_periodicity_method [-- --n 6000]
 //! ```
 
+#![allow(clippy::disallowed_methods, reason = "the ablation reports each method's wall-clock cost")]
+
 use mosaic_bench::{pct, Flags};
 use mosaic_core::{Categorizer, CategorizerConfig, PeriodicityMethod};
 use mosaic_synth::{Dataset, DatasetConfig, Payload};

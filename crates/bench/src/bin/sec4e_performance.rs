@@ -19,6 +19,11 @@
 //! `--bench-out` (default `BENCH_sec4e.json`). CI's `bench_gate` compares
 //! that file against the committed baseline.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a throughput benchmark measures wall-clock by definition"
+)]
+
 use mosaic_bench::{dataset, perf, run_pipeline_inputs, run_pipeline_traced, wire_inputs, Flags};
 use std::time::Instant;
 

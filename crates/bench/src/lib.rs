@@ -6,6 +6,11 @@
 //! formatting.
 
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "benchmark plumbing: timings and lookup tables are reported, never digested"
+)]
 
 use mosaic_core::CategorizerConfig;
 use mosaic_pipeline::executor::{process, PipelineConfig, PipelineResult};

@@ -132,7 +132,10 @@ impl Categorizer {
         &self,
         arena: &mut columnar::TraceArena,
     ) -> (TraceReport, CategorizeTimings) {
-        // lint: allow(nondeterminism, "timings feed MetricsReport telemetry only, never ResultSnapshot digests")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "timings feed MetricsReport telemetry only, never ResultSnapshot digests"
+        )]
         let started = std::time::Instant::now();
         let mut merge_nanos = 0u64;
         let mut categories = BTreeSet::new();
@@ -170,7 +173,12 @@ impl Categorizer {
             runtime: trace.runtime,
             nprocs: trace.nprocs,
         };
-        // lint: allow(cast, "elapsed nanoseconds exceed u64 only after ~584 years")
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::cast_possible_truncation,
+            reason = "telemetry only, never ResultSnapshot digests; elapsed nanoseconds \
+                      exceed u64 only after ~584 years"
+        )]
         let total_nanos = started.elapsed().as_nanos() as u64;
         (report, CategorizeTimings { merge_nanos, total_nanos })
     }
@@ -187,11 +195,20 @@ impl Categorizer {
         scratch: &mut columnar::MergeScratch,
     ) -> DirectionReport {
         let tag = OpKindTag::from(kind);
-        // lint: allow(nondeterminism, "timings feed MetricsReport telemetry only, never ResultSnapshot digests")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "timings feed MetricsReport telemetry only, never ResultSnapshot digests"
+        )]
         let merge_started = std::time::Instant::now();
         columnar::merge_all_columnar(raw, runtime, &self.config, scratch);
-        // lint: allow(cast, "elapsed nanoseconds exceed u64 only after ~584 years")
-        *merge_nanos += merge_started.elapsed().as_nanos() as u64;
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::cast_possible_truncation,
+            reason = "telemetry only, never ResultSnapshot digests; elapsed nanoseconds \
+                      exceed u64 only after ~584 years"
+        )]
+        let merge_elapsed = merge_started.elapsed().as_nanos() as u64;
+        *merge_nanos += merge_elapsed;
         let temporality =
             temporality::characterize_columnar(&scratch.merged, runtime, &self.config);
         categories.insert(Category::Temporality { kind: tag, label: temporality.label });

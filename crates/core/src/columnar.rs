@@ -391,18 +391,30 @@ pub fn chunk_volumes_columnar(cols: &OpColumns, runtime: f64, chunks: usize) -> 
         let s = op_start.max(0.0);
         let e = op_end.min(runtime).max(s);
         if e <= s {
-            // lint: allow(cast, "f64-to-usize `as` saturates; s >= 0 and min(chunks - 1) clamps above")
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "f64-to-usize `as` saturates; s >= 0 and min(chunks - 1) clamps above"
+            )]
             let c = ((s / width) as usize).min(chunks - 1);
             // lint: allow(panic, "c is clamped to chunks - 1 == sums.len() - 1")
             sums[c] += op_bytes as f64;
             continue;
         }
         let density = op_bytes as f64 / (e - s);
-        // lint: allow(cast, "f64-to-usize `as` saturates; s >= 0 and min(chunks - 1) clamps above")
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "f64-to-usize `as` saturates; s >= 0 and min(chunks - 1) clamps above"
+        )]
         let first = ((s / width) as usize).min(chunks - 1);
-        // lint: allow(cast, "f64-to-usize `as` saturates; e >= s >= 0 and min(chunks - 1) clamps above")
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "f64-to-usize `as` saturates; e >= s >= 0 and min(chunks - 1) clamps above"
+        )]
         let last = ((e / width) as usize).min(chunks - 1);
-        #[allow(clippy::needless_range_loop)] // index math over a time window
+        #[allow(clippy::needless_range_loop, reason = "index math over a time window")]
         for c in first..=last {
             let lo = s.max(c as f64 * width);
             let hi = e.min((c + 1) as f64 * width);

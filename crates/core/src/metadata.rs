@@ -42,11 +42,19 @@ impl MetadataResult {
 
 /// Bin metadata events into one-second buckets over `[0, runtime]`.
 pub fn requests_per_second(meta: &[MetaEvent], runtime: f64) -> Vec<u64> {
-    // lint: allow(cast, "f64-to-usize `as` saturates; NaN and negatives go to 0 and .max(1) floors")
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "f64-to-usize `as` saturates; NaN and negatives go to 0 and .max(1) floors"
+    )]
     let bins = (runtime.ceil() as usize).max(1);
     let mut hist = vec![0u64; bins];
     for e in meta {
-        // lint: allow(cast, "f64-to-usize `as` saturates; clamped below by max(0.0), above by min(bins - 1)")
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "f64-to-usize `as` saturates; clamped below by max(0.0), above by min(bins - 1)"
+        )]
         let b = (e.time.max(0.0) as usize).min(bins - 1);
         // lint: allow(panic, "b is clamped to bins - 1 and hist.len() == bins >= 1")
         hist[b] += e.count;

@@ -28,8 +28,13 @@ pub fn truncate_view(view: &OperationView, t: f64) -> OperationView {
                 } else {
                     let full = (o.end - o.start).max(1e-12);
                     let frac = (t - o.start) / full;
-                    // lint: allow(cast, "f64-to-u64 `as` saturates; frac is in [0, 1] so the product stays within o.bytes")
-                    Operation { end: t, bytes: (o.bytes as f64 * frac) as u64, ..*o }
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        clippy::cast_sign_loss,
+                        reason = "f64-to-u64 `as` saturates; frac is in [0, 1] so the product stays within o.bytes"
+                    )]
+                    let bytes = (o.bytes as f64 * frac) as u64;
+                    Operation { end: t, bytes, ..*o }
                 }
             })
             .collect()

@@ -60,17 +60,29 @@ pub fn chunk_volumes(ops: &[Operation], runtime: f64, chunks: usize) -> Vec<f64>
         let e = op.end.min(runtime).max(s);
         if e <= s {
             // Instantaneous operation: all bytes in its containing chunk.
-            // lint: allow(cast, "f64-to-usize `as` saturates; s >= 0 and min(chunks - 1) clamps above")
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "f64-to-usize `as` saturates; s >= 0 and min(chunks - 1) clamps above"
+            )]
             let c = ((s / width) as usize).min(chunks - 1);
             sums[c] += op.bytes as f64;
             continue;
         }
         let density = op.bytes as f64 / (e - s);
-        // lint: allow(cast, "f64-to-usize `as` saturates; s >= 0 and min(chunks - 1) clamps above")
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "f64-to-usize `as` saturates; s >= 0 and min(chunks - 1) clamps above"
+        )]
         let first = ((s / width) as usize).min(chunks - 1);
-        // lint: allow(cast, "f64-to-usize `as` saturates; e >= s >= 0 and min(chunks - 1) clamps above")
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "f64-to-usize `as` saturates; e >= s >= 0 and min(chunks - 1) clamps above"
+        )]
         let last = ((e / width) as usize).min(chunks - 1);
-        #[allow(clippy::needless_range_loop)] // index math over a time window
+        #[allow(clippy::needless_range_loop, reason = "index math over a time window")]
         for c in first..=last {
             let lo = s.max(c as f64 * width);
             let hi = e.min((c + 1) as f64 * width);

@@ -3,7 +3,7 @@
 //! The wire formats and counter plumbing constantly move values between
 //! `usize`, the fixed-width wire types, and the `i64` Darshan counters.
 //! Bare `as` casts silently truncate or wrap on out-of-range values, so
-//! the workspace linter (L6) bans them on these paths; these helpers make
+//! clippy's cast lints reject them in this crate; these helpers make
 //! every conversion's behaviour explicit instead. Each one is total: the
 //! out-of-range branch is either impossible on supported targets or a
 //! documented clamp, never a panic.

@@ -34,7 +34,6 @@ impl Module {
     /// Stable on-disk tag.
     #[inline]
     pub fn tag(self) -> u8 {
-        // lint: allow(cast, "C-like enum with discriminants 0..=2, always fits u8")
         self as u8
     }
 
@@ -92,7 +91,6 @@ macro_rules! counter_enum {
             /// Dense array index of this counter.
             #[inline]
             pub fn index(self) -> usize {
-                // lint: allow(cast, "C-like enum discriminant, always fits usize")
                 self as usize
             }
 

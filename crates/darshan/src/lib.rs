@@ -60,6 +60,13 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Lossy-cast safety on the parse/merge/categorize paths: a silently
+// truncating, wrapping or sign-dropping `as` corrupts offsets, record
+// counts or interval math. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
 
 pub mod convert;
 pub mod counter;

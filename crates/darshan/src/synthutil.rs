@@ -31,7 +31,10 @@ const fn build_crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
-        // lint: allow(cast, "const fn (try_from is non-const); i < 256 always fits u32")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "const fn (try_from is non-const); i < 256 always fits u32"
+        )]
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {

@@ -44,7 +44,10 @@ pub fn scale_time(log: &TraceLog, factor: f64) -> TraceLog {
     assert!(factor > 0.0, "time scale factor must be positive");
     let mut header = log.header().clone();
     let runtime = header.end_time - header.start_time;
-    // lint: allow(cast, "f64-to-i64 `as` saturates; a scaled runtime beyond i64 clamps to the extreme")
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "f64-to-i64 `as` saturates; a scaled runtime beyond i64 clamps to the extreme"
+    )]
     let scaled = (runtime as f64 * factor).round() as i64;
     header.end_time = header.start_time + scaled;
     let mut records = log.records().to_vec();

@@ -168,7 +168,7 @@ mod tests {
         let a = pfs.stripes_for("/f/a");
         assert_eq!(a, pfs.stripes_for("/f/a"));
         assert_eq!(a.len(), 4);
-        let unique: std::collections::HashSet<u32> = a.iter().copied().collect();
+        let unique: std::collections::BTreeSet<u32> = a.iter().copied().collect();
         assert_eq!(unique.len(), 4, "consecutive stripes must be distinct");
     }
 

@@ -1062,7 +1062,10 @@ impl Walker<'_, '_> {
     /// The abstract result of one call, applying (in order) sink detection,
     /// known-clean/clamping methods, wire-source seeding, and summary-based
     /// interprocedural propagation.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one call site; the arguments are the call's parts"
+    )]
     fn call_taint(
         &mut self,
         name: &str,

@@ -2,22 +2,15 @@
 
 use std::fmt;
 
-/// Which invariant a finding violates.
+/// Which invariant a finding violates. The numbers missing here (L2
+/// determinism, L3 unsafe, L4 `EvictReason` exhaustiveness, L6 lossy casts)
+/// are rustc's and clippy's; see CONTRIBUTING.md.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// L2 — determinism (unordered collections, wall-clock, RNG).
-    Determinism,
-    /// L3 — unsafe hygiene (`#![forbid(unsafe_code)]`, no `unsafe` blocks).
-    UnsafeHygiene,
-    /// L4 — error-taxonomy exhaustiveness for `EvictReason`.
-    Taxonomy,
     /// L5 — transitive panic-reachability: no panic site in any function
     /// reachable (over the workspace call graph) from an untrusted-input
     /// entry point. Supersedes the old per-file L1 allowlist.
     PanicReachability,
-    /// L6 — lossy-cast safety: no narrowing/sign/float-truncating `as`
-    /// casts in parse/merge/categorize paths.
-    LossyCast,
     /// L7 — unit consistency: no `+`/`-` arithmetic mixing byte-volume and
     /// seconds-duration identifiers outside the core unit newtypes.
     UnitMix,
@@ -50,11 +43,7 @@ impl Rule {
     /// Stable machine-readable identifier.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::Determinism => "L2/determinism",
-            Rule::UnsafeHygiene => "L3/unsafe-hygiene",
-            Rule::Taxonomy => "L4/error-taxonomy",
             Rule::PanicReachability => "L5/panic-reachability",
-            Rule::LossyCast => "L6/lossy-cast",
             Rule::UnitMix => "L7/unit-consistency",
             Rule::WireTaint => "L8/wire-taint",
             Rule::AtomicsDiscipline => "L10/atomics-discipline",
@@ -65,31 +54,23 @@ impl Rule {
     }
 
     /// The `lint: allow(<key>, "...")` key that can suppress this rule, if
-    /// any. Structural rules (L3, L4) and the allow machinery itself
-    /// have no per-line escape hatch.
+    /// any. The allow machinery itself has no per-line escape hatch.
     pub fn allow_key(self) -> Option<&'static str> {
         match self {
             Rule::PanicReachability => Some("panic"),
-            Rule::Determinism => Some("nondeterminism"),
-            Rule::UnsafeHygiene => Some("unsafe"),
-            Rule::LossyCast => Some("cast"),
             Rule::UnitMix => Some("unit"),
             Rule::WireTaint => Some("taint"),
             Rule::AtomicsDiscipline | Rule::LockDiscipline => Some("sync"),
-            Rule::Taxonomy | Rule::MalformedAllow | Rule::UnusedAllow => None,
+            Rule::MalformedAllow | Rule::UnusedAllow => None,
         }
     }
 
     /// One-line rule description for report metadata (SARIF `rules` table).
     pub fn short_description(self) -> &'static str {
         match self {
-            Rule::Determinism => "No unordered collections, wall-clock or RNG in pipeline code",
-            Rule::UnsafeHygiene => "forbid(unsafe_code) at every crate root; no unsafe tokens",
-            Rule::Taxonomy => "EvictReason taxonomy is matched exhaustively",
             Rule::PanicReachability => {
                 "No panic site reachable from an untrusted-input entry point"
             }
-            Rule::LossyCast => "No narrowing/sign/float-truncating `as` casts in data paths",
             Rule::UnitMix => "No arithmetic mixing byte-volume and seconds identifiers",
             Rule::WireTaint => {
                 "Wire-read lengths must be MAX_*-guard-dominated before sizing allocations"
@@ -108,11 +89,7 @@ impl Rule {
 
 /// Every rule, in report order — keep in sync with the `Rule` enum.
 pub const ALL_RULES: &[Rule] = &[
-    Rule::Determinism,
-    Rule::UnsafeHygiene,
-    Rule::Taxonomy,
     Rule::PanicReachability,
-    Rule::LossyCast,
     Rule::UnitMix,
     Rule::WireTaint,
     Rule::AtomicsDiscipline,
@@ -277,10 +254,10 @@ mod tests {
         let mut r = Report {
             findings: vec![
                 Finding {
-                    rule: Rule::Determinism,
+                    rule: Rule::UnitMix,
                     file: "b.rs".into(),
                     line: 2,
-                    message: "HashMap".into(),
+                    message: "duration + bytes".into(),
                 },
                 Finding {
                     rule: Rule::PanicReachability,
@@ -306,7 +283,7 @@ mod tests {
     fn json_is_stable_and_escaped() {
         let mut r = sample();
         r.findings.push(Finding {
-            rule: Rule::Taxonomy,
+            rule: Rule::WireTaint,
             file: "c.rs".into(),
             line: 1,
             message: "quote \" backslash \\ newline \n".into(),
@@ -317,7 +294,7 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\\\" backslash \\\\ newline \\n"));
         assert!(a.contains("\"files_scanned\": 2"));
-        assert!(a.contains("\"L4/error-taxonomy\""));
+        assert!(a.contains("\"L8/wire-taint\""));
     }
 
     #[test]
@@ -336,22 +313,35 @@ mod tests {
 
     #[test]
     fn every_rule_id_is_unique() {
-        let rules = [
-            Rule::Determinism,
-            Rule::UnsafeHygiene,
-            Rule::Taxonomy,
-            Rule::PanicReachability,
-            Rule::LossyCast,
-            Rule::UnitMix,
-            Rule::AtomicsDiscipline,
-            Rule::LockDiscipline,
-            Rule::MalformedAllow,
-            Rule::UnusedAllow,
-        ];
-        for (i, a) in rules.iter().enumerate() {
-            for b in &rules[i + 1..] {
+        for (i, a) in ALL_RULES.iter().enumerate() {
+            for b in &ALL_RULES[i + 1..] {
                 assert_ne!(a.id(), b.id());
             }
         }
+    }
+
+    /// SARIF's rule table lists exactly the rules this linter still owns.
+    #[test]
+    fn sarif_lists_exactly_the_kept_rules() {
+        let sarif = Report::default().to_sarif();
+        let ids: Vec<&str> = sarif
+            .match_indices("{\"id\": \"")
+            .map(|(at, m)| {
+                let rest = &sarif[at + m.len()..];
+                &rest[..rest.find('"').unwrap_or(0)]
+            })
+            .collect();
+        assert_eq!(
+            ids,
+            [
+                "L5/panic-reachability",
+                "L7/unit-consistency",
+                "L8/wire-taint",
+                "L10/atomics-discipline",
+                "L11/lock-discipline",
+                "allow-syntax",
+                "unused-allow",
+            ]
+        );
     }
 }

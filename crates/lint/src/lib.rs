@@ -4,29 +4,20 @@
 //! `mosaic-lint` — the Mosaic workspace invariant linter.
 //!
 //! A self-hosted static-analysis pass over every `.rs` file in the
-//! workspace. On top of a hand-rolled tokenizer ([`lex`]) sits a
-//! lightweight item/function parser ([`parse`]) and a workspace call
-//! graph ([`graph`]), which make the rules *semantic*:
+//! workspace, for the invariants no stock lint can express. On top of a
+//! hand-rolled tokenizer ([`lex`]) sits a lightweight item/function parser
+//! ([`parse`]) and a workspace call graph ([`graph`]), which make the
+//! rules *semantic*:
 //!
-//! - **L2 determinism**: no `HashMap`/`HashSet`, wall-clock reads, or
-//!   ambient RNG in crates whose state feeds `ResultSnapshot` digests.
-//! - **L3 unsafe hygiene**: every crate root declares
-//!   `#![forbid(unsafe_code)]` and no `unsafe` token appears anywhere.
-//! - **L4 error-taxonomy exhaustiveness**: every constructed
-//!   `EvictReason` variant is accounted for, by name, in `class` and
-//!   `slug` — so `by_reason` counters can never silently drop a reason.
 //! - **L5 transitive panic-reachability**: no panic site (`unwrap`/
 //!   `expect`, panicking macros, slice indexing) in *any function
 //!   reachable over the call graph* from the untrusted-input entry
 //!   points (darshan parsers, pipeline drivers). Findings name the call
 //!   path. Supersedes the old per-file L1 allowlist. Escape hatch:
 //!   `// lint: allow(panic, "<proof>")`.
-//! - **L6 lossy-cast safety**: no narrowing/sign/float-truncating `as`
-//!   casts in parse/merge/categorize paths — `try_from` + typed error,
-//!   a lossless `From`, or an audited `allow(cast, …)`.
 //! - **L7 unit consistency**: no `+`/`-` arithmetic mixing byte-volume
-//!   and seconds-duration identifiers; route through
-//!   `mosaic_core::units` newtypes or audit with `allow(unit, …)`.
+//!   and seconds-duration identifiers; keep the axes apart or audit with
+//!   `allow(unit, …)`.
 //! - **L8 wire-taint dataflow** ([`dataflow`]): a length read off the
 //!   wire by the binary parsers must be compared against a named
 //!   `limits::MAX_*` guard constant before it sizes an allocation
@@ -56,9 +47,16 @@
 //! hotspots/debtmap-style report ([`debt`]) ranking every workspace
 //! function by cyclomatic-ish complexity × git churn.
 //!
-//! Test code (`#[cfg(test)]` items) is exempt from L2/L5/L6/L7: a
-//! panicking test *is* the failure signal, and test-local clocks or
-//! casts never reach a digest.
+//! Test code (`#[cfg(test)]` items) is exempt from L5/L7: a panicking
+//! test *is* the failure signal.
+//!
+//! Determinism (no `HashMap`/`HashSet` or clock reads), unsafe hygiene,
+//! `EvictReason` match exhaustiveness and lossy-cast safety are rustc's
+//! and clippy's job: the root `clippy.toml`, the `EvictReason` impl's
+//! `#[deny]`, the `darshan`/`core`/`pipeline` crate roots and CI's
+//! `-F unsafe_code` (see CONTRIBUTING.md). Their audited exceptions are
+//! `#[expect(clippy::…, reason = "…")]`, kept fresh by rustc's
+//! `unfulfilled_lint_expectations`.
 //!
 //! The crate is deliberately dependency-free so it builds with a bare
 //! `rustc` on machines with no crates registry access; JSON output is
@@ -100,8 +98,8 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 
 /// Collect every `.rs` file under `crates/`, `examples/` and `shims/`, as
 /// workspace-relative forward-slash paths, sorted. The shims are in-repo
-/// stand-ins for external dependencies, so they carry the same unsafe-hygiene
-/// obligations as first-party code.
+/// stand-ins for external dependencies, so they carry the same obligations
+/// as first-party code.
 pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     for top in ["crates", "examples", "shims"] {
@@ -220,16 +218,17 @@ pub fn cli_main(args: &[String]) -> i32 {
                 println!(
                     "usage: mosaic-lint [--format text|json] [--root <dir>] [--sarif <path>]\n\
                      \x20                  [--sync-report <path>] [--debt [--top <n>]]\n\n\
-                     Enforces the Mosaic workspace invariants: L2 determinism,\n\
-                     L3 unsafe hygiene, L4 error-taxonomy exhaustiveness,\n\
-                     L5 call-graph panic-reachability from untrusted-input entry\n\
-                     points, L6 lossy-cast safety, L7 unit consistency,\n\
+                     Enforces the Mosaic workspace invariants no stock lint\n\
+                     covers: L5 call-graph panic-reachability from untrusted-input\n\
+                     entry points, L7 unit consistency,\n\
                      L8 wire-taint dataflow (untrusted lengths must be\n\
                      MAX_*-guard-dominated before sizing allocations),\n\
                      L10 atomics discipline (Release/Acquire pairing, seqlock\n\
                      brackets, Relaxed hygiene), L11 lock discipline (no guard\n\
                      across fan-out, acyclic lock order, poison parity), and\n\
-                     unused-allow staleness. Exits 0 when clean, 1 on findings.\n\n\
+                     unused-allow staleness. Exits 0 when clean, 1 on findings.\n\
+                     Determinism, unsafe code, EvictReason exhaustiveness and\n\
+                     lossy casts are checked by `cargo clippy` (CONTRIBUTING.md).\n\n\
                      --sarif <path> additionally writes the findings as a\n\
                      stable SARIF 2.1.0 document (for CI artifact upload).\n\n\
                      --sync-report <path> additionally writes the L10/L11\n\
@@ -320,7 +319,7 @@ mod tests {
     use super::*;
 
     /// The linter must pass on its own workspace: zero findings, with every
-    /// surviving panic/nondeterminism site carrying a justified allow. Run
+    /// surviving panic/unit/taint/sync site carrying a justified allow. Run
     /// from the source tree (the test binary's cwd or CARGO_MANIFEST_DIR).
     #[test]
     fn workspace_is_clean() {

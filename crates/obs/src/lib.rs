@@ -307,7 +307,10 @@ impl Recorder {
         Recorder {
             stages: std::array::from_fn(|_| StageStats::new()),
             evictions: AtomicU64::new(0),
-            // lint: allow(nondeterminism, "the Recorder exists to measure wall-clock; its metrics are excluded from ResultSnapshot digests")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the Recorder exists to measure wall-clock; its metrics are excluded from ResultSnapshot digests"
+            )]
             started: Instant::now(),
             tracer: None,
             metrics: None,
@@ -345,8 +348,11 @@ impl Recorder {
     }
 
     /// Nanoseconds since the recorder's epoch — the span time base.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "span start offsets are telemetry; timelines are excluded from ResultSnapshot digests"
+    )]
     pub fn now_ns(&self) -> u64 {
-        // lint: allow(nondeterminism, "span start offsets are telemetry; timelines are excluded from ResultSnapshot digests")
         nanos_of(self.started.elapsed())
     }
 
@@ -396,10 +402,16 @@ impl Recorder {
 
     /// Time a closure and record it.
     pub fn time<T>(&self, stage: Stage, bytes: u64, f: impl FnOnce() -> T) -> T {
-        // lint: allow(nondeterminism, "the Recorder exists to measure wall-clock; its metrics are excluded from ResultSnapshot digests")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the Recorder exists to measure wall-clock; its metrics are excluded from ResultSnapshot digests"
+        )]
         let t = Instant::now();
         let out = f();
-        // lint: allow(nondeterminism, "stage timing telemetry; metrics are excluded from ResultSnapshot digests")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "stage timing telemetry; metrics are excluded from ResultSnapshot digests"
+        )]
         self.record(stage, t.elapsed(), bytes);
         out
     }
@@ -413,7 +425,10 @@ impl Recorder {
     /// Snapshot everything into a [`MetricsReport`]. `traces` is the number
     /// of inputs presented; `workers` the configured thread count.
     pub fn finish(&self, traces: u64, workers: usize) -> MetricsReport {
-        // lint: allow(nondeterminism, "wall-clock summary telemetry; metrics are excluded from ResultSnapshot digests")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock summary telemetry; metrics are excluded from ResultSnapshot digests"
+        )]
         let wall = self.started.elapsed().as_secs_f64().max(1e-9);
         let stages: Vec<StageSnapshot> =
             Stage::ALL.iter().map(|&s| self.stage(s).snapshot(s)).collect();

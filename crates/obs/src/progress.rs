@@ -43,7 +43,10 @@ pub struct ProgressLine {
 impl ProgressLine {
     /// A progress line redrawn at most once per `every`.
     pub fn new(every: Duration) -> ProgressLine {
-        // lint: allow(nondeterminism, "redraw throttling only; the rendered line goes to stderr, never into snapshot-bearing output")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "redraw throttling only; the rendered line goes to stderr, never into snapshot-bearing output"
+        )]
         let now = Instant::now();
         ProgressLine {
             every,
@@ -74,9 +77,15 @@ impl ProgressLine {
             self.skipped.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        // lint: allow(nondeterminism, "redraw throttling only; the rendered line goes to stderr, never into snapshot-bearing output")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "redraw throttling only; the rendered line goes to stderr, never into snapshot-bearing output"
+        )]
         let now = Instant::now();
-        // lint: allow(nondeterminism, "redraw throttling only; the rendered line goes to stderr, never into snapshot-bearing output")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "redraw throttling only; the rendered line goes to stderr, never into snapshot-bearing output"
+        )]
         let since = now.duration_since(state.last_redraw);
         if since < self.every && done < total {
             return None;

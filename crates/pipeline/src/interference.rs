@@ -115,9 +115,15 @@ pub fn analyze_windows(
         if w.end <= w.start || w.demand <= 0.0 {
             continue;
         }
-        // lint: allow(cast, "f64-to-i64 `as` saturates; absurd window bounds clamp to the extremes")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "f64-to-i64 `as` saturates; absurd window bounds clamp to the extremes"
+        )]
         let first = (w.start / bin_seconds).floor() as i64;
-        // lint: allow(cast, "f64-to-i64 `as` saturates; absurd window bounds clamp to the extremes")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "f64-to-i64 `as` saturates; absurd window bounds clamp to the extremes"
+        )]
         let last = ((w.end - 1e-9) / bin_seconds).floor() as i64;
         for b in first..=last {
             let lo = w.start.max(b as f64 * bin_seconds);

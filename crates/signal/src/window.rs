@@ -42,7 +42,7 @@ pub fn rasterize(intervals: &[(f64, f64, f64)], runtime: f64, bins: usize) -> Ve
         let first = ((start / dt) as usize).min(bins - 1);
         let last = ((end / dt) as usize).min(bins - 1);
         let span = (last - first + 1) as f64;
-        #[allow(clippy::needless_range_loop)] // index math over a time window
+        #[allow(clippy::needless_range_loop, reason = "index math over a time window")]
         for b in first..=last {
             // lint: allow(panic, "b <= last, which is clamped to bins - 1 == signal.len() - 1")
             signal[b] += weight / span;

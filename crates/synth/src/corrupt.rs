@@ -17,7 +17,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// What was done to the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum CorruptionKind {
     /// MDF bytes cut short.
     Truncated,
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn random_kind_sampling_covers_all() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..100 {
             let (kind, _) = corrupt(valid_log(), &mut rng);
             seen.insert(kind);

@@ -7,6 +7,11 @@
 //! Numbers are indicative, not rigorous.
 
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a benchmark harness measures wall-clock by definition"
+)]
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
