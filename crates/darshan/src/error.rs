@@ -411,6 +411,50 @@ mod tests {
         );
     }
 
+    /// Every decode failure lands in the `Format` funnel class, under the
+    /// reason named after it.
+    #[test]
+    fn every_format_error_maps_to_a_format_class_reason() {
+        let errors = [
+            (FormatError::BadMagic, "bad_magic"),
+            (FormatError::UnsupportedVersion(9), "unsupported_version"),
+            (FormatError::Truncated { context: "x" }, "truncated"),
+            (FormatError::ChecksumMismatch { expected: 1, actual: 2 }, "checksum_mismatch"),
+            (FormatError::UnknownModule(7), "unknown_module"),
+            (FormatError::ImplausibleLength { context: "x", len: u64::MAX }, "implausible_length"),
+            (FormatError::InvalidUtf8 { context: "x" }, "invalid_utf8"),
+            (FormatError::MalformedLine { line: 1, reason: "x".into() }, "malformed_text"),
+        ];
+        for (error, slug) in &errors {
+            let reason = EvictReason::from(error);
+            assert_eq!(reason.class(), EvictClass::Format, "{error}");
+            assert_eq!(reason.slug(), *slug, "{error}");
+        }
+    }
+
+    /// Funnel breakdowns print `describe`; two reasons sharing a text
+    /// would be indistinguishable there.
+    #[test]
+    fn evict_reason_descriptions_are_distinct() {
+        let mut reasons = vec![
+            EvictReason::IoError,
+            EvictReason::BadMagic,
+            EvictReason::UnsupportedVersion,
+            EvictReason::Truncated,
+            EvictReason::ChecksumMismatch,
+            EvictReason::UnknownModule,
+            EvictReason::ImplausibleLength,
+            EvictReason::InvalidUtf8,
+            EvictReason::MalformedText,
+            EvictReason::AllRecordsInvalid,
+        ];
+        reasons.extend(ValidityError::ALL.into_iter().map(EvictReason::ValidationFatal));
+        let texts: std::collections::BTreeSet<String> =
+            reasons.iter().map(|r| r.describe()).collect();
+        assert_eq!(texts.len(), reasons.len(), "{texts:?}");
+        assert!(texts.iter().all(|t| !t.is_empty()));
+    }
+
     #[test]
     fn reason_classes_partition() {
         assert_eq!(EvictReason::IoError.class(), EvictClass::Io);

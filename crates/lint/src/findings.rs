@@ -12,7 +12,7 @@ pub enum Rule {
     /// entry point. Supersedes the old per-file L1 allowlist.
     PanicReachability,
     /// L7 — unit consistency: no `+`/`-` arithmetic mixing byte-volume and
-    /// seconds-duration identifiers outside the core unit newtypes.
+    /// seconds-duration identifiers.
     UnitMix,
     /// L8 — wire-taint dataflow: a length read off the wire must be
     /// compared against a named `limits::MAX_*` guard constant before it

@@ -8,7 +8,7 @@
 //! graph from the entry points, so a panic two call hops below
 //! `from_bytes` is found — and reported with its call path.
 
-use crate::findings::{Finding, Report, Rule};
+use crate::findings::{Finding, Report, Rule, ALL_RULES};
 use crate::graph::CallGraph;
 use crate::lex::{in_ranges, lex, test_line_ranges, Lexed, Tok};
 use crate::parse::{parse_file, ParsedFile};
@@ -300,7 +300,7 @@ fn parse_allows(rel: &str, lexed: &Lexed, findings: &mut Vec<Finding>) -> Vec<Al
             continue;
         };
         let key = key.trim();
-        if !matches!(key, "panic" | "unit" | "taint" | "sync") {
+        if !ALL_RULES.iter().any(|r| r.allow_key() == Some(key)) {
             fail(&format!(
                 "unknown rule {key:?}; expected `panic`, `unit`, `taint` or `sync` \
                  (clippy's lints take `#[expect(clippy::…, reason = \"…\")]`)"
@@ -663,6 +663,23 @@ pub fn writer_only(x: Option<u8>) -> u8 {
         }
     }
 
+    /// The escape-hatch keys are the kept rules' own, and the parser's
+    /// error names each of them.
+    #[test]
+    fn kept_allow_keys_are_exactly_panic_unit_taint_sync() {
+        let keys: Vec<&str> = ALL_RULES.iter().filter_map(|r| r.allow_key()).collect();
+        assert_eq!(keys, ["panic", "unit", "taint", "sync", "sync"]);
+        for key in ["panic", "unit", "taint", "sync"] {
+            let src = format!("pub fn from_bytes() {{}}\n// lint: allow({key}, \"proof\")\n");
+            assert!(lint_rule(L5_FILE, &src, Rule::MalformedAllow).is_empty(), "{key}");
+        }
+        let f = lint_rule(L5_FILE, "// lint: allow(bogus, \"x\")\n", Rule::MalformedAllow);
+        assert_eq!(f.len(), 1, "{f:?}");
+        for key in ["panic", "unit", "taint", "sync"] {
+            assert!(f[0].message.contains(&format!("`{key}`")), "{}", f[0].message);
+        }
+    }
+
     #[test]
     fn allow_key_must_match_the_rule() {
         let src =
@@ -671,6 +688,42 @@ pub fn writer_only(x: Option<u8>) -> u8 {
         assert!(f.iter().any(|f| f.rule == Rule::PanicReachability), "{f:?}");
         // The wrong-keyed allow suppressed nothing, so it is also stale.
         assert!(f.iter().any(|f| f.rule == Rule::UnusedAllow), "{f:?}");
+    }
+
+    /// `--sync-report` and the L10 findings start from one staging step,
+    /// so both leave test code out the same way.
+    #[test]
+    fn sync_report_and_findings_share_the_test_exemption() {
+        let text = "\
+struct S { ready: AtomicU64 }
+impl S {
+    fn set(&self) { self.ready.store(1, Ordering::Release); }
+}
+#[cfg(test)]
+mod tests {
+    fn get(s: &S) -> u64 { s.ready.load(Ordering::Acquire) }
+}
+";
+        let files = [FileInput { rel: "crates/obs/src/x.rs".to_owned(), text: text.to_owned() }];
+        let report = lint_files(&files);
+        let l10: Vec<_> =
+            report.findings.iter().filter(|f| f.rule == Rule::AtomicsDiscipline).collect();
+        assert_eq!(l10.len(), 1, "{l10:?}");
+        assert_eq!(l10[0].line, 3);
+        let json = sync_report_json(&files);
+        assert!(json.contains("\"ordering\": \"Release\""), "{json}");
+        assert!(!json.contains("\"ordering\": \"Acquire\""), "{json}");
+    }
+
+    /// L7's hint names the escape hatch; there are no unit newtypes to
+    /// point at.
+    #[test]
+    fn l7_hint_names_the_unit_escape_hatch() {
+        let src = "pub fn f(duration: f64, bytes: f64) -> f64 { duration - bytes }\n";
+        let f = lint_rule(L7_FILE, src, Rule::UnitMix);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("lint: allow(unit, "), "{}", f[0].message);
+        assert!(f[0].message.contains("`duration - bytes`"), "{}", f[0].message);
     }
 
     #[test]
