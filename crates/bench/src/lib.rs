@@ -88,7 +88,6 @@ pub fn run_pipeline_traced(
         categorizer: CategorizerConfig::default(),
         progress: None,
         trace_capacity,
-        metrics: false,
     };
     process(&source, &config)
 }

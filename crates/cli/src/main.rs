@@ -129,9 +129,9 @@ OPTIONS:
                    span ring size for --trace-out/--trace-md; older spans
                    beyond it are dropped and counted  (default 65536)
   --metrics-out FILE
-                   export the unified metrics registry (gauges, eviction
-                   reasons, per-worker utilization, sketch-backed stage
-                   latency summaries) after the run
+                   write the run's metrics registry (sketch-backed stage
+                   latency summaries, stage bytes, gauges, eviction
+                   reasons, per-worker utilization) after the run
   --metrics-format F
                    exposition format for --metrics-out: `prom`
                    (Prometheus/OpenMetrics text, the default) or `json`
@@ -290,8 +290,8 @@ fn analyze(args: &[String]) -> Result<(), String> {
     let tracing = trace_out.is_some() || trace_md.is_some();
     let trace_capacity: usize = flag(&flags, "trace-capacity", 65_536usize)?;
     let progress_on = flags.contains_key("progress");
-    // --metrics-out attaches the unified registry; the format is validated
-    // up front so a bad flag fails before a long run, not after it.
+    // --metrics-out writes the run's registry export; the format is
+    // validated up front so a bad flag fails before a long run, not after.
     let metrics_out = flags.get("metrics-out").cloned();
     let metrics_format = match flags.get("metrics-format").map(String::as_str) {
         None | Some("prom") => MetricsFormat::Prom,
@@ -313,7 +313,6 @@ fn analyze(args: &[String]) -> Result<(), String> {
             ) as mosaic_pipeline::executor::ProgressFn
         }),
         trace_capacity: tracing.then_some(trace_capacity),
-        metrics: metrics_out.is_some(),
     };
     let started = std::time::Instant::now();
     let result = if let Some(dir) = flags.get("dir") {

@@ -73,8 +73,7 @@ pub struct MetricFamily {
 }
 
 /// A frozen, ordering-stable view of every registered metric — the unit of
-/// exposition, of [`MetricsWindow`](crate::window::MetricsWindow) history
-/// entries, and of the `--metrics-out` file.
+/// exposition and of the `--metrics-out` file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Families sorted by name.

@@ -1,28 +1,28 @@
 //! # mosaic-obs
 //!
 //! Per-stage observability for the MOSAIC pipeline: lock-free counters,
-//! log-linear [`QuantileSketch`] timing histograms and throughput
-//! accounting, recorded from worker threads with relaxed atomics and
-//! snapshotted into a serializable [`MetricsReport`] when a run finishes.
-//! On top of the per-stage substrate sit a unified [`MetricsRegistry`]
-//! (counters, gauges, and summaries under stable dotted names — see
-//! [`metrics`]), OpenMetrics/JSON exposition (see [`expo`]), and a bounded
-//! ring of windowed health snapshots (see [`window`]).
+//! log-linear [`QuantileSketch`] latency summaries and throughput
+//! accounting, recorded from worker threads with relaxed atomics. There is
+//! one metric store: a [`MetricsRegistry`] (counters, gauges and summaries
+//! under stable dotted names — see [`metrics`]) that every [`Recorder`]
+//! owns, pre-populated with the pipeline's standard set
+//! ([`PipelineMetrics`]). The end-of-run [`MetricsReport`] and the
+//! OpenMetrics/JSON export (see [`expo`]) are both read from it.
 //!
 //! The paper's §IV-E performance claims (and every later optimisation PR)
 //! need per-stage evidence, not a single wall-clock number: this crate is
 //! the substrate. A [`Recorder`] is shared by all workers; each records
 //! `(stage, duration, bytes)` triples as it processes traces. Recording is
-//! wait-free — one `fetch_add` per field — so the instrumentation does not
-//! perturb the throughput it measures.
+//! wait-free — a handful of relaxed `fetch_add`s through pre-registered
+//! handles — so the instrumentation does not perturb the throughput it
+//! measures.
 //!
 //! ```
 //! use mosaic_obs::{Recorder, Stage};
-//! use std::time::Duration;
 //!
 //! let rec = Recorder::new();
-//! rec.record(Stage::Parse, Duration::from_micros(250), 4096);
-//! rec.record(Stage::Categorize, Duration::from_micros(900), 0);
+//! rec.record_nanos(Stage::Parse, 250_000, 4096);
+//! rec.record_nanos(Stage::Categorize, 900_000, 0);
 //! let report = rec.finish(1, 1);
 //! assert_eq!(report.traces, 1);
 //! assert_eq!(report.stages[Stage::Parse.index()].calls, 1);
@@ -37,7 +37,6 @@ pub mod metrics;
 pub mod progress;
 pub mod sketch;
 pub mod trace;
-pub mod window;
 
 pub use expo::{MetricFamily, MetricKind, MetricsSnapshot, Sample};
 pub use metrics::{Counter, Gauge, MetricsRegistry, PipelineMetrics, Summary, SUMMARY_QUANTILES};
@@ -47,12 +46,9 @@ pub use trace::{
     Exemplar, Span, SpanEvent, SpanOutcome, StageExemplars, TraceTimeline, Tracer,
     EXEMPLARS_PER_STAGE,
 };
-pub use window::{MetricsWindow, WindowEntry};
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A [`Duration`] as saturating nanoseconds — the span/histogram currency.
@@ -104,80 +100,6 @@ impl std::fmt::Display for Stage {
     }
 }
 
-/// Lock-free accumulator for one stage: call count, total/max nanoseconds,
-/// bytes moved and a log-linear [`QuantileSketch`] latency histogram. All
-/// fields use relaxed atomics — the counts are telemetry, not
-/// synchronization points. Calls and nanos are kept as dedicated counters
-/// (not derived from the sketch) so hot readers like the progress line
-/// never scan the sketch's buckets.
-#[derive(Debug, Default)]
-pub struct StageStats {
-    calls: AtomicU64,
-    nanos: AtomicU64,
-    max_nanos: AtomicU64,
-    bytes: AtomicU64,
-    sketch: QuantileSketch,
-}
-
-impl StageStats {
-    /// Fresh, zeroed stats.
-    pub fn new() -> StageStats {
-        StageStats::default()
-    }
-
-    /// Record one timed call. Wait-free.
-    pub fn record(&self, nanos: u64, bytes: u64) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
-        if bytes > 0 {
-            self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
-        self.sketch.record(nanos);
-    }
-
-    /// Bytes recorded so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Calls recorded so far.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Total nanoseconds recorded so far.
-    pub fn nanos(&self) -> u64 {
-        self.nanos.load(Ordering::Relaxed)
-    }
-
-    /// The latency sketch (nanosecond samples), for merging or direct
-    /// quantile queries beyond the snapshot's p50/p99.
-    pub fn sketch(&self) -> &QuantileSketch {
-        &self.sketch
-    }
-
-    /// Consistent-enough snapshot for reporting (individual fields are read
-    /// relaxed; exactness across fields is not required of telemetry).
-    /// Quantiles come from the sketch and are within [`RELATIVE_ERROR`] of
-    /// the true order statistics.
-    pub fn snapshot(&self, stage: Stage) -> StageSnapshot {
-        let calls = self.calls.load(Ordering::Relaxed);
-        let nanos = self.nanos.load(Ordering::Relaxed);
-        let sketch = self.sketch.snapshot();
-        StageSnapshot {
-            stage: stage.name().to_owned(),
-            calls,
-            total_seconds: nanos as f64 / 1e9,
-            mean_micros: if calls == 0 { 0.0 } else { nanos as f64 / calls as f64 / 1_000.0 },
-            p50_micros: sketch.quantile(0.50) / 1_000.0,
-            p99_micros: sketch.quantile(0.99) / 1_000.0,
-            max_micros: self.max_nanos.load(Ordering::Relaxed) as f64 / 1_000.0,
-            bytes: self.bytes.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Immutable, serializable view of one stage's accumulated statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageSnapshot {
@@ -199,6 +121,28 @@ pub struct StageSnapshot {
     pub max_micros: f64,
     /// Bytes processed by the stage (0 when not byte-oriented).
     pub bytes: u64,
+}
+
+impl StageSnapshot {
+    /// Read one stage's report line off its registry handles. Fields are
+    /// read relaxed, one by one; exactness across fields is not required of
+    /// telemetry. Quantiles come from the sketch and are within
+    /// [`RELATIVE_ERROR`] of the true order statistics.
+    fn of(stage: Stage, latency: &Summary, bytes: &Counter) -> StageSnapshot {
+        let calls = latency.count();
+        let nanos = latency.sum();
+        let sketch = latency.sketch().snapshot();
+        StageSnapshot {
+            stage: stage.name().to_owned(),
+            calls,
+            total_seconds: nanos as f64 / 1e9,
+            mean_micros: if calls == 0 { 0.0 } else { nanos as f64 / calls as f64 / 1_000.0 },
+            p50_micros: sketch.quantile(0.50) / 1_000.0,
+            p99_micros: sketch.quantile(0.99) / 1_000.0,
+            max_micros: latency.max() as f64 / 1_000.0,
+            bytes: bytes.get(),
+        }
+    }
 }
 
 /// The merged end-of-run metrics: wall-clock, throughput and one
@@ -279,17 +223,15 @@ impl MetricsReport {
     }
 }
 
-/// The shared, thread-safe metrics sink: one [`StageStats`] per stage, a
-/// live eviction counter, the run's start instant, and (optionally) a
-/// structured [`Tracer`] and a [`PipelineMetrics`] registry. Workers record
-/// through `&Recorder`; the executor snapshots with [`Recorder::finish`]
-/// once all workers are done.
+/// The shared, thread-safe metrics sink: the run's [`PipelineMetrics`]
+/// (the registry every report and export is read from), the run's start
+/// instant, and optionally a structured [`Tracer`]. Workers record through
+/// `&Recorder`; the executor snapshots with [`Recorder::finish`] once all
+/// workers are done.
 #[derive(Debug)]
 pub struct Recorder {
-    stages: [StageStats; Stage::ALL.len()],
-    evictions: AtomicU64,
+    metrics: PipelineMetrics,
     tracer: Option<Tracer>,
-    metrics: Option<Arc<PipelineMetrics>>,
     started: Instant,
 }
 
@@ -300,20 +242,19 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// Start a recorder; wall-clock measurement begins now. Tracing is off:
-    /// span recording degenerates to the aggregate counters, with zero
-    /// extra allocation on the hot path.
+    /// Start a recorder with the standard metric set and one worker lane
+    /// (lane 0); wall-clock measurement begins now. Tracing is off: span
+    /// recording touches only the pre-registered handles, with zero
+    /// allocation on the hot path.
     pub fn new() -> Recorder {
         Recorder {
-            stages: std::array::from_fn(|_| StageStats::new()),
-            evictions: AtomicU64::new(0),
+            metrics: PipelineMetrics::new(1),
             #[expect(
                 clippy::disallowed_methods,
                 reason = "the Recorder exists to measure wall-clock; its metrics are excluded from ResultSnapshot digests"
             )]
             started: Instant::now(),
             tracer: None,
-            metrics: None,
         }
     }
 
@@ -324,17 +265,16 @@ impl Recorder {
         Recorder { tracer: Some(Tracer::new(capacity)), ..Recorder::new() }
     }
 
-    /// Attach a [`PipelineMetrics`] registry: spans start feeding per-worker
-    /// busy counters and [`Recorder::export_metrics`] includes the
-    /// registry's families. Builder-style, composes with
-    /// [`Recorder::with_tracer`].
-    pub fn with_pipeline_metrics(self, metrics: Arc<PipelineMetrics>) -> Recorder {
-        Recorder { metrics: Some(metrics), ..self }
+    /// Register busy counters for `lanes` worker lanes, so spans from
+    /// every lane feed `mosaic.worker.busy_ns`. Builder-style, composes
+    /// with [`Recorder::with_tracer`].
+    pub fn with_worker_lanes(self, lanes: usize) -> Recorder {
+        Recorder { metrics: self.metrics.with_lanes(lanes), ..self }
     }
 
-    /// The attached pipeline metrics registry, when metrics are enabled.
-    pub fn pipeline_metrics(&self) -> Option<&PipelineMetrics> {
-        self.metrics.as_deref()
+    /// The run's metric store.
+    pub fn pipeline_metrics(&self) -> &PipelineMetrics {
+        &self.metrics
     }
 
     /// `true` when structured span tracing is enabled.
@@ -356,32 +296,33 @@ impl Recorder {
         nanos_of(self.started.elapsed())
     }
 
-    /// Record one span: the aggregate counters always, the structured
-    /// tracer when enabled. This is the executor's per-stage call site —
-    /// one method, so tracing on/off cannot diverge in what is counted.
+    /// Record one span: the stage handles and the worker lane's busy
+    /// counter always, the structured tracer when enabled. This is the
+    /// executor's per-stage call site — one method, so tracing on/off
+    /// cannot diverge in what is counted.
     pub fn span(&self, span: Span<'_>) {
         self.record_nanos(span.stage, span.duration_ns, span.bytes);
-        if let Some(metrics) = &self.metrics {
-            if let Some(busy) =
-                usize::try_from(span.worker).ok().and_then(|lane| metrics.worker_busy(lane))
-            {
-                busy.add(span.duration_ns);
-            }
+        if let Some(busy) =
+            usize::try_from(span.worker).ok().and_then(|lane| self.metrics.worker_busy(lane))
+        {
+            busy.add(span.duration_ns);
         }
         if let Some(tracer) = &self.tracer {
             tracer.record(span);
         }
     }
 
-    /// Count one funnel eviction (live telemetry for progress lines; the
-    /// authoritative typed accounting lives in the pipeline's funnel).
-    pub fn count_eviction(&self) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
+    /// Count one funnel eviction under its typed reason slug (live
+    /// telemetry; the authoritative typed accounting lives in the
+    /// pipeline's funnel).
+    pub fn count_eviction(&self, reason: &str) {
+        self.metrics.count_eviction(reason);
     }
 
-    /// Evictions counted so far.
+    /// Evictions counted so far, over every reason. Takes the registry
+    /// lock: meant for occasional readers such as a progress redraw.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.metrics.evictions()
     }
 
     /// Snapshot the structured timeline, when tracing is enabled.
@@ -389,37 +330,15 @@ impl Recorder {
         self.tracer.as_ref().map(Tracer::snapshot)
     }
 
-    /// Record one timed call of `stage`.
-    pub fn record(&self, stage: Stage, elapsed: Duration, bytes: u64) {
-        self.record_nanos(stage, nanos_of(elapsed), bytes);
-    }
-
-    /// Record with a raw nanosecond count (for durations measured elsewhere).
+    /// Record one timed call of `stage` from a raw nanosecond count.
     pub fn record_nanos(&self, stage: Stage, nanos: u64, bytes: u64) {
-        // lint: allow(panic, "enum-derived index: Stage::index() < Stage::ALL.len() by construction")
-        self.stages[stage.index()].record(nanos, bytes);
+        self.metrics.record_stage(stage, nanos, bytes);
     }
 
-    /// Time a closure and record it.
-    pub fn time<T>(&self, stage: Stage, bytes: u64, f: impl FnOnce() -> T) -> T {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the Recorder exists to measure wall-clock; its metrics are excluded from ResultSnapshot digests"
-        )]
-        let t = Instant::now();
-        let out = f();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "stage timing telemetry; metrics are excluded from ResultSnapshot digests"
-        )]
-        self.record(stage, t.elapsed(), bytes);
-        out
-    }
-
-    /// Access one stage's live stats.
-    pub fn stage(&self, stage: Stage) -> &StageStats {
-        // lint: allow(panic, "enum-derived index: Stage::index() < Stage::ALL.len() by construction")
-        &self.stages[stage.index()]
+    /// One stage's live latency summary: calls are its `count`, busy
+    /// nanoseconds its `sum`.
+    pub fn stage(&self, stage: Stage) -> &Summary {
+        self.metrics.stage_latency(stage)
     }
 
     /// Snapshot everything into a [`MetricsReport`]. `traces` is the number
@@ -430,9 +349,13 @@ impl Recorder {
             reason = "wall-clock summary telemetry; metrics are excluded from ResultSnapshot digests"
         )]
         let wall = self.started.elapsed().as_secs_f64().max(1e-9);
-        let stages: Vec<StageSnapshot> =
-            Stage::ALL.iter().map(|&s| self.stage(s).snapshot(s)).collect();
-        let bytes = self.stage(Stage::Parse).bytes();
+        let stages: Vec<StageSnapshot> = Stage::ALL
+            .iter()
+            .map(|&s| {
+                StageSnapshot::of(s, self.metrics.stage_latency(s), self.metrics.stage_bytes(s))
+            })
+            .collect();
+        let bytes = self.metrics.stage_bytes(Stage::Parse).get();
         MetricsReport {
             wall_seconds: wall,
             workers: workers.max(1),
@@ -444,70 +367,11 @@ impl Recorder {
         }
     }
 
-    /// Freeze everything this recorder measures into one ordering-stable
-    /// [`MetricsSnapshot`]: the per-stage families (calls, busy time, bytes,
-    /// and the latency summary backed by the sketch) merged with the
-    /// attached registry's families, sorted by name. Deliberately excludes
-    /// wall-clock so identical recorded workloads export identical bytes.
+    /// Freeze the registry into one ordering-stable [`MetricsSnapshot`],
+    /// families sorted by name. Deliberately excludes wall-clock so
+    /// identical recorded workloads export identical bytes.
     pub fn export_metrics(&self) -> MetricsSnapshot {
-        let mut calls = Vec::with_capacity(Stage::ALL.len());
-        let mut busy = Vec::with_capacity(Stage::ALL.len());
-        let mut bytes = Vec::with_capacity(Stage::ALL.len());
-        let mut latency = Vec::with_capacity(Stage::ALL.len());
-        for &stage in Stage::ALL.iter() {
-            let stats = self.stage(stage);
-            let labels = vec![("stage".to_owned(), stage.name().to_owned())];
-            let plain = |value: u64| Sample {
-                labels: labels.clone(),
-                value: value as f64,
-                quantiles: Vec::new(),
-                count: 0,
-            };
-            calls.push(plain(stats.calls()));
-            busy.push(plain(stats.nanos()));
-            bytes.push(plain(stats.bytes()));
-            let sketch = stats.sketch().snapshot();
-            latency.push(Sample {
-                labels,
-                value: stats.nanos() as f64,
-                quantiles: SUMMARY_QUANTILES.iter().map(|&q| (q, sketch.quantile(q))).collect(),
-                count: stats.calls(),
-            });
-        }
-        let mut families = vec![
-            MetricFamily {
-                name: "mosaic.stage.calls".to_owned(),
-                kind: MetricKind::Counter,
-                help: "Instrumented calls per pipeline stage".to_owned(),
-                samples: calls,
-            },
-            MetricFamily {
-                name: "mosaic.stage.busy_ns".to_owned(),
-                kind: MetricKind::Counter,
-                help: "Nanoseconds spent per pipeline stage, summed over workers".to_owned(),
-                samples: busy,
-            },
-            MetricFamily {
-                name: "mosaic.stage.bytes".to_owned(),
-                kind: MetricKind::Counter,
-                help: "Bytes processed per pipeline stage".to_owned(),
-                samples: bytes,
-            },
-            MetricFamily {
-                name: "mosaic.stage.latency_ns".to_owned(),
-                kind: MetricKind::Summary,
-                help: "Per-call stage latency (sketch quantiles)".to_owned(),
-                samples: latency,
-            },
-        ];
-        for family in &mut families {
-            family.samples.sort_by(|a, b| a.labels.cmp(&b.labels));
-        }
-        if let Some(metrics) = &self.metrics {
-            families.extend(metrics.snapshot().families);
-        }
-        families.sort_by(|a, b| a.name.cmp(&b.name));
-        MetricsSnapshot { families }
+        self.metrics.snapshot()
     }
 }
 
@@ -524,13 +388,18 @@ mod tests {
         assert_eq!(Stage::Parse.to_string(), "parse");
     }
 
+    /// The report line of `stage` as [`Recorder::finish`] computes it.
+    fn snapshot_of(rec: &Recorder, stage: Stage) -> StageSnapshot {
+        rec.finish(0, 1).stages[stage.index()].clone()
+    }
+
     #[test]
     fn record_and_snapshot_aggregate() {
-        let s = StageStats::new();
-        s.record(1_000, 10);
-        s.record(3_000, 20);
-        s.record(2_000, 0);
-        let snap = s.snapshot(Stage::Parse);
+        let s = Recorder::new();
+        s.record_nanos(Stage::Parse, 1_000, 10);
+        s.record_nanos(Stage::Parse, 3_000, 20);
+        s.record_nanos(Stage::Parse, 2_000, 0);
+        let snap = snapshot_of(&s, Stage::Parse);
         assert_eq!(snap.calls, 3);
         assert_eq!(snap.bytes, 30);
         assert!((snap.total_seconds - 6e-6).abs() < 1e-12);
@@ -542,7 +411,7 @@ mod tests {
 
     #[test]
     fn empty_stats_quantiles_are_zero() {
-        let snap = StageStats::new().snapshot(Stage::Fetch);
+        let snap = snapshot_of(&Recorder::new(), Stage::Fetch);
         assert_eq!(snap.calls, 0);
         assert_eq!(snap.p50_micros, 0.0);
         assert_eq!(snap.p99_micros, 0.0);
@@ -556,8 +425,8 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..100 {
-                        rec.record(Stage::Parse, Duration::from_micros(5), 100);
-                        rec.record(Stage::Validate, Duration::from_micros(2), 0);
+                        rec.record_nanos(Stage::Parse, 5_000, 100);
+                        rec.record_nanos(Stage::Validate, 2_000, 0);
                     }
                 });
             }
@@ -573,7 +442,7 @@ mod tests {
     #[test]
     fn report_serializes_and_renders() {
         let rec = Recorder::new();
-        rec.record(Stage::Fetch, Duration::from_micros(1), 64);
+        rec.record_nanos(Stage::Fetch, 1_000, 64);
         let report = rec.finish(1, 2);
         let json = serde_json::to_string(&report).unwrap();
         let back: MetricsReport = serde_json::from_str(&json).unwrap();
@@ -594,11 +463,11 @@ mod tests {
         // linear sub-buckets pin the estimate within RELATIVE_ERROR, and
         // midpoint reporting still never under-reports the true value.
         for i in [4u32, 10, 17, 25] {
-            let s = StageStats::new();
+            let s = Recorder::new();
             for _ in 0..100 {
-                s.record(1u64 << i, 0);
+                s.record_nanos(Stage::Parse, 1u64 << i, 0);
             }
-            let snap = s.snapshot(Stage::Parse);
+            let snap = snapshot_of(&s, Stage::Parse);
             let true_us = (1u64 << i) as f64 / 1_000.0;
             let expect_us = true_us * 33.0 / 32.0; // sub-bucket [2^i, 2^i + 2^(i-4)) midpoint
             assert_eq!(snap.p50_micros, expect_us, "p50 at 2^{i} ns");
@@ -610,9 +479,9 @@ mod tests {
 
     #[test]
     fn top_bucket_quantile_reports_its_midpoint() {
-        let s = StageStats::new();
-        s.record(u64::MAX, 0); // clamped into the last sketch bucket
-        let snap = s.snapshot(Stage::Fetch);
+        let s = Recorder::new();
+        s.record_nanos(Stage::Fetch, u64::MAX, 0); // clamped into the last sketch bucket
+        let snap = snapshot_of(&s, Stage::Fetch);
         // Top bucket is [31·2^59, 2^64): midpoint 31.5·2^59 ns.
         assert_eq!(snap.p99_micros, 31.5 * (1u64 << 59) as f64 / 1_000.0);
         let err = (snap.p99_micros - u64::MAX as f64 / 1_000.0).abs() / (u64::MAX as f64 / 1_000.0);
@@ -633,7 +502,7 @@ mod tests {
             outcome: SpanOutcome::Ok,
             detail: None,
         });
-        rec.count_eviction();
+        rec.count_eviction("truncated");
         assert_eq!(rec.evictions(), 1);
         let report = rec.finish(1, 1);
         assert_eq!(report.stages[Stage::Parse.index()].calls, 1);
@@ -648,8 +517,27 @@ mod tests {
     }
 
     #[test]
+    fn tracer_and_worker_lanes_compose() {
+        let rec = Recorder::with_tracer(8).with_worker_lanes(3);
+        assert!(rec.tracing());
+        rec.span(Span {
+            trace: 0,
+            stage: Stage::Fetch,
+            start_ns: 0,
+            duration_ns: 700,
+            bytes: 32,
+            worker: 2,
+            outcome: SpanOutcome::Ok,
+            detail: None,
+        });
+        assert_eq!(rec.pipeline_metrics().worker_busy(2).map(Counter::get), Some(700));
+        assert_eq!(rec.timeline().map(|t| t.events.len()), Some(1));
+        assert_eq!(rec.finish(1, 2).stages[Stage::Fetch.index()].bytes, 32);
+    }
+
+    #[test]
     fn recorder_exports_stage_families_and_registry_sorted_by_name() {
-        let rec = Recorder::new().with_pipeline_metrics(Arc::new(PipelineMetrics::new(2)));
+        let rec = Recorder::new().with_worker_lanes(2);
         rec.record_nanos(Stage::Parse, 1_000, 64);
         rec.span(Span {
             trace: 1,
@@ -661,14 +549,15 @@ mod tests {
             outcome: SpanOutcome::Ok,
             detail: None,
         });
-        let metrics = rec.pipeline_metrics().expect("metrics attached");
-        metrics.count_eviction("io-error");
+        rec.count_eviction("io-error");
+        let metrics = rec.pipeline_metrics();
         assert_eq!(metrics.worker_busy(1).map(Counter::get), Some(2_000), "span fed lane 1");
         let snap = rec.export_metrics();
         let names: Vec<&str> = snap.families.iter().map(|f| f.name.as_str()).collect();
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted, "families are sorted by name");
+        assert_eq!(names.len(), 8, "the standard set plus the eviction family");
         assert!(names.contains(&"mosaic.stage.latency_ns"));
         assert!(names.contains(&"mosaic.pipeline.evictions"));
         let latency = snap
@@ -684,23 +573,47 @@ mod tests {
             .expect("parse sample");
         assert_eq!(parse.count, 1);
         assert_eq!(parse.value, 1_000.0);
-        // Without metrics attached, export still carries the stage families.
-        let plain = Recorder::new();
-        assert!(plain.pipeline_metrics().is_none());
-        assert_eq!(plain.export_metrics().families.len(), 4);
+        // A fresh recorder exports the standard set; evictions register on
+        // first use, so it has no eviction family yet.
+        assert_eq!(Recorder::new().export_metrics().families.len(), 7);
         // Identical recorded workloads export identical bytes.
         assert_eq!(rec.export_metrics().to_openmetrics(), rec.export_metrics().to_openmetrics());
     }
 
     #[test]
+    fn report_and_export_read_the_same_handles() {
+        let rec = Recorder::new();
+        for (nanos, bytes) in [(1_000, 10), (7_000, 0), (2_500, 30)] {
+            rec.record_nanos(Stage::Validate, nanos, bytes);
+        }
+        let report = rec.finish(3, 1);
+        let stage = &report.stages[Stage::Validate.index()];
+        let snap = rec.export_metrics();
+        let sample = |family: &str| {
+            snap.families
+                .iter()
+                .find(|f| f.name == family)
+                .and_then(|f| f.samples.iter().find(|s| s.labels[0].1 == "validate"))
+                .cloned()
+                .expect("validate sample")
+        };
+        let latency = sample("mosaic.stage.latency_ns");
+        assert_eq!(stage.calls, latency.count);
+        assert_eq!(stage.total_seconds, latency.value / 1e9);
+        assert_eq!(stage.bytes as f64, sample("mosaic.stage.bytes").value);
+        assert_eq!(stage.max_micros, 7.0);
+        assert_eq!(rec.stage(Stage::Validate).count(), 3);
+    }
+
+    #[test]
     fn quantiles_rank_correctly() {
-        let s = StageStats::new();
+        let s = Recorder::new();
         // 9 fast calls (~1 µs) and 1 slow (~1 ms): p50 fast, p99 slow.
         for _ in 0..9 {
-            s.record(1_000, 0);
+            s.record_nanos(Stage::Merge, 1_000, 0);
         }
-        s.record(1_000_000, 0);
-        let snap = s.snapshot(Stage::Merge);
+        s.record_nanos(Stage::Merge, 1_000_000, 0);
+        let snap = snapshot_of(&s, Stage::Merge);
         assert!(snap.p50_micros < 10.0, "p50 {}", snap.p50_micros);
         assert!(snap.p99_micros > 100.0, "p99 {}", snap.p99_micros);
     }

@@ -4,9 +4,13 @@
 //! The registry is the naming layer over the lock-free primitives. Handles
 //! ([`Counter`], [`Gauge`], [`Summary`]) are `Arc`s of pure atomics —
 //! recording through one never takes the registry lock, so the hot path
-//! stays wait-free exactly like `StageStats`. The lock (a plain `Mutex`
-//! around a `BTreeMap`) is touched only at registration and snapshot time,
-//! both of which happen a handful of times per run.
+//! stays wait-free. The lock (a plain `Mutex` around a `BTreeMap`) is
+//! touched only at registration and snapshot time, and when an eviction
+//! registers its reason's counter on first use.
+//!
+//! [`PipelineMetrics`] is the pipeline's standard set, and the only metric
+//! store the [`Recorder`](crate::Recorder) has: the per-stage latency
+//! summaries and byte counters behind every `MetricsReport` live here too.
 //!
 //! Naming rules (enforced by sanitization, not panics — registration is
 //! reachable from ingest):
@@ -21,6 +25,7 @@
 
 use crate::expo::{MetricFamily, MetricKind, MetricsSnapshot, Sample};
 use crate::sketch::QuantileSketch;
+use crate::Stage;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -97,13 +102,15 @@ impl Gauge {
 }
 
 /// A registered quantile sketch plus the running sum and count that
-/// OpenMetrics summaries expose — kept as dedicated counters so reading
-/// them does not scan the sketch's 976 buckets.
+/// OpenMetrics summaries expose, and the largest observation — kept as
+/// dedicated atomics so reading them (the progress line does, at every
+/// redraw) does not scan the sketch's 976 buckets.
 #[derive(Debug, Default)]
 pub struct Summary {
     sketch: QuantileSketch,
     sum: Counter,
     n: Counter,
+    max: Gauge,
 }
 
 /// Quantiles every registered summary exposes, ascending.
@@ -120,6 +127,7 @@ impl Summary {
         self.sketch.record(v);
         self.sum.add(v);
         self.n.inc();
+        self.max.set_max(v);
     }
 
     /// The underlying sketch (for merging or direct quantile queries).
@@ -135,6 +143,11 @@ impl Summary {
     /// Sum of all observed values.
     pub fn sum(&self) -> u64 {
         self.sum.get()
+    }
+
+    /// Largest observed value (0 before the first observation).
+    pub fn max(&self) -> u64 {
+        self.max.get()
     }
 }
 
@@ -246,6 +259,16 @@ impl MetricsRegistry {
         }
     }
 
+    /// Sum over every series of the counter family `name`; 0 when the
+    /// family is absent or not a counter.
+    pub fn counter_total(&self, name: &str) -> u64 {
+        let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
+        match families.get(&sanitize_name(name)).map(|family| &family.slots) {
+            Some(Slots::Counter(slots)) => slots.values().map(|c| c.get()).sum(),
+            _ => 0,
+        }
+    }
+
     /// Freeze every family into an ordering-stable [`MetricsSnapshot`].
     pub fn snapshot(&self) -> MetricsSnapshot {
         let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
@@ -297,14 +320,20 @@ impl MetricsRegistry {
     }
 }
 
+/// Name of the eviction family: one counter per typed reason slug.
+const EVICTIONS: &str = "mosaic.pipeline.evictions";
+
 /// The pipeline's standard metric set, pre-registered so worker threads
-/// record through cached `Arc` handles and never take the registry lock.
-/// Carried by the `Recorder` when `--metrics-out` (or the incremental
-/// window) is active; absent otherwise, so the metrics-off hot path is
-/// untouched.
+/// record through cached `Arc` handles and never take the registry lock:
+/// one latency [`Summary`] and one byte [`Counter`] per [`Stage`], the
+/// in-flight, arena and dedup gauges, and per-lane busy counters. Every
+/// `Recorder` owns one. Only evictions register lazily (under their
+/// reason), so an export lists just the reasons that occurred.
 #[derive(Debug)]
 pub struct PipelineMetrics {
     registry: MetricsRegistry,
+    stage_latency: [Arc<Summary>; Stage::ALL.len()],
+    stage_bytes: [Arc<Counter>; Stage::ALL.len()],
     inflight: Arc<Gauge>,
     arena_resident: Arc<Gauge>,
     arena_peak: Arc<Gauge>,
@@ -317,6 +346,20 @@ impl PipelineMetrics {
     /// coordinating thread; rayon workers are 1-based).
     pub fn new(lanes: usize) -> PipelineMetrics {
         let registry = MetricsRegistry::new();
+        let stage_latency = Stage::ALL.map(|stage| {
+            registry.summary(
+                "mosaic.stage.latency_ns",
+                "Per-call stage latency (sketch quantiles)",
+                &[("stage", stage.name())],
+            )
+        });
+        let stage_bytes = Stage::ALL.map(|stage| {
+            registry.counter(
+                "mosaic.stage.bytes",
+                "Bytes processed per pipeline stage",
+                &[("stage", stage.name())],
+            )
+        });
         let inflight = registry.gauge(
             "mosaic.pipeline.traces.inflight",
             "Traces currently being parsed or categorized",
@@ -337,17 +380,52 @@ impl PipelineMetrics {
             "Distinct application keys currently held by deduplication",
             &[],
         );
-        let worker_busy = (0..lanes.max(1))
-            .map(|lane| {
-                let lane = lane.to_string();
-                registry.counter(
-                    "mosaic.worker.busy_ns",
-                    "Nanoseconds each worker lane spent inside instrumented stages",
-                    &[("worker", lane.as_str())],
-                )
-            })
-            .collect();
-        PipelineMetrics { registry, inflight, arena_resident, arena_peak, dedup_apps, worker_busy }
+        PipelineMetrics {
+            registry,
+            stage_latency,
+            stage_bytes,
+            inflight,
+            arena_resident,
+            arena_peak,
+            dedup_apps,
+            worker_busy: Vec::new(),
+        }
+        .with_lanes(lanes)
+    }
+
+    /// Grow the busy counters to at least `lanes` lanes (never fewer than
+    /// one; lanes already registered are kept).
+    pub(crate) fn with_lanes(mut self, lanes: usize) -> PipelineMetrics {
+        for lane in self.worker_busy.len()..lanes.max(1) {
+            let lane = lane.to_string();
+            self.worker_busy.push(self.registry.counter(
+                "mosaic.worker.busy_ns",
+                "Nanoseconds each worker lane spent inside instrumented stages",
+                &[("worker", lane.as_str())],
+            ));
+        }
+        self
+    }
+
+    /// Record one timed call of `stage`: its latency, and its bytes when
+    /// nonzero. Wait-free.
+    pub(crate) fn record_stage(&self, stage: Stage, nanos: u64, bytes: u64) {
+        self.stage_latency(stage).observe(nanos);
+        if bytes > 0 {
+            self.stage_bytes(stage).add(bytes);
+        }
+    }
+
+    /// The latency summary (nanoseconds per call) of `stage`.
+    pub(crate) fn stage_latency(&self, stage: Stage) -> &Summary {
+        // lint: allow(panic, "enum-derived index: Stage::index() < Stage::ALL.len() by construction")
+        &self.stage_latency[stage.index()]
+    }
+
+    /// The byte counter of `stage`.
+    pub(crate) fn stage_bytes(&self, stage: Stage) -> &Counter {
+        // lint: allow(panic, "enum-derived index: Stage::index() < Stage::ALL.len() by construction")
+        &self.stage_bytes[stage.index()]
     }
 
     /// The in-flight traces gauge.
@@ -379,13 +457,12 @@ impl PipelineMetrics {
 
     /// Count one eviction under its typed reason slug.
     pub fn count_eviction(&self, reason: &str) {
-        self.registry
-            .counter(
-                "mosaic.pipeline.evictions",
-                "Funnel evictions by reason",
-                &[("reason", reason)],
-            )
-            .inc();
+        self.registry.counter(EVICTIONS, "Funnel evictions by reason", &[("reason", reason)]).inc();
+    }
+
+    /// Evictions counted so far, over every reason.
+    pub fn evictions(&self) -> u64 {
+        self.registry.counter_total(EVICTIONS)
     }
 
     /// The underlying registry, for callers registering their own series.
@@ -393,8 +470,7 @@ impl PipelineMetrics {
         &self.registry
     }
 
-    /// Snapshot the registry (stage families are added by
-    /// `Recorder::export_metrics`, which owns the stage stats).
+    /// Snapshot every family, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
@@ -478,12 +554,42 @@ mod tests {
         }
         assert_eq!(s.count(), 4);
         assert_eq!(s.sum(), 1000);
+        assert_eq!(s.max(), 400);
         let snap = r.snapshot();
         let sample = &snap.families[0].samples[0];
         assert_eq!(sample.count, 4);
         assert_eq!(sample.value, 1000.0);
         assert_eq!(sample.quantiles.len(), SUMMARY_QUANTILES.len());
         assert!(sample.quantiles[0].1 <= sample.quantiles[2].1, "quantiles are monotone");
+    }
+
+    #[test]
+    fn counter_total_sums_one_counter_family() {
+        let r = MetricsRegistry::new();
+        assert_eq!(r.counter_total("mosaic.test.hits"), 0, "absent family");
+        r.counter("mosaic.test.hits", "h", &[("k", "a")]).add(2);
+        r.counter("mosaic.test.hits", "h", &[("k", "b")]).add(5);
+        r.counter("mosaic.test.other", "h", &[]).add(100);
+        r.gauge("mosaic.test.level", "h", &[]).set(9);
+        assert_eq!(r.counter_total("mosaic.test.hits"), 7, "every series of the family");
+        assert_eq!(r.counter_total("mosaic.test.level"), 0, "a gauge is not summed");
+    }
+
+    #[test]
+    fn worker_lanes_grow_but_never_shrink() {
+        let m = PipelineMetrics::new(0);
+        assert!(m.worker_busy(0).is_some(), "lane 0 always exists");
+        assert!(m.worker_busy(1).is_none());
+        let m = m.with_lanes(3);
+        assert!(m.worker_busy(2).is_some());
+        assert!(m.worker_busy(3).is_none());
+        if let Some(w) = m.worker_busy(2) {
+            w.add(40);
+        }
+        let m = m.with_lanes(1);
+        assert_eq!(m.worker_busy(2).map(Counter::get), Some(40), "registered lanes are kept");
+        let busy = m.snapshot().families.into_iter().find(|f| f.name == "mosaic.worker.busy_ns");
+        assert_eq!(busy.map(|f| f.samples.len()), Some(3));
     }
 
     #[test]
@@ -496,6 +602,13 @@ mod tests {
         m.dedup_apps().set(5);
         m.count_eviction("io-error");
         m.count_eviction("io-error");
+        m.count_eviction("truncated");
+        assert_eq!(m.evictions(), 3, "the progress total sums every reason");
+        m.record_stage(Stage::Parse, 1_500, 64);
+        m.record_stage(Stage::Parse, 500, 0);
+        assert_eq!(m.stage_latency(Stage::Parse).count(), 2);
+        assert_eq!(m.stage_latency(Stage::Parse).max(), 1_500);
+        assert_eq!(m.stage_bytes(Stage::Parse).get(), 64);
         assert!(m.worker_busy(1).is_some());
         assert!(m.worker_busy(99).is_none());
         if let Some(w) = m.worker_busy(0) {
@@ -511,6 +624,8 @@ mod tests {
                 "mosaic.dedup.apps",
                 "mosaic.pipeline.evictions",
                 "mosaic.pipeline.traces.inflight",
+                "mosaic.stage.bytes",
+                "mosaic.stage.latency_ns",
                 "mosaic.worker.busy_ns",
             ]
         );

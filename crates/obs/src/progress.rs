@@ -93,9 +93,9 @@ impl ProgressLine {
         let dt = since.as_secs_f64().max(1e-9);
         let rate = (done.saturating_sub(state.last_done)) as f64 / dt;
         for (i, &stage) in Stage::ALL.iter().enumerate() {
-            let stats = recorder.stage(stage);
-            let calls = stats.calls();
-            let nanos = stats.nanos();
+            let latency = recorder.stage(stage);
+            let calls = latency.count();
+            let nanos = latency.sum();
             let d_calls = calls.saturating_sub(state.last_calls[i]);
             let d_nanos = nanos.saturating_sub(state.last_nanos[i]);
             if d_calls > 0 {
@@ -142,8 +142,8 @@ mod tests {
     #[test]
     fn completion_tick_always_renders() {
         let rec = Recorder::new();
-        rec.record(Stage::Parse, Duration::from_micros(10), 128);
-        rec.count_eviction();
+        rec.record_nanos(Stage::Parse, 10_000, 128);
+        rec.count_eviction("truncated");
         let line = ProgressLine::new(Duration::from_secs(3600));
         let rendered = line.tick(100, 100, &rec).expect("final tick renders");
         assert!(rendered.starts_with("100/100"), "{rendered}");
@@ -152,6 +152,17 @@ mod tests {
         }
         assert!(rendered.contains("1 evicted"), "{rendered}");
         assert!(rendered.contains("0 frames skipped"), "{rendered}");
+    }
+
+    #[test]
+    fn eviction_count_sums_every_reason() {
+        let rec = Recorder::new();
+        for reason in ["truncated", "bad_magic", "truncated", "io_error"] {
+            rec.count_eviction(reason);
+        }
+        let line = ProgressLine::new(Duration::ZERO);
+        let rendered = line.tick(4, 10, &rec).expect("zero interval renders");
+        assert!(rendered.ends_with(" · 4 evicted"), "{rendered}");
     }
 
     #[test]
@@ -188,12 +199,12 @@ mod tests {
     fn zero_interval_renders_and_tracks_ewma() {
         let rec = Recorder::new();
         let line = ProgressLine::new(Duration::ZERO);
-        rec.record(Stage::Merge, Duration::from_micros(100), 0);
+        rec.record_nanos(Stage::Merge, 100_000, 0);
         let first = line.tick(1, 10, &rec).expect("renders");
         assert!(first.contains("merge 100.0µs"), "{first}");
         // A much faster batch pulls the EWMA down, but only partially.
         for _ in 0..9 {
-            rec.record(Stage::Merge, Duration::from_micros(10), 0);
+            rec.record_nanos(Stage::Merge, 10_000, 0);
         }
         let second = line.tick(10, 10, &rec).expect("renders");
         let merge_field = second

@@ -19,7 +19,7 @@
 //!   midpoint error is at most `L/32`.
 //!
 //! Total buckets: `16 + 60·16 = 976`, one relaxed `AtomicU64` each — 7.6 KiB
-//! per sketch, wait-free concurrent recording exactly like `StageStats`, and
+//! per sketch, wait-free concurrent recording like every registry handle, and
 //! mergeable across workers by bucket-wise addition (merging two sketches is
 //! byte-equivalent to feeding both sample streams into one).
 
@@ -89,8 +89,12 @@ impl QuantileSketch {
     }
 
     /// Record one sample. Wait-free: a single relaxed `fetch_add`.
+    /// `bucket_index` maps every `u64` below [`N_SKETCH_BUCKETS`], so the
+    /// checked lookup always hits; it keeps the record path panic-free.
     pub fn record(&self, v: u64) {
-        self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        if let Some(bucket) = self.counts.get(bucket_index(v)) {
+            bucket.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Fold another sketch's counts into this one (bucket-wise addition).

@@ -11,9 +11,8 @@
 //! BLESS_GOLDEN=1 cargo test -p mosaic-obs --test golden
 //! ```
 
-use mosaic_obs::{PipelineMetrics, Recorder, Stage};
+use mosaic_obs::{Recorder, Stage};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden").join("openmetrics.txt")
@@ -23,7 +22,8 @@ fn golden_path() -> PathBuf {
 /// stages, both worker lanes, every standard gauge, and two eviction
 /// reasons (so label ordering inside a family is exercised).
 fn deterministic_recorder() -> Recorder {
-    let metrics = Arc::new(PipelineMetrics::new(2));
+    let recorder = Recorder::new().with_worker_lanes(2);
+    let metrics = recorder.pipeline_metrics();
     metrics.inflight().add(3);
     metrics.arena_resident().set(4_096);
     metrics.arena_peak().set_max(81_920);
@@ -37,7 +37,6 @@ fn deterministic_recorder() -> Recorder {
     if let Some(w) = metrics.worker_busy(1) {
         w.add(2_500);
     }
-    let recorder = Recorder::new().with_pipeline_metrics(metrics);
     recorder.record_nanos(Stage::Fetch, 100, 64);
     recorder.record_nanos(Stage::Fetch, 250, 64);
     recorder.record_nanos(Stage::Parse, 3_000, 512);

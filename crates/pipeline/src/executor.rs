@@ -11,8 +11,7 @@ use mosaic_darshan::convert::usize_to_u64;
 use mosaic_darshan::view::validate_view;
 use mosaic_darshan::{validate, EvictClass, EvictReason, OperationView, TraceLog, TraceView};
 use mosaic_obs::{
-    MetricsReport, MetricsSnapshot, PipelineMetrics, Recorder, Span, SpanOutcome, Stage,
-    TraceTimeline,
+    MetricsReport, MetricsSnapshot, Recorder, Span, SpanOutcome, Stage, TraceTimeline,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -41,13 +40,6 @@ pub struct PipelineConfig {
     /// [`TraceTimeline`] to the [`PipelineResult`]. `None` (the default)
     /// keeps the aggregate metrics only — zero extra allocation per trace.
     pub trace_capacity: Option<usize>,
-    /// Unified metrics registry: `true` attaches a
-    /// [`mosaic_obs::PipelineMetrics`] (gauges, eviction-by-reason
-    /// counters, per-worker utilization) and exports a
-    /// [`MetricsSnapshot`] on the [`PipelineResult`]. `false` (the default)
-    /// keeps the hot path allocation-free and byte-identical — the
-    /// `metrics-on-vs-off` differential oracle pins this.
-    pub metrics: bool,
 }
 
 impl std::fmt::Debug for PipelineConfig {
@@ -57,7 +49,6 @@ impl std::fmt::Debug for PipelineConfig {
             .field("categorizer", &self.categorizer)
             .field("progress", &self.progress.is_some())
             .field("trace_capacity", &self.trace_capacity)
-            .field("metrics", &self.metrics)
             .finish()
     }
 }
@@ -99,9 +90,11 @@ pub struct PipelineResult {
     /// `ResultSnapshot`: timelines carry wall-clock values and must never
     /// feed the determinism oracles.
     pub timeline: Option<TraceTimeline>,
-    /// The unified registry export, present when the run was configured
-    /// with [`PipelineConfig::metrics`]. Like the timeline, it carries
-    /// timing telemetry and is excluded from every `ResultSnapshot`.
+    /// The run's registry export: stage latency and bytes, gauges,
+    /// eviction-by-reason counters and per-worker utilization. [`process`]
+    /// always fills it; results assembled elsewhere may have none. Like the
+    /// timeline, it carries timing telemetry and is excluded from every
+    /// `ResultSnapshot`.
     pub registry: Option<MetricsSnapshot>,
 }
 
@@ -202,10 +195,10 @@ impl<'a> SpanScope<'a> {
         });
     }
 
-    /// Record a stage span that ends in eviction, count the eviction, and
-    /// produce the funnel fate. The typed slug is materialized only when a
-    /// tracer or a metrics registry is attached to consume it — the
-    /// metrics-off hot path stays allocation-free.
+    /// Record a stage span that ends in eviction, count the eviction under
+    /// its typed slug, and produce the funnel fate. Only evictions pay for
+    /// the slug and the registry lookup; valid traces record through
+    /// pre-registered handles alone.
     fn evict(
         &self,
         stage: Stage,
@@ -214,14 +207,9 @@ impl<'a> SpanScope<'a> {
         bytes: u64,
         reason: EvictReason,
     ) -> Ingested {
-        self.recorder.count_eviction();
-        let metrics = self.recorder.pipeline_metrics();
-        let slug =
-            if self.recorder.tracing() || metrics.is_some() { Some(reason.slug()) } else { None };
-        if let (Some(metrics), Some(slug)) = (metrics, slug.as_deref()) {
-            metrics.count_eviction(slug);
-        }
-        self.emit(stage, start_ns, duration_ns, bytes, outcome_of(reason), slug.as_deref());
+        let slug = reason.slug();
+        self.recorder.count_eviction(&slug);
+        self.emit(stage, start_ns, duration_ns, bytes, outcome_of(reason), Some(&slug));
         Ingested::Evicted(reason)
     }
 }
@@ -335,10 +323,7 @@ pub(crate) fn ingest_one(
     let input = match fetched {
         Ok(input) => input,
         Err(_) => {
-            recorder.count_eviction();
-            if let Some(metrics) = recorder.pipeline_metrics() {
-                metrics.count_eviction(&EvictReason::IoError.slug());
-            }
+            recorder.count_eviction(&EvictReason::IoError.slug());
             return Ingested::Evicted(EvictReason::IoError);
         }
     };
@@ -352,11 +337,10 @@ pub(crate) fn ingest_one(
             Ok(extracted) => extracted,
             Err(evicted) => return evicted,
         };
-        if let Some(metrics) = recorder.pipeline_metrics() {
-            let resident = arena.resident_bytes();
-            metrics.arena_resident().set(resident);
-            metrics.arena_peak().set_max(resident);
-        }
+        let store = recorder.pipeline_metrics();
+        let resident = arena.resident_bytes();
+        store.arena_resident().set(resident);
+        store.arena_peak().set_max(resident);
         // Categorization times itself; merge starts at `t0` and the three
         // characterizations follow it, so the two spans tile the measured
         // total.
@@ -409,17 +393,15 @@ fn pool_for(n: usize) -> Arc<rayon::ThreadPool> {
 /// Run the full pipeline over a source.
 pub fn process<S: TraceSource>(source: &S, config: &PipelineConfig) -> PipelineResult {
     let categorizer = Categorizer::new(config.categorizer.clone());
-    let mut recorder = match config.trace_capacity {
+    // Worker lanes are 1-based (lane 0 is a caller outside any pool), so
+    // size for the pool width plus the coordinator lane.
+    let lanes = config.threads.map_or_else(rayon::current_num_threads, |n| n.max(1));
+    let recorder = match config.trace_capacity {
         Some(capacity) => Recorder::with_tracer(capacity),
         None => Recorder::new(),
-    };
-    if config.metrics {
-        // Worker lanes are 1-based (lane 0 is a caller outside any pool),
-        // so size for the pool width plus the coordinator lane.
-        let lanes = config.threads.map_or_else(rayon::current_num_threads, |n| n.max(1));
-        recorder = recorder.with_pipeline_metrics(Arc::new(PipelineMetrics::new(lanes + 1)));
     }
-    let recorder = recorder;
+    .with_worker_lanes(lanes + 1);
+    let store = recorder.pipeline_metrics();
     let done = AtomicUsize::new(0);
     let total = source.len();
     let run = || {
@@ -427,10 +409,7 @@ pub fn process<S: TraceSource>(source: &S, config: &PipelineConfig) -> PipelineR
             .into_par_iter()
             .map(|i| {
                 let scope = SpanScope::current(&recorder, i);
-                let metrics = recorder.pipeline_metrics();
-                if let Some(metrics) = metrics {
-                    metrics.inflight().add(1);
-                }
+                store.inflight().add(1);
                 let t0 = recorder.now_ns();
                 let fetched = source.fetch(i);
                 let dur = recorder.now_ns().saturating_sub(t0);
@@ -438,9 +417,7 @@ pub fn process<S: TraceSource>(source: &S, config: &PipelineConfig) -> PipelineR
                 let outcome = if fetched.is_ok() { SpanOutcome::Ok } else { SpanOutcome::IoError };
                 scope.emit(Stage::Fetch, t0, dur, wire, outcome, None);
                 let out = ingest_one(fetched, i, &categorizer, &recorder);
-                if let Some(metrics) = metrics {
-                    metrics.inflight().sub(1);
-                }
+                store.inflight().sub(1);
                 if let Some(progress) = &config.progress {
                     // lint: allow(sync, "pure progress counter: the value only feeds the monotonic done/total display and guards no shared state; ingest results flow through the scoped-join, not this count")
                     let n = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -468,10 +445,8 @@ pub fn process<S: TraceSource>(source: &S, config: &PipelineConfig) -> PipelineR
     let representatives = heaviest_per_app(outcomes.iter().map(|o| (o.app_key.clone(), o.weight)));
     funnel.unique_apps = representatives.len();
 
-    let registry = recorder.pipeline_metrics().map(|m| {
-        m.dedup_apps().set(usize_to_u64(representatives.len()));
-        recorder.export_metrics()
-    });
+    store.dedup_apps().set(usize_to_u64(representatives.len()));
+    let registry = Some(recorder.export_metrics());
     let metrics = recorder.finish(usize_to_u64(total), workers);
     let timeline = recorder.timeline();
     PipelineResult { funnel, outcomes, representatives, metrics, timeline, registry }
@@ -579,6 +554,12 @@ mod tests {
         assert_eq!(result.funnel.format_corrupt, 0);
         assert_eq!(result.funnel.valid, 1);
         assert_eq!(result.funnel.by_reason[&EvictReason::IoError], 1);
+        let registry = result.registry.expect("process always exports a registry");
+        let evictions = registry.families.iter().find(|f| f.name == "mosaic.pipeline.evictions");
+        let counted: Vec<(String, f64)> = evictions
+            .map(|f| f.samples.iter().map(|s| (s.labels[0].1.clone(), s.value)).collect())
+            .unwrap_or_default();
+        assert_eq!(counted, [("io_error".to_owned(), 1.0)], "one count under the io reason");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -685,7 +666,7 @@ mod tests {
         let config = PipelineConfig {
             progress: Some(Arc::new(move |done, total, recorder: &Recorder| {
                 assert_eq!(total, 25);
-                assert!(recorder.stage(Stage::Validate).calls() > 0);
+                assert!(recorder.stage(Stage::Validate).count() > 0);
                 c2.fetch_add(1, Ordering::Relaxed);
                 m2.fetch_max(done, Ordering::Relaxed);
             })),
@@ -762,51 +743,59 @@ mod tests {
     }
 
     #[test]
-    fn metrics_yield_identical_results_plus_a_registry_export() {
+    fn report_and_registry_export_come_from_one_store() {
         let inputs: Vec<TraceInput> = (0..10)
             .map(|i| TraceInput::bytes(mdf::to_bytes(&log_for(i, &format!("/bin/app{i}"), 1000))))
             .chain(std::iter::once(TraceInput::bytes(b"garbage".to_vec())))
             .collect();
-        let plain = process(&VecSource::new(inputs.clone()), &PipelineConfig::default());
-        assert!(plain.registry.is_none(), "metrics off must attach no registry");
-
-        let cfg = PipelineConfig { metrics: true, ..Default::default() };
-        let metered = process(&VecSource::new(inputs), &cfg);
-
-        // The analytical result is byte-for-byte unaffected by metrics.
-        assert_eq!(plain.funnel, metered.funnel);
-        assert_eq!(plain.outcomes, metered.outcomes);
-        assert_eq!(plain.representatives, metered.representatives);
-
-        let registry = metered.registry.expect("metrics on must attach a registry");
-        let family = |name: &str| {
-            registry.families.iter().find(|f| f.name == name).unwrap_or_else(|| {
-                panic!("missing family {name}");
-            })
-        };
-        assert_eq!(family("mosaic.dedup.apps").samples[0].value, 10.0);
-        assert_eq!(family("mosaic.pipeline.traces.inflight").samples[0].value, 0.0);
-        let evictions = family("mosaic.pipeline.evictions");
-        assert_eq!(evictions.samples.len(), 1);
-        assert_eq!(evictions.samples[0].labels[0], ("reason".to_owned(), "truncated".to_owned()));
-        assert_eq!(evictions.samples[0].value, 1.0);
-        assert!(
-            family("mosaic.arena.peak_bytes").samples[0].value > 0.0,
-            "every valid trace loads the arena, so residency must be reported"
-        );
-        let latency = family("mosaic.stage.latency_ns");
-        let parse = latency
-            .samples
-            .iter()
-            .find(|s| s.labels.iter().any(|(_, v)| v == "parse"))
-            .expect("parse latency sample");
-        assert_eq!(parse.count, 11, "every input reaches parse");
-        let busy: f64 = family("mosaic.worker.busy_ns").samples.iter().map(|s| s.value).sum();
-        assert!(busy > 0.0, "span durations must feed worker lanes");
-        // Exposition of the export is valid OpenMetrics.
-        let text = registry.to_openmetrics();
-        assert!(text.contains("# TYPE mosaic_stage_latency_ns summary"));
-        assert!(text.ends_with("# EOF\n"));
+        let mut runs = Vec::new();
+        for threads in [1, 2] {
+            let cfg = PipelineConfig { threads: Some(threads), ..Default::default() };
+            let result = process(&VecSource::new(inputs.clone()), &cfg);
+            let registry = result.registry.as_ref().expect("process always exports a registry");
+            let family = |name: &str| {
+                registry.families.iter().find(|f| f.name == name).unwrap_or_else(|| {
+                    panic!("missing family {name}");
+                })
+            };
+            assert_eq!(family("mosaic.dedup.apps").samples[0].value, 10.0);
+            assert_eq!(family("mosaic.pipeline.traces.inflight").samples[0].value, 0.0);
+            let evictions = family("mosaic.pipeline.evictions");
+            assert_eq!(evictions.samples.len(), 1);
+            assert_eq!(
+                evictions.samples[0].labels[0],
+                ("reason".to_owned(), "truncated".to_owned())
+            );
+            let evicted: f64 = evictions.samples.iter().map(|s| s.value).sum();
+            assert_eq!(evicted, result.funnel.evicted() as f64, "one eviction count per trace");
+            assert!(
+                family("mosaic.arena.peak_bytes").samples[0].value > 0.0,
+                "every valid trace loads the arena, so residency must be reported"
+            );
+            // The report's stage lines are read off the exported handles.
+            let latency = family("mosaic.stage.latency_ns");
+            for stage in Stage::ALL {
+                let line = &result.metrics.stages[stage.index()];
+                let sample = latency
+                    .samples
+                    .iter()
+                    .find(|s| s.labels[0].1 == stage.name())
+                    .unwrap_or_else(|| panic!("missing {stage} latency sample"));
+                assert_eq!(line.calls, sample.count, "{stage} calls on {threads} threads");
+                assert_eq!(line.total_seconds, sample.value / 1e9, "{stage} busy time");
+            }
+            assert_eq!(result.metrics.stages[Stage::Parse.index()].calls, 11, "all reach parse");
+            let busy: f64 = family("mosaic.worker.busy_ns").samples.iter().map(|s| s.value).sum();
+            assert!(busy > 0.0, "span durations must feed worker lanes");
+            // Exposition of the export is valid OpenMetrics.
+            let text = registry.to_openmetrics();
+            assert!(text.contains("# TYPE mosaic_stage_latency_ns summary"));
+            assert!(text.ends_with("# EOF\n"));
+            runs.push(result);
+        }
+        assert_eq!(runs[0].funnel, runs[1].funnel);
+        assert_eq!(runs[0].outcomes, runs[1].outcomes);
+        assert_eq!(runs[0].representatives, runs[1].representatives);
     }
 
     #[test]

@@ -21,11 +21,8 @@ use crate::source::TraceInput;
 use mosaic_core::category::Category;
 use mosaic_core::report::CategoryCounts;
 use mosaic_core::{Categorizer, CategorizerConfig, TraceReport};
-use mosaic_obs::{
-    MetricsReport, MetricsSnapshot, MetricsWindow, PipelineMetrics, Recorder, TraceTimeline,
-};
+use mosaic_obs::{MetricsReport, MetricsSnapshot, Recorder, TraceTimeline};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Per-application incremental state.
 #[derive(Debug, Clone)]
@@ -59,7 +56,6 @@ pub struct IncrementalAnalyzer {
     all_runs: CategoryCounts,
     apps: BTreeMap<AppKey, AppState>,
     recorder: Recorder,
-    window: Option<MetricsWindow>,
 }
 
 impl IncrementalAnalyzer {
@@ -71,7 +67,6 @@ impl IncrementalAnalyzer {
             all_runs: CategoryCounts::default(),
             apps: BTreeMap::new(),
             recorder: Recorder::new(),
-            window: None,
         }
     }
 
@@ -83,30 +78,10 @@ impl IncrementalAnalyzer {
         IncrementalAnalyzer { recorder: Recorder::with_tracer(capacity), ..Self::new(config) }
     }
 
-    /// New analyzer with the unified metrics registry and a bounded
-    /// health-history window: a full registry snapshot is taken every
-    /// `every` ingested traces (counting evicted ones) and the latest
-    /// `capacity` snapshots are retained — the queryable per-shard health
-    /// primitive for a `mosaic serve` deployment. Analytical results are
-    /// identical to a plain analyzer's.
-    pub fn with_metrics(config: CategorizerConfig, every: u64, capacity: usize) -> Self {
-        IncrementalAnalyzer {
-            recorder: Recorder::new().with_pipeline_metrics(Arc::new(PipelineMetrics::new(1))),
-            window: Some(MetricsWindow::new(every, capacity)),
-            ..Self::new(config)
-        }
-    }
-
-    /// The health-history window; `None` unless built by
-    /// [`IncrementalAnalyzer::with_metrics`].
-    pub fn window(&self) -> Option<&MetricsWindow> {
-        self.window.as_ref()
-    }
-
-    /// A current registry export; `None` unless built by
-    /// [`IncrementalAnalyzer::with_metrics`].
-    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.recorder.pipeline_metrics().map(|_| self.recorder.export_metrics())
+    /// A current registry export: stage latency, gauges and evictions by
+    /// reason, as `mosaic run --metrics-out` writes them.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.recorder.export_metrics()
     }
 
     /// Snapshot the span timeline accumulated so far; `None` unless the
@@ -130,7 +105,6 @@ impl IncrementalAnalyzer {
         let outcome = match ingest_one(fetched, index, &self.categorizer, &self.recorder) {
             Ingested::Evicted(reason) => {
                 self.funnel.record_eviction(reason);
-                self.offer_window();
                 return None;
             }
             Ingested::Valid(outcome) => outcome,
@@ -153,22 +127,9 @@ impl IncrementalAnalyzer {
             state.representative = report.categories.clone();
         }
         self.funnel.unique_apps = self.apps.len();
-        if let Some(metrics) = self.recorder.pipeline_metrics() {
-            metrics.dedup_apps().set(mosaic_darshan::convert::usize_to_u64(self.apps.len()));
-        }
-        self.offer_window();
+        let apps = mosaic_darshan::convert::usize_to_u64(self.apps.len());
+        self.recorder.pipeline_metrics().dedup_apps().set(apps);
         Some(report)
-    }
-
-    /// Offer the health window a snapshot opportunity at the current ingest
-    /// count. The registry export runs only when an interval boundary has
-    /// actually passed; without a window this is a no-op.
-    fn offer_window(&mut self) {
-        let total = mosaic_darshan::convert::usize_to_u64(self.funnel.total);
-        let recorder = &self.recorder;
-        if let Some(window) = self.window.as_mut() {
-            window.offer(total, || recorder.export_metrics());
-        }
     }
 
     /// Current funnel counters.
@@ -313,65 +274,29 @@ mod tests {
     }
 
     #[test]
-    fn metered_streaming_matches_plain_and_keeps_windowed_history() {
-        let inputs: Vec<TraceInput> = (0..25)
-            .map(|i| {
-                if i % 6 == 0 {
-                    TraceInput::bytes(vec![0u8; 8]) // corrupt
-                } else {
-                    TraceInput::bytes(mdf::to_bytes(&log_for(
-                        i % 3,
-                        &format!("/bin/app{}", i % 3),
-                        (i as i64 + 1) << 20,
-                    )))
-                }
-            })
-            .collect();
-
-        let mut plain = IncrementalAnalyzer::new(CategorizerConfig::default());
-        let mut metered = IncrementalAnalyzer::with_metrics(CategorizerConfig::default(), 5, 3);
-        assert!(plain.window().is_none());
-        assert!(plain.metrics_snapshot().is_none());
-        for input in inputs {
-            plain.ingest(input.clone());
-            metered.ingest(input);
+    fn metrics_snapshot_counts_evictions_like_the_funnel() {
+        let mut inc = IncrementalAnalyzer::new(CategorizerConfig::default());
+        for i in 0..25u32 {
+            let input = match i % 6 {
+                0 => TraceInput::bytes(vec![0u8; 8]),   // truncated
+                1 => TraceInput::bytes(vec![b'X'; 64]), // bad magic
+                _ => TraceInput::log(log_for(i % 3, "/bin/app", (i64::from(i) + 1) << 20)),
+            };
+            inc.ingest(input);
         }
-
-        // Analytical results are byte-for-byte unaffected by metrics.
-        assert_eq!(plain.funnel(), metered.funnel());
-        assert_eq!(plain.all_runs_counts(), metered.all_runs_counts());
-        assert_eq!(plain.single_run_counts(), metered.single_run_counts());
-
-        // 25 traces / every-5 = 5 boundaries, capacity 3 → 3 kept, 2 dropped.
-        let window = metered.window().expect("metrics enabled");
-        assert_eq!(window.len(), 3);
-        assert_eq!(window.dropped(), 2);
-        let ats: Vec<u64> = window.entries().map(|e| e.at_trace).collect();
-        assert_eq!(ats, [15, 20, 25]);
-        // Later snapshots never report fewer ingested traces than earlier
-        // ones, and the final snapshot reflects the full run.
-        let latest = window.latest().expect("non-empty");
-        let dedup = latest
-            .snapshot
-            .families
-            .iter()
-            .find(|f| f.name == "mosaic.dedup.apps")
-            .expect("dedup gauge");
-        assert_eq!(dedup.samples[0].value, 3.0);
-        let evictions = latest
-            .snapshot
+        inc.ingest_fetched(Err(std::io::Error::other("vanished")));
+        let snapshot = inc.metrics_snapshot();
+        let evictions = snapshot
             .families
             .iter()
             .find(|f| f.name == "mosaic.pipeline.evictions")
             .expect("eviction counters");
-        assert_eq!(evictions.samples[0].value, 5.0, "5 corrupt traces by trace 25");
-        // The live export agrees with the final window entry's shape.
-        let live = metered.metrics_snapshot().expect("metrics enabled");
-        assert_eq!(
-            live.families.len(),
-            latest.snapshot.families.len(),
-            "same families live and windowed"
-        );
+        let exported: BTreeMap<String, f64> =
+            evictions.samples.iter().map(|s| (s.labels[0].1.clone(), s.value)).collect();
+        let funnel: BTreeMap<String, f64> =
+            inc.funnel().by_reason.iter().map(|(r, &n)| (r.slug(), n as f64)).collect();
+        assert_eq!(exported, funnel);
+        assert_eq!(funnel.len(), 3, "truncated, bad magic and io error");
     }
 
     #[test]

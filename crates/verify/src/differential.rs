@@ -363,34 +363,6 @@ pub fn run(report: &mut VerifyReport) {
             },
         );
 
-        // Metrics on vs off: the snapshot may not move by a byte, and the
-        // metered run must actually have exported a registry.
-        let metered_config = PipelineConfig { metrics: true, ..config(Some(2)) };
-        let metered_result = process(&VecSource::new(inputs.clone()), &metered_config);
-        let has_registry = metered_result.registry.is_some();
-        let metered = ResultSnapshot::of(&metered_result);
-        let unmetered =
-            ResultSnapshot::of(&process(&VecSource::new(inputs.clone()), &config(Some(2))));
-        let identical = metered.to_canonical_json() == unmetered.to_canonical_json();
-        report.check(
-            format!("differential/metrics-on-vs-off/{}", corpus.name()),
-            identical && has_registry,
-            if identical && has_registry {
-                format!(
-                    "snapshots byte-identical with metrics on, digest {:016x}; registry exported",
-                    metered.digest()
-                )
-            } else if !has_registry {
-                "metrics were requested but no registry export was attached".to_owned()
-            } else {
-                format!(
-                    "metrics perturbed the snapshot: digest {:016x} vs {:016x}",
-                    metered.digest(),
-                    unmetered.digest()
-                )
-            },
-        );
-
         // A pipeline fed wire bytes answers exactly like one fed logs.
         let wires: Vec<Vec<u8>> = (0..corpus.len()).map(|i| corpus.mdf_bytes(i)).collect();
         let byte_inputs: Vec<TraceInput> = wires.iter().cloned().map(TraceInput::bytes).collect();
@@ -451,12 +423,12 @@ mod tests {
         let mut report = VerifyReport::default();
         run(&mut report);
         assert!(report.passed(), "{}", report.render());
-        // 10 checks per corpus (3 pool comparisons, incremental, roundtrip,
-        // traced-vs-untraced, metrics-on-vs-off, bytes-source,
-        // columnar-vs-reference, meanshift-vs-reference) × 3 corpora, plus
-        // the 2k-sweep columnar-vs-reference and meanshift-vs-reference
-        // checks and the dense-periodic meanshift-vs-reference check.
-        assert_eq!(report.checks.len(), 33);
+        // 9 checks per corpus (3 pool comparisons, incremental, roundtrip,
+        // traced-vs-untraced, bytes-source, columnar-vs-reference,
+        // meanshift-vs-reference) × 3 corpora, plus the 2k-sweep
+        // columnar-vs-reference and meanshift-vs-reference checks and the
+        // dense-periodic meanshift-vs-reference check.
+        assert_eq!(report.checks.len(), 30);
     }
 
     #[test]

@@ -31,10 +31,10 @@ fn full_harness_is_green_on_fresh_checkout() {
     // invariant, and the committed golden snapshots.
     let report = run(&VerifyOptions::default());
     assert!(report.passed(), "{}", report.render());
-    // 10 differential + 5 metamorphic + 1 golden check per corpus × 3, plus
+    // 9 differential + 5 metamorphic + 1 golden check per corpus × 3, plus
     // the 2k-sweep columnar-vs-reference and meanshift-vs-reference
     // differential checks and the dense-periodic meanshift-vs-reference one.
-    assert_eq!(report.checks.len(), 51, "{}", report.render());
+    assert_eq!(report.checks.len(), 48, "{}", report.render());
 }
 
 #[test]
