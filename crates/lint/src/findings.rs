@@ -22,9 +22,7 @@ pub enum Rule {
     /// L10 — atomics discipline: every `store(Release)` pairs with a
     /// `load(Acquire)` on the same atomic (and vice versa); `Relaxed` is
     /// reserved for counters whose loaded value never guards a read of
-    /// non-atomic shared data; the seqlock write bracket (odd before the
-    /// payload, even-with-Release after it, Acquire + fence on the reader
-    /// re-check) is verified structurally.
+    /// non-atomic shared data.
     AtomicsDiscipline,
     /// L11 — lock discipline: no `MutexGuard` live across a
     /// `par_*`/`pool.install`/blocking-IO call, the workspace
@@ -75,9 +73,7 @@ impl Rule {
             Rule::WireTaint => {
                 "Wire-read lengths must be MAX_*-guard-dominated before sizing allocations"
             }
-            Rule::AtomicsDiscipline => {
-                "Release/Acquire pairing, seqlock brackets and Relaxed hygiene on atomics"
-            }
+            Rule::AtomicsDiscipline => "Release/Acquire pairing and Relaxed hygiene on atomics",
             Rule::LockDiscipline => {
                 "No guard live across fan-out, acyclic lock order, PoisonError::into_inner"
             }

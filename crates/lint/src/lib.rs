@@ -29,10 +29,7 @@
 //!   same field somewhere in the workspace (and vice versa); `Relaxed`
 //!   is reserved for pure counters — a Relaxed-guarded branch must not
 //!   read non-atomic shared fields, and a `fetch_*` result that is
-//!   consumed must pair its ordering; the seqlock write/read brackets in
-//!   `obs::trace` are verified shape-wise (odd store + `fence(Release)`
-//!   before the payload, even `store(Release)` after, Acquire loads and
-//!   `fence(Acquire)` around the reader's re-check). Escape hatch:
+//!   consumed must pair its ordering. Escape hatch:
 //!   `// lint: allow(sync, "<proof>")`.
 //! - **L11 lock discipline** ([`sync`]): no `lock()`/`try_lock()` guard
 //!   live across a `par_*`/`pool.install`/blocking-IO call, an acyclic
@@ -223,8 +220,8 @@ pub fn cli_main(args: &[String]) -> i32 {
                      entry points, L7 unit consistency,\n\
                      L8 wire-taint dataflow (untrusted lengths must be\n\
                      MAX_*-guard-dominated before sizing allocations),\n\
-                     L10 atomics discipline (Release/Acquire pairing, seqlock\n\
-                     brackets, Relaxed hygiene), L11 lock discipline (no guard\n\
+                     L10 atomics discipline (Release/Acquire pairing, Relaxed\n\
+                     hygiene), L11 lock discipline (no guard\n\
                      across fan-out, acyclic lock order, poison parity), and\n\
                      unused-allow staleness. Exits 0 when clean, 1 on findings.\n\
                      Determinism, unsafe code, EvictReason exhaustiveness and\n\

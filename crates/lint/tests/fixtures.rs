@@ -154,26 +154,6 @@ fn l10_atomics_fixture_flags_each_pairing_hole_and_honours_the_audit() {
 }
 
 #[test]
-fn l10_seqlock_fixture_flags_both_bracket_sides() {
-    let findings = lint_fixture("l10_seqlock.rs", "crates/obs/src/l10_seqlock.rs");
-    let l10: Vec<_> = findings.iter().filter(|(r, ..)| *r == Rule::AtomicsDiscipline).collect();
-    // Writer: pre-bracket payload store, Release open, Relaxed close.
-    // Reader: Relaxed first check, Relaxed re-check, missing fence.
-    // RMW writer: fetch_add open and fetch_add close. Eight exactly —
-    // the good reader and the bracket fields stay quiet elsewhere.
-    assert_eq!(l10.len(), 8, "{findings:?}");
-    let text = format!("{l10:?}");
-    assert!(text.contains("written before the seqlock bracket"), "{findings:?}");
-    assert!(text.contains("does not order the payload writes that follow"), "{findings:?}");
-    assert!(text.contains("must close with `store(Release)`"), "{findings:?}");
-    assert!(text.contains("first sequence load must be `Acquire`"), "{findings:?}");
-    assert!(text.contains("re-check must load with `Acquire`"), "{findings:?}");
-    assert!(text.contains("add `fence(Acquire)`"), "{findings:?}");
-    assert!(text.contains("read-modify-write open"), "{findings:?}");
-    assert!(text.contains("closes with `fetch_add`"), "{findings:?}");
-}
-
-#[test]
 fn l11_guard_fixture_flags_liveness_and_poison_but_not_the_dropped_twin() {
     let findings = lint_fixture("l11_guard.rs", "crates/obs/src/l11_guard.rs");
     let l11: Vec<_> = findings.iter().filter(|(r, ..)| *r == Rule::LockDiscipline).collect();

@@ -282,11 +282,6 @@ impl Recorder {
         self.tracer.is_some()
     }
 
-    /// The structured tracer, when tracing is enabled.
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
-    }
-
     /// Nanoseconds since the recorder's epoch — the span time base.
     #[expect(
         clippy::disallowed_methods,

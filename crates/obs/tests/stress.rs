@@ -1,13 +1,12 @@
-//! Multi-threaded stress test for the lock-free observability surface:
-//! N real writer threads hammering the [`Tracer`] seqlock ring while a
-//! concurrent reader snapshots it, plus an exactness check on the
-//! per-stage exemplar [`Reservoir`] under the same contention.
+//! Multi-threaded stress test for the span ring: N real writer threads
+//! hammering one [`Tracer`] while a concurrent reader snapshots it, plus an
+//! exactness check on the per-stage slow-span exemplars under the same
+//! contention.
 //!
 //! Every span carries a self-describing payload (`duration = trace + 1`,
 //! `bytes = trace + 2`, `start = trace + 3`, `worker = trace / TRACE_BASE`)
-//! so a torn mix of two writers' fields — the exact bug class the L10
-//! seqlock bracket exists to prevent — is detectable as an internal
-//! inconsistency, not just a statistical anomaly.
+//! so a mix of two writers' fields in one slot is detectable as an
+//! internal inconsistency, not just a statistical anomaly.
 
 use mosaic_obs::trace::{Span, SpanOutcome, TraceTimeline, Tracer, EXEMPLARS_PER_STAGE};
 use mosaic_obs::Stage;
@@ -38,23 +37,19 @@ fn span_for(trace: u64, worker: u64) -> Span<'static> {
 }
 
 /// Invariants that must hold for *every* snapshot, including ones taken
-/// mid-write: exact torn accounting, no ghost or duplicated spans, and
-/// internally consistent payloads.
+/// mid-write: every filled slot surfaces as a whole event, no ghost or
+/// duplicated spans, and internally consistent payloads.
 fn check_snapshot(snap: &TraceTimeline) {
     let filled = snap.recorded.min(CAPACITY as u64);
-    assert_eq!(
-        snap.events.len() as u64 + snap.torn,
-        filled,
-        "every filled slot is either a whole event or counted torn"
-    );
+    assert_eq!(snap.events.len() as u64, filled, "every filled slot surfaces as one event");
     assert_eq!(snap.dropped, snap.recorded.saturating_sub(CAPACITY as u64));
     let mut traces = BTreeSet::new();
     for e in &snap.events {
         assert!(traces.insert(e.trace), "trace {} surfaced twice in one snapshot", e.trace);
-        assert_eq!(e.duration_ns, e.trace + 1, "torn payload: duration does not match trace");
-        assert_eq!(e.bytes, e.trace + 2, "torn payload: bytes does not match trace");
-        assert_eq!(e.start_ns, e.trace + 3, "torn payload: start does not match trace");
-        assert_eq!(e.worker, e.trace / TRACE_BASE, "torn payload: worker does not match trace");
+        assert_eq!(e.duration_ns, e.trace + 1, "mixed payload: duration does not match trace");
+        assert_eq!(e.bytes, e.trace + 2, "mixed payload: bytes does not match trace");
+        assert_eq!(e.start_ns, e.trace + 3, "mixed payload: start does not match trace");
+        assert_eq!(e.worker, e.trace / TRACE_BASE, "mixed payload: worker does not match trace");
         assert_eq!(e.stage, Stage::Parse);
         let writer = e.trace / TRACE_BASE;
         let seq = e.trace % TRACE_BASE;
@@ -66,7 +61,7 @@ fn check_snapshot(snap: &TraceTimeline) {
         for pair in slowest.windows(2) {
             assert!(
                 pair[0].duration_ns >= pair[1].duration_ns,
-                "reservoir must stay duration-descending"
+                "exemplars must stay duration-descending"
             );
         }
         if per_stage.stage != Stage::Parse {
@@ -114,23 +109,20 @@ fn concurrent_writers_and_reader_never_corrupt_the_ring() {
     });
     assert!(snapshots_taken > 0, "the reader must have observed the ring under contention");
 
-    // Quiescent accounting: exact recorded/dropped totals, zero torn
-    // slots, a full ring, and every surviving span whole.
+    // Quiescent accounting: exact recorded/dropped totals, a full ring,
+    // and every surviving span whole.
     let total = WRITERS * SPANS_PER_WRITER;
     let finals = tracer.snapshot();
     check_snapshot(&finals);
     assert_eq!(finals.recorded, total);
     assert_eq!(finals.dropped, total - CAPACITY as u64);
-    assert_eq!(finals.torn, 0, "no slot may stay torn once writers have joined");
     assert_eq!(finals.events.len(), CAPACITY);
 }
 
 #[test]
 fn reservoir_top_k_is_exact_under_contention() {
-    // The floor fast path reads `Relaxed`; a stale floor is always <= the
-    // current one, so it can only false-*accept* (harmless) — never
-    // false-reject. The final top-K must therefore be *exactly* the K
-    // slowest spans ever offered, even with every writer contending.
+    // The final top-K must be *exactly* the K slowest spans ever offered,
+    // even with every writer contending.
     let tracer = Tracer::new(CAPACITY);
     std::thread::scope(|scope| {
         for w in 0..WRITERS {

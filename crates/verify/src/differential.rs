@@ -20,10 +20,6 @@
 //! * **traced vs untraced** — a run with structured span tracing enabled
 //!   must snapshot byte-identically to one without: the timeline is
 //!   observability, never part of the answer;
-//! * **metrics on vs off** — a run with the metrics registry enabled must
-//!   snapshot byte-identically to one without, and must actually attach a
-//!   registry export: gauges, sketches, and eviction counters are
-//!   telemetry, never part of the answer;
 //! * **columnar vs reference** — for every valid trace, the production
 //!   columnar extraction and merge ([`merge_all_columnar`], materialized)
 //!   must equal the row reference [`merge::merge_all`] over the log's
