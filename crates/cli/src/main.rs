@@ -87,7 +87,7 @@ USAGE:
   mosaic verify    [--all | --differential --metamorphic --golden]
                    [--bless] [--golden-dir DIR] [--json]
   mosaic lint      [--format text|json] [--root DIR] [--sarif FILE]
-                   [--sync-report FILE] [--debt [--top N]]
+                   [--debt [--top N]]
   mosaic help
 
 SUBCOMMANDS:
@@ -105,7 +105,7 @@ SUBCOMMANDS:
   verify        differential / metamorphic / golden-snapshot conformance
   lint          enforce the invariants clippy cannot: call-graph
                 panic-reachability (L5), unit consistency (L7),
-                wire-taint dataflow (L8), atomics discipline (L10),
+                wire-taint dataflow (L8), Relaxed-only atomics (L10),
                 lock discipline (L11);
                 --debt ranks functions by complexity x git churn instead
 
@@ -144,9 +144,6 @@ OPTIONS:
   --format F       lint: output format, `text` or `json`  (default text)
   --root DIR       lint: workspace root (default: nearest [workspace] manifest)
   --sarif FILE     lint: additionally write a stable SARIF 2.1.0 document
-  --sync-report FILE
-                   lint: additionally write the L10/L11 atomic-field
-                   inventory and lock-acquisition-order graph as JSON
   --debt           lint: technical-debt report instead of findings (exit 0)
   --top N          lint: rows in the markdown debt table     (default 10)
 ";

@@ -19,10 +19,9 @@ pub enum Rule {
     /// sizes an allocation (`with_capacity`, `reserve`, `vec![x; n]`,
     /// slice-range bounds), on every interprocedural path.
     WireTaint,
-    /// L10 — atomics discipline: every `store(Release)` pairs with a
-    /// `load(Acquire)` on the same atomic (and vice versa); `Relaxed` is
-    /// reserved for counters whose loaded value never guards a read of
-    /// non-atomic shared data.
+    /// L10 — atomics discipline: production code names no ordering but
+    /// `Relaxed` and calls no fence, and a consumed `Relaxed`
+    /// read-modify-write carries an audited proof that it is a pure counter.
     AtomicsDiscipline,
     /// L11 — lock discipline: no `MutexGuard` live across a
     /// `par_*`/`pool.install`/blocking-IO call, the workspace
@@ -73,7 +72,7 @@ impl Rule {
             Rule::WireTaint => {
                 "Wire-read lengths must be MAX_*-guard-dominated before sizing allocations"
             }
-            Rule::AtomicsDiscipline => "Release/Acquire pairing and Relaxed hygiene on atomics",
+            Rule::AtomicsDiscipline => "Relaxed-only atomics, no fences, audited consumed RMWs",
             Rule::LockDiscipline => {
                 "No guard live across fan-out, acyclic lock order, PoisonError::into_inner"
             }

@@ -24,12 +24,12 @@
 //!   (`with_capacity`, `reserve`, `vec![x; n]`, slice-range bounds),
 //!   on every interprocedural path; findings print the full taint
 //!   path. Escape hatch: `// lint: allow(taint, "<proof>")`.
-//! - **L10 atomics discipline** ([`sync`]): every Release-strength
-//!   publish on an atomic must have an Acquire-strength consumer on the
-//!   same field somewhere in the workspace (and vice versa); `Relaxed`
-//!   is reserved for pure counters — a Relaxed-guarded branch must not
-//!   read non-atomic shared fields, and a `fetch_*` result that is
-//!   consumed must pair its ordering. Escape hatch:
+//! - **L10 atomics discipline** ([`sync`]): the concurrency rule
+//!   DESIGN.md writes down — production atomics are `Relaxed` counters.
+//!   An atomic call naming `Acquire`, `Release`, `AcqRel` or `SeqCst` in
+//!   any ordering argument is a finding, so is any `fence`/
+//!   `compiler_fence` call, and a `fetch_*` result that is consumed must
+//!   prove it is a pure counter. Escape hatch:
 //!   `// lint: allow(sync, "<proof>")`.
 //! - **L11 lock discipline** ([`sync`]): no `lock()`/`try_lock()` guard
 //!   live across a `par_*`/`pool.install`/blocking-IO call, an acyclic
@@ -45,7 +45,8 @@
 //! function by cyclomatic-ish complexity × git churn.
 //!
 //! Test code (`#[cfg(test)]` items) is exempt from L5/L7: a panicking
-//! test *is* the failure signal.
+//! test *is* the failure signal. L10 also leaves the files of `tests/` and
+//! `benches/` targets alone; L11 does not, since a deadlock there wedges CI.
 //!
 //! Determinism (no `HashMap`/`HashSet` or clock reads), unsafe hygiene,
 //! `EvictReason` match exhaustiveness and lossy-cast safety are rustc's
@@ -157,15 +158,13 @@ pub const EXIT_ERROR: i32 = 2;
 /// Shared CLI driver used by both the standalone `mosaic-lint` binary and
 /// the `mosaic lint` subcommand. Accepts `--format text|json`,
 /// `--root <dir>`, `--sarif <path>` (additionally write a stable SARIF
-/// 2.1.0 document), `--sync-report <path>` (additionally write the
-/// L10/L11 atomic-inventory + lock-order-graph JSON artifact), `--debt`
-/// (technical-debt report instead of findings) and `--top <n>` (rows in
-/// the markdown debt table); returns the process exit code.
+/// 2.1.0 document), `--debt` (technical-debt report instead of findings)
+/// and `--top <n>` (rows in the markdown debt table); returns the process
+/// exit code.
 pub fn cli_main(args: &[String]) -> i32 {
     let mut format = "text".to_owned();
     let mut root_arg: Option<PathBuf> = None;
     let mut sarif_path: Option<PathBuf> = None;
-    let mut sync_report_path: Option<PathBuf> = None;
     let mut debt = false;
     let mut top = 10usize;
     let mut it = args.iter();
@@ -196,13 +195,6 @@ pub fn cli_main(args: &[String]) -> i32 {
                     return EXIT_ERROR;
                 }
             },
-            "--sync-report" => match it.next() {
-                Some(v) => sync_report_path = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("mosaic-lint: --sync-report requires a path");
-                    return EXIT_ERROR;
-                }
-            },
             "--debt" => debt = true,
             "--top" => match it.next().map(|v| v.parse::<usize>()) {
                 Some(Ok(n)) => top = n,
@@ -214,23 +206,20 @@ pub fn cli_main(args: &[String]) -> i32 {
             "--help" | "-h" => {
                 println!(
                     "usage: mosaic-lint [--format text|json] [--root <dir>] [--sarif <path>]\n\
-                     \x20                  [--sync-report <path>] [--debt [--top <n>]]\n\n\
+                     \x20                  [--debt [--top <n>]]\n\n\
                      Enforces the Mosaic workspace invariants no stock lint\n\
                      covers: L5 call-graph panic-reachability from untrusted-input\n\
                      entry points, L7 unit consistency,\n\
                      L8 wire-taint dataflow (untrusted lengths must be\n\
                      MAX_*-guard-dominated before sizing allocations),\n\
-                     L10 atomics discipline (Release/Acquire pairing, Relaxed\n\
-                     hygiene), L11 lock discipline (no guard\n\
+                     L10 atomics discipline (Relaxed-only orderings, no fences,\n\
+                     audited consumed RMWs), L11 lock discipline (no guard\n\
                      across fan-out, acyclic lock order, poison parity), and\n\
                      unused-allow staleness. Exits 0 when clean, 1 on findings.\n\
                      Determinism, unsafe code, EvictReason exhaustiveness and\n\
                      lossy casts are checked by `cargo clippy` (CONTRIBUTING.md).\n\n\
                      --sarif <path> additionally writes the findings as a\n\
                      stable SARIF 2.1.0 document (for CI artifact upload).\n\n\
-                     --sync-report <path> additionally writes the L10/L11\n\
-                     atomic-field inventory and lock-acquisition-order graph\n\
-                     as stable JSON (for CI artifact upload).\n\n\
                      --debt ranks every workspace function by complexity x git\n\
                      churn instead (markdown top-N table, or full JSON with\n\
                      --format json); always exits 0."
@@ -279,24 +268,17 @@ pub fn cli_main(args: &[String]) -> i32 {
         return EXIT_CLEAN;
     }
 
-    let inputs = match collect_inputs(&root) {
-        Ok(i) => i,
+    let report = match scan_workspace(&root) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("mosaic-lint: failed to scan {}: {e}", root.display());
             return EXIT_ERROR;
         }
     };
-    let report = lint_files(&inputs);
 
     if let Some(path) = sarif_path {
         if let Err(e) = std::fs::write(&path, report.to_sarif()) {
             eprintln!("mosaic-lint: failed to write SARIF to {}: {e}", path.display());
-            return EXIT_ERROR;
-        }
-    }
-    if let Some(path) = sync_report_path {
-        if let Err(e) = std::fs::write(&path, rules::sync_report_json(&inputs)) {
-            eprintln!("mosaic-lint: failed to write sync report to {}: {e}", path.display());
             return EXIT_ERROR;
         }
     }

@@ -110,8 +110,7 @@ struct Prepared {
 }
 
 /// Lex, test-range and parse every file once, collecting its escape
-/// hatches (malformed ones land in `findings`). The findings and the
-/// `--sync-report` artifact both start here, so they see the same parse.
+/// hatches (malformed ones land in `findings`).
 fn prepare(files: &[FileInput], findings: &mut Vec<Finding>) -> Vec<Prepared> {
     files
         .iter()
@@ -163,9 +162,20 @@ pub fn lint_files(files: &[FileInput]) -> Report {
         }),
     );
     // L10/L11 scan *every* input file — the `shims/rayon` pool and the
-    // test-support crates hold locks and atomics too, and a deadlock there
-    // wedges CI just as hard. Findings take `lint: allow(sync, "<proof>")`.
-    found.extend(crate::sync::check_sync(&sync_inputs(files, &prepared)).into_iter().map(|t| {
+    // test-support crates hold locks and atomics too, and a deadlock in a
+    // test target wedges CI just as hard; L10 then leaves test targets to
+    // their own handshakes. Findings take `lint: allow(sync, "<proof>")`.
+    let sync_inputs: Vec<crate::sync::SyncInput> = files
+        .iter()
+        .zip(&prepared)
+        .map(|(f, p)| crate::sync::SyncInput {
+            rel: f.rel.as_str(),
+            lexed: &p.lexed,
+            tests: &p.tests,
+            parsed: &p.parsed,
+        })
+        .collect();
+    found.extend(crate::sync::check_sync(&sync_inputs).into_iter().map(|t| {
         let rule = match t.rule {
             crate::sync::SyncRule::Atomics => Rule::AtomicsDiscipline,
             crate::sync::SyncRule::Locks => Rule::LockDiscipline,
@@ -203,30 +213,6 @@ pub fn lint_files(files: &[FileInput]) -> Report {
 
     report.normalize();
     report
-}
-
-/// The L10/L11 view of every prepared file.
-fn sync_inputs<'a>(
-    files: &'a [FileInput],
-    prepared: &'a [Prepared],
-) -> Vec<crate::sync::SyncInput<'a>> {
-    files
-        .iter()
-        .zip(prepared)
-        .map(|(f, p)| crate::sync::SyncInput {
-            rel: f.rel.as_str(),
-            lexed: &p.lexed,
-            tests: &p.tests,
-            parsed: &p.parsed,
-        })
-        .collect()
-}
-
-/// The `--sync-report` artifact over the same inputs `lint_files` sees:
-/// the atomic/lock inventory and the lock-acquisition-order graph.
-pub fn sync_report_json(files: &[FileInput]) -> String {
-    let prepared = prepare(files, &mut Vec::new());
-    crate::sync::report_json(&sync_inputs(files, &prepared))
 }
 
 /// `true` when `rel` starts with any of the given path prefixes.
@@ -690,29 +676,44 @@ pub fn writer_only(x: Option<u8>) -> u8 {
         assert!(f.iter().any(|f| f.rule == Rule::UnusedAllow), "{f:?}");
     }
 
-    /// `--sync-report` and the L10 findings start from one staging step,
-    /// so both leave test code out the same way.
+    /// The same text under `src/` and under a test target: L10 leaves the
+    /// test target's handshake alone, L11 still guards it against deadlock.
     #[test]
-    fn sync_report_and_findings_share_the_test_exemption() {
+    fn l10_skips_test_targets_but_l11_does_not() {
         let text = "\
-struct S { ready: AtomicU64 }
-impl S {
-    fn set(&self) { self.ready.store(1, Ordering::Release); }
-}
-#[cfg(test)]
-mod tests {
-    fn get(s: &S) -> u64 { s.ready.load(Ordering::Acquire) }
+fn handshake(flag: &AtomicBool, reg: &Mutex<Vec<u64>>, data: &[u64]) {
+    flag.store(true, Ordering::Release);
+    let guard = reg.lock().unwrap_or_else(PoisonError::into_inner);
+    data.par_iter().for_each(|_| {});
 }
 ";
-        let files = [FileInput { rel: "crates/obs/src/x.rs".to_owned(), text: text.to_owned() }];
-        let report = lint_files(&files);
-        let l10: Vec<_> =
-            report.findings.iter().filter(|f| f.rule == Rule::AtomicsDiscipline).collect();
-        assert_eq!(l10.len(), 1, "{l10:?}");
-        assert_eq!(l10[0].line, 3);
-        let json = sync_report_json(&files);
-        assert!(json.contains("\"ordering\": \"Release\""), "{json}");
-        assert!(!json.contains("\"ordering\": \"Acquire\""), "{json}");
+        let rules = |rel: &str| -> Vec<(Rule, u32)> {
+            lint_one(rel, text).into_iter().map(|f| (f.rule, f.line)).collect()
+        };
+        assert_eq!(
+            rules("crates/obs/src/x.rs"),
+            [(Rule::AtomicsDiscipline, 2), (Rule::LockDiscipline, 4)]
+        );
+        assert_eq!(rules("crates/obs/tests/x.rs"), [(Rule::LockDiscipline, 4)]);
+        assert_eq!(rules("crates/bench/benches/x.rs"), [(Rule::LockDiscipline, 4)]);
+        // A `tests` directory inside `src/` is a module, not a test target.
+        assert_eq!(rules("crates/obs/src/tests/x.rs").len(), 2);
+    }
+
+    /// An audit above a read-modify-write whose result is discarded proves
+    /// nothing L10 asks for, so it is stale.
+    #[test]
+    fn sync_allow_above_a_discarded_rmw_is_unused() {
+        let text = "\
+fn bump(hits: &AtomicU64) {
+    // lint: allow(sync, \"pure counter\")
+    hits.fetch_add(1, Ordering::Relaxed);
+}
+";
+        let f = lint_one("crates/obs/src/x.rs", text);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), (Rule::UnusedAllow, 2));
+        assert!(f[0].message.contains("allow(sync"), "{}", f[0].message);
     }
 
     /// L7's hint names the escape hatch; there are no unit newtypes to

@@ -130,26 +130,24 @@ fn l8_flags_the_parser_when_its_name_count_guard_is_deleted() {
 }
 
 #[test]
-fn l10_atomics_fixture_flags_each_pairing_hole_and_honours_the_audit() {
+fn l10_atomics_fixture_flags_each_strong_ordering_and_honours_the_audit() {
     let findings = lint_fixture("l10_atomics.rs", "crates/obs/src/l10_atomics.rs");
     let l10: Vec<_> = findings.iter().filter(|(r, ..)| *r == Rule::AtomicsDiscipline).collect();
-    // Release into the void, Relaxed publish of an Acquire-consumed
-    // field, Acquire of a never-published field, the consumed Relaxed
-    // RMW, and the Relaxed-guarded plain-field read — nothing else.
-    assert_eq!(l10.len(), 5, "{findings:?}");
-    let text = format!("{l10:?}");
-    assert!(text.contains("half_published` but no Acquire-strength load"), "{findings:?}");
-    assert!(text.contains("weak_flag"), "{findings:?}");
-    assert!(text.contains("use Release ordering"), "{findings:?}");
-    assert!(text.contains("phantom_ready"), "{findings:?}");
-    assert!(text.contains("synchronizes with nothing"), "{findings:?}");
-    assert!(text.contains("result of `self.ticket.fetch_add"), "{findings:?}");
-    assert!(text.contains("non-atomic field `staged`"), "{findings:?}");
-    // The audited ticket counter is suppressed and its allow consumed.
-    assert!(!text.contains("audited_ticket"), "{findings:?}");
+    // The Release store, the Acquire load, the SeqCst swap, the
+    // compare-exchange's Acquire failure ordering, the fence, and the
+    // unaudited consumed Relaxed RMW — nothing else.
+    let lines: Vec<u32> = l10.iter().map(|(_, line, _)| *line).collect();
+    assert_eq!(lines, [20, 24, 28, 32, 36, 41], "{findings:?}");
+    assert!(l10[0].2.contains("`self.ready.store(…)` names `Release`"), "{findings:?}");
+    assert!(l10[1].2.contains("`self.ready.load(…)` names `Acquire`"), "{findings:?}");
+    assert!(l10[2].2.contains("`self.state.swap(…)` names `SeqCst`"), "{findings:?}");
+    assert!(l10[3].2.contains("`self.state.compare_exchange(…)` names `Acquire`"), "{findings:?}");
+    assert!(l10[4].2.contains("`fence(…)`"), "{findings:?}");
+    assert!(l10[5].2.contains("result of `self.ticket.fetch_add"), "{findings:?}");
+    // The audited ticket is suppressed and its allow consumed.
     assert!(
         !findings.iter().any(|(r, ..)| *r == Rule::UnusedAllow),
-        "the audited counter must consume its allow: {findings:?}"
+        "the audited ticket must consume its allow: {findings:?}"
     );
 }
 

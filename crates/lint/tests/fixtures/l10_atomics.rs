@@ -1,42 +1,39 @@
-//! Deliberately bad: L10 atomics-discipline violations — unpaired
-//! Release/Acquire, a Relaxed publish on a consumed field, a consumed
-//! Relaxed read-modify-write, and a Relaxed-guarded read of plain shared
-//! state. One audited counter shows the `allow(sync, …)` hatch working.
+//! Deliberately bad: L10 atomics-discipline violations — each strong
+//! ordering (a Release store, an Acquire load, a SeqCst read-modify-write,
+//! a compare-exchange whose only strong ordering is the failure one), a
+//! fence, and a consumed Relaxed read-modify-write with no proof. One
+//! audited ticket shows the `allow(sync, …)` hatch working, and a pure
+//! Relaxed counter stays quiet.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 struct Publisher {
-    half_published: AtomicU64,
-    weak_flag: AtomicU64,
-    phantom_ready: AtomicU64,
+    ready: AtomicU64,
+    state: AtomicU64,
     ticket: AtomicU64,
     audited_ticket: AtomicU64,
-    gate: AtomicU64,
-    staged: Vec<u64>,
+    hits: AtomicU64,
 }
 
 impl Publisher {
-    fn release_into_the_void(&self) {
-        // Release with no Acquire consumer anywhere: pairs with nothing.
-        self.half_published.store(1, Ordering::Release);
+    fn publish(&self) {
+        self.ready.store(1, Ordering::Release);
     }
 
-    fn peek_half_published(&self) -> u64 {
-        self.half_published.load(Ordering::Relaxed)
+    fn consume(&self) -> u64 {
+        self.ready.load(Ordering::Acquire)
     }
 
-    fn weak_publish(&self) {
-        // Relaxed store on a field consumed with Acquire below.
-        self.weak_flag.store(1, Ordering::Relaxed);
+    fn swap_state(&self) {
+        self.state.swap(2, Ordering::SeqCst);
     }
 
-    fn weak_consume(&self) -> u64 {
-        self.weak_flag.load(Ordering::Acquire)
+    fn try_claim(&self) -> bool {
+        self.state.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Acquire).is_ok()
     }
 
-    fn phantom_acquire(&self) -> u64 {
-        // Acquire with no Release-strength publish anywhere.
-        self.phantom_ready.load(Ordering::Acquire)
+    fn publish_by_fence(&self) {
+        fence(Ordering::Release);
     }
 
     fn claim(&self) -> u64 {
@@ -51,11 +48,8 @@ impl Publisher {
         n
     }
 
-    fn guarded_read(&self) -> u64 {
-        // A Relaxed load guards a read of non-atomic shared data.
-        if self.gate.load(Ordering::Relaxed) > 0 {
-            return self.staged.len() as u64;
-        }
-        0
+    fn count(&self) -> u64 {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.hits.load(Ordering::Relaxed)
     }
 }
