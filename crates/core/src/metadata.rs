@@ -11,6 +11,10 @@
 //! * `high_density` — at least 5 spikes *and* an average of 50+ requests
 //!   per second across the execution;
 //! * `insignificant_load` — fewer total metadata operations than ranks.
+//!
+//! Only the seconds that hold an event are materialized
+//! ([`occupied_seconds`]), so the stage's time and memory follow the number
+//! of metadata events, never the runtime the header claims.
 
 use crate::category::MetadataLabel;
 use crate::config::CategorizerConfig;
@@ -40,26 +44,53 @@ impl MetadataResult {
     }
 }
 
-/// Bin metadata events into one-second buckets over `[0, runtime]`.
-pub fn requests_per_second(meta: &[MetaEvent], runtime: f64) -> Vec<u64> {
-    #[expect(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        reason = "f64-to-usize `as` saturates; NaN and negatives go to 0 and .max(1) floors"
-    )]
-    let bins = (runtime.ceil() as usize).max(1);
-    let mut hist = vec![0u64; bins];
-    for e in meta {
-        #[expect(
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss,
-            reason = "f64-to-usize `as` saturates; clamped below by max(0.0), above by min(bins - 1)"
-        )]
-        let b = (e.time.max(0.0) as usize).min(bins - 1);
-        // lint: allow(panic, "b is clamped to bins - 1 and hist.len() == bins >= 1")
-        hist[b] += e.count;
-    }
-    hist
+/// Number of one-second buckets over `[0, runtime]`: `ceil(runtime)`, at
+/// least one. A count only; nothing is allocated per bucket.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "f64-to-usize `as` saturates; NaN and negatives go to 0 and .max(1) floors"
+)]
+fn bins(runtime: f64) -> usize {
+    (runtime.ceil() as usize).max(1)
+}
+
+/// Total metadata requests, saturating at `u64::MAX`.
+fn total_requests(meta: &[MetaEvent]) -> u64 {
+    meta.iter().fold(0, |sum, e| sum.saturating_add(e.count))
+}
+
+/// Metadata requests per occupied one-second bucket over `[0, runtime]`:
+/// `(second, requests)` pairs sorted by second, one for every second that
+/// holds at least one event (its sum may be 0). An event lands in second
+/// `floor(time)` clamped to `[0, ceil(runtime) - 1]`, a NaN time in second
+/// 0; sums saturate. Time and memory are O(m log m) and O(m) in the m
+/// events, whatever the runtime.
+pub fn occupied_seconds(meta: &[MetaEvent], runtime: f64) -> Vec<(usize, u64)> {
+    let last = bins(runtime) - 1;
+    let mut seconds: Vec<(usize, u64)> = meta
+        .iter()
+        .map(|e| {
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "f64-to-usize `as` saturates; clamped below by max(0.0), above by min(last)"
+            )]
+            let second = (e.time.max(0.0) as usize).min(last);
+            (second, e.count)
+        })
+        .collect();
+    // Every pipeline path hands over time-sorted events, already in second
+    // order, so the sort is a near-linear pass.
+    seconds.sort_unstable_by_key(|&(second, _)| second);
+    seconds.dedup_by(|next, run| {
+        let same = next.0 == run.0;
+        if same {
+            run.1 = run.1.saturating_add(next.1);
+        }
+        same
+    });
+    seconds
 }
 
 /// Characterize the metadata impact of one trace.
@@ -69,12 +100,26 @@ pub fn characterize(
     nprocs: u32,
     config: &CategorizerConfig,
 ) -> MetadataResult {
-    let total_requests: u64 = meta.iter().map(|e| e.count).sum();
-    let hist = requests_per_second(meta, runtime);
-    let peak_rps = hist.iter().copied().max().unwrap_or(0);
-    let spike_count = hist.iter().filter(|&&c| c >= config.spike_requests).count();
-    let mean_rps = total_requests as f64 / runtime.max(1.0);
+    let seconds = occupied_seconds(meta, runtime);
+    let peak_rps = seconds.iter().map(|&(_, n)| n).max().unwrap_or(0);
+    let mut spike_count = seconds.iter().filter(|&&(_, n)| n >= config.spike_requests).count();
+    if config.spike_requests == 0 {
+        // An empty second holds 0 >= 0 requests: a spike too.
+        spike_count += bins(runtime) - seconds.len();
+    }
+    verdict(total_requests(meta), peak_rps, spike_count, runtime, nprocs, config)
+}
 
+/// Label a trace from its per-second evidence.
+fn verdict(
+    total_requests: u64,
+    peak_rps: u64,
+    spike_count: usize,
+    runtime: f64,
+    nprocs: u32,
+    config: &CategorizerConfig,
+) -> MetadataResult {
+    let mean_rps = total_requests as f64 / runtime.max(1.0);
     let mut labels = Vec::new();
     if total_requests < u64::from(nprocs) {
         labels.push(MetadataLabel::InsignificantLoad);
@@ -90,6 +135,46 @@ pub fn characterize(
         }
     }
     MetadataResult { labels, total_requests, peak_rps, spike_count, mean_rps }
+}
+
+/// The dense per-second histogram the stage once scanned, kept as the
+/// independent reference that `differential/metadata-vs-reference` and the
+/// unit tests compare [`characterize`] against. Its memory grows with the
+/// runtime (8 bytes per second), so it is for trusted inputs only.
+pub mod reference {
+    use super::{bins, total_requests, verdict, MetadataResult};
+    use crate::config::CategorizerConfig;
+    use mosaic_darshan::ops::MetaEvent;
+
+    /// Bin metadata events into one-second buckets over `[0, runtime]`.
+    pub fn requests_per_second(meta: &[MetaEvent], runtime: f64) -> Vec<u64> {
+        let bins = bins(runtime);
+        let mut hist = vec![0u64; bins];
+        for e in meta {
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "f64-to-usize `as` saturates; clamped below by max(0.0), above by min(bins - 1)"
+            )]
+            let b = (e.time.max(0.0) as usize).min(bins - 1);
+            // lint: allow(panic, "b is clamped to bins - 1 and hist.len() == bins >= 1")
+            hist[b] = hist[b].saturating_add(e.count);
+        }
+        hist
+    }
+
+    /// [`super::characterize`] by a full scan of the dense histogram.
+    pub fn characterize(
+        meta: &[MetaEvent],
+        runtime: f64,
+        nprocs: u32,
+        config: &CategorizerConfig,
+    ) -> MetadataResult {
+        let hist = requests_per_second(meta, runtime);
+        let peak_rps = hist.iter().copied().max().unwrap_or(0);
+        let spike_count = hist.iter().filter(|&&c| c >= config.spike_requests).count();
+        verdict(total_requests(meta), peak_rps, spike_count, runtime, nprocs, config)
+    }
 }
 
 #[cfg(test)]
@@ -157,13 +242,74 @@ mod tests {
 
     #[test]
     fn histogram_binning() {
-        let hist = requests_per_second(&[ev(0.2, 3), ev(0.8, 2), ev(7.5, 1)], 10.0);
+        let hist = reference::requests_per_second(&[ev(0.2, 3), ev(0.8, 2), ev(7.5, 1)], 10.0);
         assert_eq!(hist.len(), 10);
         assert_eq!(hist[0], 5);
         assert_eq!(hist[7], 1);
         // Events past runtime clamp into the last bin.
-        let hist = requests_per_second(&[ev(99.0, 4)], 10.0);
+        let hist = reference::requests_per_second(&[ev(99.0, 4)], 10.0);
         assert_eq!(hist[9], 4);
+    }
+
+    #[test]
+    fn occupied_seconds_are_the_nonempty_bins() {
+        // Unsorted, clamped at both ends, NaN in second 0, a zero-count
+        // event still occupying its second.
+        let meta = [ev(7.5, 1), ev(0.2, 3), ev(99.0, 4), ev(-3.0, 1), ev(f64::NAN, 1), ev(4.0, 0)];
+        assert_eq!(occupied_seconds(&meta, 10.0), vec![(0, 5), (4, 0), (7, 1), (9, 4)]);
+        assert!(occupied_seconds(&[], 10.0).is_empty());
+    }
+
+    #[test]
+    fn sparse_scan_equals_the_dense_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let specials =
+            [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, -2.5, 1e300, -1e300];
+        let mut rng = StdRng::seed_from_u64(0x3E7A);
+        for case in 0..4000 {
+            let runtime = [0.0, 0.5, 1.0, 7.3, 60.0, 600.0][case % 6];
+            let mut config = cfg();
+            config.spike_requests = [0, 1, 50, 119][case / 6 % 4];
+            let meta: Vec<MetaEvent> = (0..rng.gen_range(0..40))
+                .map(|_| {
+                    let time = if rng.gen_range(0..8) == 0 {
+                        specials[rng.gen_range(0..specials.len())]
+                    } else {
+                        rng.gen_range(-5.0..runtime + 5.0)
+                    };
+                    ev(time, rng.gen_range(0..300))
+                })
+                .collect();
+            let nprocs = rng.gen_range(1..64);
+            let sparse = characterize(&meta, runtime, nprocs, &config);
+            let dense = reference::characterize(&meta, runtime, nprocs, &config);
+            assert_eq!(sparse, dense, "case {case}: runtime {runtime}, {meta:?}");
+        }
+    }
+
+    #[test]
+    fn request_sums_saturate() {
+        let meta = [ev(1.0, u64::MAX / 2), ev(1.5, u64::MAX / 2), ev(1.9, u64::MAX / 2)];
+        let r = characterize(&meta, 10.0, 4, &cfg());
+        assert_eq!(r.total_requests, u64::MAX);
+        assert_eq!(r.peak_rps, u64::MAX);
+        assert_eq!(r, reference::characterize(&meta, 10.0, 4, &cfg()));
+    }
+
+    #[test]
+    fn cost_is_independent_of_runtime() {
+        // A dense histogram over these runtimes needs 800 GB and more; the
+        // sparse scan touches one second per event.
+        for runtime in [1e11, 9.2e18, f64::INFINITY] {
+            let r = characterize(&[ev(3.0, 300), ev(runtime, 60)], runtime, 4, &cfg());
+            assert_eq!((r.peak_rps, r.spike_count), (300, 2), "runtime {runtime}");
+            assert!(r.has(MetadataLabel::HighSpike));
+            let mut every_second = cfg();
+            every_second.spike_requests = 0;
+            let r = characterize(&[ev(3.0, 300)], runtime, 4, &every_second);
+            assert_eq!(r.spike_count, bins(runtime), "runtime {runtime}");
+        }
     }
 
     #[test]

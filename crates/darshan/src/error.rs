@@ -88,7 +88,8 @@ pub enum ValidityError {
     NegativeTimestamp,
     /// An interval end precedes its start (e.g. read end < read start).
     InvertedInterval,
-    /// A timestamp exceeds the job's wallclock runtime.
+    /// A timestamp exceeds the job's wallclock runtime (plus one second of
+    /// slack), or is NaN and so cannot be placed within it.
     TimestampBeyondRuntime,
     /// Byte counters are negative.
     NegativeBytes,

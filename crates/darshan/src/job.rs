@@ -32,6 +32,15 @@ pub fn app_name_of(exe: &str) -> &str {
     first.rsplit('/').next().unwrap_or(first)
 }
 
+/// Wallclock runtime in seconds of a job that ran from `start_time` to
+/// `end_time`. The difference is taken in `i128`, so wire-supplied extremes
+/// (`-1` to `i64::MAX`) cannot overflow; wherever the `i64` difference fits,
+/// the result is that difference rounded to `f64` as before. Shared by
+/// [`JobHeader::runtime`] and the borrowed [`crate::view::TraceView`].
+pub fn runtime_of(start_time: i64, end_time: i64) -> f64 {
+    (i128::from(end_time) - i128::from(start_time)) as f64
+}
+
 impl JobHeader {
     /// Create a header. `exe` defaults to empty; see [`JobHeader::with_exe`].
     pub fn new(job_id: u64, uid: u32, nprocs: u32, start_time: i64, end_time: i64) -> Self {
@@ -49,7 +58,7 @@ impl JobHeader {
     /// them.
     #[inline]
     pub fn runtime(&self) -> f64 {
-        (self.end_time - self.start_time) as f64
+        runtime_of(self.start_time, self.end_time)
     }
 
     /// Application name: basename of the first token of the executable line.
@@ -75,6 +84,21 @@ mod tests {
     fn runtime_is_end_minus_start() {
         let h = JobHeader::new(1, 2, 3, 100, 400);
         assert_eq!(h.runtime(), 300.0);
+    }
+
+    #[test]
+    fn runtime_of_wire_extremes_does_not_overflow() {
+        // The i64 difference overflows here: a debug panic, or a negative
+        // runtime in release.
+        assert_eq!(JobHeader::new(1, 2, 3, -1, i64::MAX).runtime(), 9_223_372_036_854_775_808.0);
+        assert_eq!(
+            JobHeader::new(1, 2, 3, i64::MAX, i64::MIN).runtime(),
+            -18_446_744_073_709_551_615.0
+        );
+        // Where it fits, the old `(end - start) as f64` result.
+        for (start, end) in [(0, i64::MAX), (i64::MIN, -1), (5, -7), (1 << 53, (1 << 54) + 1)] {
+            assert_eq!(runtime_of(start, end), (end - start) as f64, "{start}..{end}");
+        }
     }
 
     #[test]

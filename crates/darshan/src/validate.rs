@@ -57,7 +57,9 @@ pub fn check_record(rec: &PosixRecord, runtime: f64, nprocs: u32) -> Vec<Validit
         }
     }
 
-    if rec.fcounters.iter().any(|&v| v > runtime + RUNTIME_SLACK) {
+    // NaN fails every comparison, so it is tested for by name: a NaN time
+    // cannot be placed within the runtime.
+    if rec.fcounters.iter().any(|&v| v.is_nan() || v > runtime + RUNTIME_SLACK) {
         errs.push(ValidityError::TimestampBeyondRuntime);
     }
 

@@ -428,7 +428,7 @@ impl<'a> TraceView<'a> {
     /// Wallclock runtime in seconds (mirrors [`JobHeader::runtime`]).
     #[inline]
     pub fn runtime(&self) -> f64 {
-        (self.end_time - self.start_time) as f64
+        crate::job::runtime_of(self.start_time, self.end_time)
     }
 
     /// Application name (mirrors [`JobHeader::app_name`]), borrowed.
@@ -539,6 +539,35 @@ mod tests {
             assert_eq!(borrowed.write_interval(), owned.write_interval());
             assert_eq!(borrowed.rank_count(256), owned.rank_count(256));
         }
+    }
+
+    #[test]
+    fn runtime_of_wire_extremes_does_not_overflow() {
+        // `end - start` overflows `i64`: a debug build used to panic and a
+        // release build evicted the trace as `non_positive_runtime`.
+        let log = TraceLogBuilder::new(JobHeader::new(1, 1, 4, -1, i64::MAX)).finish();
+        let bytes = mdf::to_bytes(&log);
+        let view = TraceView::parse(&bytes).unwrap();
+        assert_eq!(view.runtime(), 9_223_372_036_854_775_808.0);
+        assert_eq!(view.runtime(), log.header().runtime());
+        assert!(validate_view(&view).header_errors.is_empty());
+    }
+
+    #[test]
+    fn nan_timestamps_are_beyond_runtime_on_both_paths() {
+        // NaN compares false both ways, so `v > runtime + slack` let it
+        // through to merge and metadata.
+        let mut b = TraceLogBuilder::new(JobHeader::new(1, 1, 4, 0, 100).with_exe("/bin/a"));
+        let good = b.begin_record("/good", 0);
+        b.record_mut(good).set(C::Opens, 8).setf(F::OpenStartTimestamp, 1.0);
+        let nan = b.begin_record("/nan", 1);
+        b.record_mut(nan).set(C::Opens, 8).setf(F::OpenStartTimestamp, f64::NAN);
+        let log = b.finish();
+        let bytes = mdf::to_bytes(&log);
+        let view = TraceView::parse(&bytes).unwrap();
+        let owned = validate::validate(&log);
+        assert_eq!(owned.record_errors, vec![(1, vec![ValidityError::TimestampBeyondRuntime])]);
+        assert_eq!(validate_view(&view), owned);
     }
 
     #[test]

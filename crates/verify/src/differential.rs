@@ -31,16 +31,19 @@
 //!   [`op_feature`]s must return the labels and center bits of the
 //!   linear-scan [`reference::fit`]: per corpus, over the same sweep, and
 //!   over six dense periodic traces, the only inputs here large enough to
-//!   reach the grid.
+//!   reach the grid;
+//! * **metadata vs reference** — for every valid trace of the sweep and of
+//!   the dense traces, [`metadata::characterize`]'s occupied-seconds scan
+//!   must return the peak, spike count and labels of the dense per-second
+//!   histogram in [`metadata::reference`].
 
 use crate::VerifyReport;
 use mosaic_clustering::meanshift::{reference, MeanShift, GRID_MIN_POINTS};
 use mosaic_core::columnar::{chunk_volumes_columnar, merge_all_columnar, TraceArena};
-use mosaic_core::merge;
 use mosaic_core::periodicity::op_feature;
 use mosaic_core::segment::segment;
 use mosaic_core::temporality::{characterize_columnar, chunk_volumes};
-use mosaic_core::{CategorizerConfig, TemporalityLabel};
+use mosaic_core::{merge, metadata, CategorizerConfig, TemporalityLabel};
 use mosaic_darshan::counter::PosixCounter as C;
 use mosaic_darshan::counter::PosixFCounter as F;
 use mosaic_darshan::record::SHARED_RANK;
@@ -200,6 +203,52 @@ fn meanshift_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<
             format!(
                 "{fits} fits ({grid_fits} on the grid) over {points} points: \
                  labels and center bits equal the reference"
+            )
+        } else {
+            diverged.join("\n")
+        },
+    );
+}
+
+/// The metadata-vs-reference check over one set of wire buffers: every
+/// valid trace's metadata events, extracted into the production arena, are
+/// characterized twice — over the occupied seconds only, and by a full scan
+/// of the dense histogram. Peak, spike count and labels must agree.
+fn metadata_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<u8>]) {
+    let config = CategorizerConfig::default();
+    let mut arena = TraceArena::default();
+    let (mut traces, mut events, mut spiky) = (0usize, 0usize, 0usize);
+    let mut diverged = Vec::new();
+    for (i, view, validity) in valid_views(wires) {
+        arena.trace.load(&view, &validity);
+        let trace = &arena.trace;
+        let sparse = metadata::characterize(&trace.meta, trace.runtime, trace.nprocs, &config);
+        let dense =
+            metadata::reference::characterize(&trace.meta, trace.runtime, trace.nprocs, &config);
+        if (sparse.peak_rps, sparse.spike_count, &sparse.labels)
+            != (dense.peak_rps, dense.spike_count, &dense.labels)
+        {
+            diverged.push(format!(
+                "trace {i}: peak {} / {} spikes / {:?}, reference peak {} / {} spikes / {:?}",
+                sparse.peak_rps,
+                sparse.spike_count,
+                sparse.labels,
+                dense.peak_rps,
+                dense.spike_count,
+                dense.labels
+            ));
+        }
+        traces += 1;
+        events += trace.meta.len();
+        spiky += usize::from(sparse.spike_count > 0);
+    }
+    report.check(
+        name,
+        diverged.is_empty(),
+        if diverged.is_empty() {
+            format!(
+                "{traces} traces ({spiky} with spikes) over {events} metadata events: \
+                 peak, spike count and labels equal the reference"
             )
         } else {
             diverged.join("\n")
@@ -403,10 +452,21 @@ pub fn run(report: &mut VerifyReport) {
         "differential/meanshift-vs-reference/synthetic-2k".to_owned(),
         &sweep_wires,
     );
+    metadata_vs_reference(
+        report,
+        "differential/metadata-vs-reference/synthetic-2k".to_owned(),
+        &sweep_wires,
+    );
+    let dense = dense_wires();
     meanshift_vs_reference(
         report,
         "differential/meanshift-vs-reference/dense-periodic".to_owned(),
-        &dense_wires(),
+        &dense,
+    );
+    metadata_vs_reference(
+        report,
+        "differential/metadata-vs-reference/dense-periodic".to_owned(),
+        &dense,
     );
 }
 
@@ -422,9 +482,10 @@ mod tests {
         // 9 checks per corpus (3 pool comparisons, incremental, roundtrip,
         // traced-vs-untraced, bytes-source, columnar-vs-reference,
         // meanshift-vs-reference) × 3 corpora, plus the 2k-sweep
-        // columnar-vs-reference and meanshift-vs-reference checks and the
-        // dense-periodic meanshift-vs-reference check.
-        assert_eq!(report.checks.len(), 30);
+        // columnar-vs-reference, meanshift-vs-reference and
+        // metadata-vs-reference checks and the dense-periodic
+        // meanshift-vs-reference and metadata-vs-reference checks.
+        assert_eq!(report.checks.len(), 32);
     }
 
     #[test]
@@ -480,6 +541,20 @@ mod tests {
         };
         assert!(counts(&report.checks[0].detail).0 > 0, "{}", report.render());
         assert_eq!(counts(&report.checks[1].detail), (12, 9), "{}", report.render());
+    }
+
+    #[test]
+    fn metadata_vs_reference_sees_spikes() {
+        // Not vacuous: every dense trace is valid and carries metadata,
+        // and its opens and closes reach the spike threshold.
+        let mut report = VerifyReport::default();
+        metadata_vs_reference(&mut report, "metadata".to_owned(), &dense_wires());
+        assert!(report.passed(), "{}", report.render());
+        assert!(
+            report.checks[0].detail.starts_with("6 traces (6 with spikes)"),
+            "{}",
+            report.render()
+        );
     }
 
     #[test]

@@ -178,9 +178,10 @@ fn draw_meta(
     h: f64,
     config: &mosaic_core::CategorizerConfig,
 ) {
-    let hist = mosaic_core::metadata::requests_per_second(&view.meta, view.runtime);
-    let peak = hist.iter().copied().max().unwrap_or(0).max(config.high_spike_requests) as f64;
-    for (sec, &count) in hist.iter().enumerate() {
+    let seconds = mosaic_core::metadata::occupied_seconds(&view.meta, view.runtime);
+    let peak =
+        seconds.iter().map(|&(_, n)| n).max().unwrap_or(0).max(config.high_spike_requests) as f64;
+    for &(sec, count) in &seconds {
         if count == 0 {
             continue;
         }

@@ -362,3 +362,118 @@ fn hostile_mixed_volumes_saturate_the_dedup_weight() {
     }
     assert_eq!(from_bytes.outcomes, from_log.outcomes);
 }
+
+// ---- hostile runtimes and metadata counts --------------------------------
+
+/// One MDF trace whose header spans `start..end` seconds: three records,
+/// each reading and opening then closing 300 times, at seconds 3, 10^6 and
+/// 5·10^10 (within the claimed runtime, and where `f64` still resolves a
+/// second).
+fn long_running_trace(start: i64, end: i64) -> Vec<u8> {
+    use mosaic_darshan::counter::PosixCounter as C;
+    use mosaic_darshan::counter::PosixFCounter as F;
+    let mut b = mosaic_darshan::log::TraceLogBuilder::new(
+        mosaic_darshan::job::JobHeader::new(1, 1, 4, start, end).with_exe("/bin/forever"),
+    );
+    for (rank, at) in [(0, 3.0), (1, 1e6), (2, 5e10)] {
+        let r = b.begin_record(&format!("/long.{rank}"), rank);
+        b.record_mut(r)
+            .set(C::Opens, 300)
+            .set(C::Closes, 300)
+            .set(C::Reads, 1)
+            .set(C::BytesRead, 1 << 30)
+            .setf(F::OpenStartTimestamp, at)
+            .setf(F::ReadStartTimestamp, at)
+            .setf(F::ReadEndTimestamp, at + 1.0)
+            .setf(F::CloseEndTimestamp, at + 2.0);
+    }
+    mdf::to_bytes(&b.finish())
+}
+
+#[test]
+fn hostile_header_runtimes_categorize_without_aborting() {
+    // A header runtime of 1e11 s used to make the metadata stage allocate
+    // an 800 GB per-second histogram and abort the run; `-1..i64::MAX`
+    // also overflowed the runtime subtraction. The metadata stage now
+    // touches only the occupied seconds, so both categorize in full.
+    use mosaic_core::category::MetadataLabel;
+    use mosaic_pipeline::executor::{process, PipelineConfig};
+    use mosaic_pipeline::source::{TraceInput, VecSource};
+    for (start, end) in [(0, 100_000_000_000), (0, i64::MAX), (-1, i64::MAX)] {
+        let input = TraceInput::bytes(long_running_trace(start, end));
+        let result = process(&VecSource::new(vec![input]), &PipelineConfig::default());
+        assert_eq!(result.funnel.valid, 1, "{start}..{end}: {:?}", result.funnel);
+        let report = &result.outcomes[0].report;
+        assert_eq!(report.runtime, mosaic_darshan::job::runtime_of(start, end));
+        // 300 opens in one second and 300 closes two seconds later, per
+        // record: six spikes of the same size.
+        assert_eq!(report.metadata.peak_rps, 300, "{start}..{end}");
+        assert_eq!(report.metadata.spike_count, 6, "{start}..{end}");
+        assert!(report.metadata.has(MetadataLabel::HighSpike));
+    }
+}
+
+#[test]
+fn hostile_metadata_counts_saturate_the_request_sums() {
+    // Three records of `i64::MAX` opens in the same second: the total and
+    // the per-second sum overflow `u64`. Both must saturate instead of
+    // panicking (debug) or wrapping (release).
+    use mosaic_darshan::counter::PosixCounter as C;
+    use mosaic_darshan::counter::PosixFCounter as F;
+    use mosaic_pipeline::executor::{process, PipelineConfig};
+    use mosaic_pipeline::source::{TraceInput, VecSource};
+    let mut b = mosaic_darshan::log::TraceLogBuilder::new(
+        mosaic_darshan::job::JobHeader::new(1, 1, 4, 0, 1000).with_exe("/bin/opener"),
+    );
+    for rank in 0..3 {
+        let r = b.begin_record(&format!("/opened.{rank}"), rank);
+        b.record_mut(r).set(C::Opens, i64::MAX).setf(F::OpenStartTimestamp, 10.5);
+    }
+    let log = b.finish();
+    assert!(mosaic_darshan::validate::validate(&log).is_clean());
+    let result = process(
+        &VecSource::new(vec![TraceInput::bytes(mdf::to_bytes(&log))]),
+        &PipelineConfig::default(),
+    );
+    assert_eq!(result.funnel.valid, 1, "{:?}", result.funnel);
+    let metadata = &result.outcomes[0].report.metadata;
+    assert_eq!(metadata.total_requests, u64::MAX);
+    assert_eq!(metadata.peak_rps, u64::MAX);
+    assert_eq!(metadata.spike_count, 1);
+}
+
+fn arb_meta_view() -> impl Strategy<Value = OperationView> {
+    use mosaic_darshan::ops::{MetaEvent, MetaKind};
+    const SPECIAL: [f64; 5] = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+    (
+        0.0f64..1e15,
+        1u32..2048,
+        prop::collection::vec((0usize..12, -0.1f64..1.1, 0u64..i64::MAX as u64), 0..64),
+    )
+        .prop_map(|(runtime, nprocs, raw)| OperationView {
+            runtime,
+            nprocs,
+            reads: vec![],
+            writes: vec![],
+            meta: raw
+                .into_iter()
+                .map(|(pick, frac, count)| MetaEvent {
+                    time: SPECIAL.get(pick).copied().unwrap_or(frac * runtime),
+                    kind: MetaKind::Open,
+                    count,
+                })
+                .collect(),
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn metadata_stage_never_panics_on_hostile_events(view in arb_meta_view()) {
+        let report = Categorizer::default().categorize(&view);
+        let metadata = &report.metadata;
+        prop_assert!(metadata.peak_rps <= metadata.total_requests);
+        prop_assert!(metadata.spike_count <= view.meta.len());
+    }
+}

@@ -32,9 +32,10 @@ fn full_harness_is_green_on_fresh_checkout() {
     let report = run(&VerifyOptions::default());
     assert!(report.passed(), "{}", report.render());
     // 9 differential + 5 metamorphic + 1 golden check per corpus × 3, plus
-    // the 2k-sweep columnar-vs-reference and meanshift-vs-reference
-    // differential checks and the dense-periodic meanshift-vs-reference one.
-    assert_eq!(report.checks.len(), 48, "{}", report.render());
+    // the 2k-sweep columnar-, meanshift- and metadata-vs-reference
+    // differential checks and the dense-periodic meanshift- and
+    // metadata-vs-reference ones.
+    assert_eq!(report.checks.len(), 50, "{}", report.render());
 }
 
 #[test]
