@@ -1,12 +1,14 @@
 //! Criterion: MDF encode/decode and text parse throughput — the paper's
 //! Python implementation was bottlenecked on trace loading (2 files "take
-//! too long to load"; 300 GB RAM), so format cost matters.
+//! too long to load"; 300 GB RAM), so format cost matters. `checksum/crc32`
+//! times the MDF CRC-32 kernel on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mosaic_darshan::counter::PosixCounter as C;
 use mosaic_darshan::counter::PosixFCounter as F;
 use mosaic_darshan::job::JobHeader;
 use mosaic_darshan::log::TraceLogBuilder;
+use mosaic_darshan::synthutil::Crc32;
 use mosaic_darshan::{mdf, text, validate};
 use std::hint::black_box;
 
@@ -53,5 +55,17 @@ fn bench_parse(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_parse);
+/// The MDF checksum kernel alone: every parse runs it over the whole buffer.
+fn bench_crc32(c: &mut Criterion) {
+    let mut group = c.benchmark_group("checksum");
+    let data: Vec<u8> =
+        (0..1u32 << 20).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+    group.throughput(Throughput::Bytes(data.len() as u64));
+    group.bench_with_input(BenchmarkId::new("crc32", "1MiB"), &data, |b, data| {
+        b.iter(|| Crc32::checksum(black_box(data)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_parse, bench_crc32);
 criterion_main!(benches);

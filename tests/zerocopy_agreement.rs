@@ -8,6 +8,7 @@
 //! aggregates: arbitrary `i64` counters are free to be absurd here, and the
 //! contract under test is parsing and validation, not downstream arithmetic.
 
+use mosaic_darshan::error::FormatError;
 use mosaic_darshan::job::JobHeader;
 use mosaic_darshan::log::TraceLog;
 use mosaic_darshan::record::PosixRecord;
@@ -49,6 +50,32 @@ fn seed_trace_bytes() -> Vec<u8> {
     mdf::to_bytes(&b.finish())
 }
 
+/// A multi-record trace of at least 64 KB whose checksummed payload (all
+/// but the 4-byte footer) ends in a tail of 1..16 bytes, so the CRC runs
+/// its 16-byte blocks and then its byte-wise tail.
+fn large_trace_bytes() -> Vec<u8> {
+    for pad in 0..16 {
+        let exe = format!("/apps/wide/app{}", "x".repeat(pad));
+        let mut b = TraceLogBuilder::new(
+            JobHeader::new(11, 5, 512, 1_600_000_000, 1_600_007_200).with_exe(&exe),
+        );
+        for i in 0..256i64 {
+            let r = b.begin_record(&format!("/scratch/wide/part.{i:04}"), (i % 64) as i32 - 1);
+            b.record_mut(r)
+                .set(mosaic_darshan::counter::PosixCounter::Writes, 16 * (i + 1))
+                .set(mosaic_darshan::counter::PosixCounter::BytesWritten, 1 << 20)
+                .set(mosaic_darshan::counter::PosixCounter::Opens, 1)
+                .setf(mosaic_darshan::counter::PosixFCounter::WriteStartTimestamp, i as f64)
+                .setf(mosaic_darshan::counter::PosixFCounter::WriteEndTimestamp, i as f64 + 0.5);
+        }
+        let bytes = mdf::to_bytes(&b.finish());
+        if !(bytes.len() - 4).is_multiple_of(16) {
+            return bytes;
+        }
+    }
+    unreachable!("some exe padding leaves a CRC tail")
+}
+
 /// Structurally valid logs with adversarial contents: arbitrary counters
 /// (including negatives and near-overflow magnitudes), arbitrary ranks,
 /// records with and without name-table entries.
@@ -85,6 +112,40 @@ fn arb_log() -> impl Strategy<Value = TraceLog> {
                 .collect();
             TraceLog::from_parts(header, records, names)
         })
+}
+
+#[test]
+fn bit_flips_across_a_large_trace_fail_the_checksum() {
+    let clean = large_trace_bytes();
+    assert!(clean.len() >= 64 * 1024, "trace is only {} bytes", clean.len());
+    assert!(TraceView::parse(&clean).is_ok());
+    let payload = clean.len() - 4;
+    let tail = payload % 16;
+    assert!(tail > 0);
+    let sites = [
+        ("first byte after the magic", mdf::MAGIC.len()),
+        ("first block after the magic", 16 + 5),
+        ("a middle block", (payload / 2) / 16 * 16 + 9),
+        ("first byte of the tail", payload - tail),
+        ("last byte before the footer", payload - 1),
+    ];
+    for (site, pos) in sites {
+        for bit in [0u8, 7] {
+            let mut bytes = clean.clone();
+            bytes[pos] ^= 1 << bit;
+            assert!(
+                matches!(TraceView::parse(&bytes), Err(FormatError::ChecksumMismatch { .. })),
+                "{site} (byte {pos}, bit {bit}) was not caught by the checksum"
+            );
+            // Repair the footer: the same bytes now get past the checksum.
+            let crc = Crc32::checksum(&bytes[..payload]);
+            bytes[payload..].copy_from_slice(&crc.to_le_bytes());
+            assert!(
+                !matches!(TraceView::parse(&bytes), Err(FormatError::ChecksumMismatch { .. })),
+                "{site} (byte {pos}, bit {bit}) failed the checksum after repair"
+            );
+        }
+    }
 }
 
 proptest! {
