@@ -224,6 +224,52 @@ impl CategoryAxis {
 }
 
 impl Category {
+    /// Number of distinct categories.
+    pub(crate) const COUNT: usize = 32;
+
+    /// Dense position in `0..COUNT`, increasing with `Ord`, so aggregates
+    /// can count into a flat array and still come out in category order.
+    pub(crate) fn index(self) -> usize {
+        let kind = |k: OpKindTag| match k {
+            OpKindTag::Read => 0,
+            OpKindTag::Write => 1,
+        };
+        match self {
+            Category::Temporality { kind: k, label } => {
+                let l = match label {
+                    TemporalityLabel::OnStart => 0,
+                    TemporalityLabel::AfterStart => 1,
+                    TemporalityLabel::BeforeEnd => 2,
+                    TemporalityLabel::OnEnd => 3,
+                    TemporalityLabel::AfterStartBeforeEnd => 4,
+                    TemporalityLabel::Steady => 5,
+                    TemporalityLabel::Insignificant => 6,
+                };
+                7 * kind(k) + l
+            }
+            Category::Periodic { kind: k } => 14 + kind(k),
+            Category::PeriodicMagnitude { kind: k, magnitude } => {
+                let m = match magnitude {
+                    PeriodMagnitude::Second => 0,
+                    PeriodMagnitude::Minute => 1,
+                    PeriodMagnitude::Hour => 2,
+                    PeriodMagnitude::DayOrMore => 3,
+                };
+                16 + 4 * kind(k) + m
+            }
+            Category::PeriodicLowBusyTime { kind: k } => 24 + kind(k),
+            Category::PeriodicHighBusyTime { kind: k } => 26 + kind(k),
+            Category::Metadata(label) => {
+                28 + match label {
+                    MetadataLabel::HighSpike => 0,
+                    MetadataLabel::MultipleSpikes => 1,
+                    MetadataLabel::HighDensity => 2,
+                    MetadataLabel::InsignificantLoad => 3,
+                }
+            }
+        }
+    }
+
     /// The characterization axis this category belongs to.
     pub fn axis(&self) -> CategoryAxis {
         match self {
@@ -324,6 +370,59 @@ impl<'de> Deserialize<'de> for Category {
     }
 }
 
+/// Category fixtures shared by the aggregate modules' differential tests.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    /// Every category, built variant by variant (not from [`Category::index`]).
+    pub(crate) fn every_category() -> Vec<Category> {
+        let mut all: Vec<Category> = Vec::new();
+        for kind in [OpKindTag::Read, OpKindTag::Write] {
+            for label in TemporalityLabel::ALL {
+                all.push(Category::Temporality { kind, label });
+            }
+            all.push(Category::Periodic { kind });
+            all.push(Category::PeriodicLowBusyTime { kind });
+            all.push(Category::PeriodicHighBusyTime { kind });
+            for magnitude in [
+                PeriodMagnitude::Second,
+                PeriodMagnitude::Minute,
+                PeriodMagnitude::Hour,
+                PeriodMagnitude::DayOrMore,
+            ] {
+                all.push(Category::PeriodicMagnitude { kind, magnitude });
+            }
+        }
+        for label in MetadataLabel::ALL {
+            all.push(Category::Metadata(label));
+        }
+        all
+    }
+
+    /// A seeded collection of up to 60 category sets (possibly none), mixing
+    /// empty sets, sets of all 32 categories and random subsets of random
+    /// density.
+    pub(crate) fn random_sets(seed: u64) -> Vec<BTreeSet<Category>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let all = every_category();
+        let n = rng.gen_range(0..60usize);
+        (0..n)
+            .map(|_| match rng.gen_range(0..8u32) {
+                0 => BTreeSet::new(),
+                1 => all.iter().copied().collect(),
+                _ => {
+                    let density = rng.gen_range(0.0..0.5);
+                    all.iter().copied().filter(|_| rng.gen_bool(density)).collect()
+                }
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,28 +456,18 @@ mod tests {
     }
 
     #[test]
+    fn dense_index_is_the_rank_in_ord_order() {
+        let mut sorted = testutil::every_category();
+        sorted.sort();
+        assert_eq!(sorted.len(), Category::COUNT);
+        for (i, c) in sorted.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{}", c.name());
+        }
+    }
+
+    #[test]
     fn parse_roundtrips_every_category() {
-        let mut all: Vec<Category> = Vec::new();
-        for kind in [OpKindTag::Read, OpKindTag::Write] {
-            for label in TemporalityLabel::ALL {
-                all.push(Category::Temporality { kind, label });
-            }
-            all.push(Category::Periodic { kind });
-            all.push(Category::PeriodicLowBusyTime { kind });
-            all.push(Category::PeriodicHighBusyTime { kind });
-            for magnitude in [
-                PeriodMagnitude::Second,
-                PeriodMagnitude::Minute,
-                PeriodMagnitude::Hour,
-                PeriodMagnitude::DayOrMore,
-            ] {
-                all.push(Category::PeriodicMagnitude { kind, magnitude });
-            }
-        }
-        for label in MetadataLabel::ALL {
-            all.push(Category::Metadata(label));
-        }
-        for c in all {
+        for c in testutil::every_category() {
             assert_eq!(Category::parse(&c.name()), Some(c), "{}", c.name());
         }
         assert_eq!(Category::parse("bogus"), None);

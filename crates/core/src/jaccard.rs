@@ -9,7 +9,7 @@
 
 use crate::category::Category;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A symmetric category × category Jaccard matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -26,25 +26,53 @@ pub struct JaccardMatrix {
 
 impl JaccardMatrix {
     /// Compute the matrix from one category set per trace.
-    pub fn compute(sets: &[BTreeSet<Category>]) -> JaccardMatrix {
-        let mut members: BTreeMap<Category, BTreeSet<usize>> = BTreeMap::new();
-        for (i, set) in sets.iter().enumerate() {
+    ///
+    /// One pass counts, for every pair of categories, the sets holding
+    /// both — O(Σ|set|²) — and the union follows as `|Tₐ| + |T_b| − |Tₐ ∩ T_b|`.
+    pub fn compute<'a, I>(sets: I) -> JaccardMatrix
+    where
+        I: IntoIterator<Item = &'a BTreeSet<Category>>,
+    {
+        // `both[a][b]`: sets holding categories `a` and `b` (dense indices);
+        // the diagonal is each category's support.
+        let mut both = [[0usize; Category::COUNT]; Category::COUNT];
+        let mut seen: [Option<Category>; Category::COUNT] = [None; Category::COUNT];
+        let mut n_traces = 0;
+        let mut members: Vec<usize> = Vec::with_capacity(Category::COUNT);
+        for set in sets {
+            n_traces += 1;
+            members.clear();
             for &c in set {
-                members.entry(c).or_default().insert(i);
+                let i = c.index();
+                if let Some(slot) = seen.get_mut(i) {
+                    *slot = Some(c);
+                    members.push(i);
+                }
+            }
+            for &a in &members {
+                if let Some(row) = both.get_mut(a) {
+                    for &b in &members {
+                        if let Some(n) = row.get_mut(b) {
+                            *n += 1;
+                        }
+                    }
+                }
             }
         }
-        let categories: Vec<Category> = members.keys().copied().collect();
-        let n = categories.len();
-        let support: Vec<usize> = members.values().map(BTreeSet::len).collect();
-        let mut values = Vec::with_capacity(n * n);
-        for ta in members.values() {
-            for tb in members.values() {
-                let inter = ta.intersection(tb).count();
-                let union = ta.union(tb).count();
+        let present: Vec<(Category, &[usize; Category::COUNT])> =
+            seen.iter().zip(&both).filter_map(|(c, row)| c.map(|c| (c, row))).collect();
+        let categories: Vec<Category> = present.iter().map(|&(c, _)| c).collect();
+        let support: Vec<usize> =
+            present.iter().map(|&(c, row)| row.get(c.index()).copied().unwrap_or(0)).collect();
+        let mut values = Vec::with_capacity(present.len() * present.len());
+        for (&(_, row), &sa) in present.iter().zip(&support) {
+            for (&b, &sb) in categories.iter().zip(&support) {
+                let inter = row.get(b.index()).copied().unwrap_or(0);
+                let union = sa + sb - inter;
                 values.push(if union == 0 { 0.0 } else { inter as f64 / union as f64 });
             }
         }
-        JaccardMatrix { categories, values, support, n_traces: sets.len() }
+        JaccardMatrix { categories, values, support, n_traces }
     }
 
     /// Jaccard index of a pair, `None` if either category never occurred.
@@ -115,6 +143,32 @@ impl JaccardMatrix {
         }
         out
     }
+}
+
+/// The set-intersection form [`JaccardMatrix::compute`] replaced: one trace
+/// set per category, every pair intersected and unioned. The independent
+/// reference for the differential test below.
+#[cfg(test)]
+fn reference_compute(sets: &[BTreeSet<Category>]) -> JaccardMatrix {
+    use std::collections::BTreeMap;
+    let mut members: BTreeMap<Category, BTreeSet<usize>> = BTreeMap::new();
+    for (i, set) in sets.iter().enumerate() {
+        for &c in set {
+            members.entry(c).or_default().insert(i);
+        }
+    }
+    let categories: Vec<Category> = members.keys().copied().collect();
+    let n = categories.len();
+    let support: Vec<usize> = members.values().map(BTreeSet::len).collect();
+    let mut values = Vec::with_capacity(n * n);
+    for ta in members.values() {
+        for tb in members.values() {
+            let inter = ta.intersection(tb).count();
+            let union = ta.union(tb).count();
+            values.push(if union == 0 { 0.0 } else { inter as f64 / union as f64 });
+        }
+    }
+    JaccardMatrix { categories, values, support, n_traces: sets.len() }
 }
 
 #[cfg(test)]
@@ -202,6 +256,34 @@ mod tests {
         assert!(m.categories.is_empty());
         assert!(m.relevant_pairs(0.0).is_empty());
         assert_eq!(m.get(read_on_start(), write_on_end()), None);
+    }
+
+    #[test]
+    fn pair_counting_equals_the_set_intersection_reference() {
+        assert_eq!(JaccardMatrix::compute(&[]), reference_compute(&[]));
+        for seed in 0..300 {
+            let sets = crate::category::testutil::random_sets(seed);
+            let got = JaccardMatrix::compute(&sets);
+            let want = reference_compute(&sets);
+            assert_eq!(got.categories, want.categories, "seed {seed}");
+            assert_eq!(got.support, want.support, "seed {seed}");
+            assert_eq!(got.n_traces, want.n_traces, "seed {seed}");
+            let bits = |m: &JaccardMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn every_category_in_every_set_is_all_ones() {
+        let all: BTreeSet<Category> =
+            crate::category::testutil::every_category().into_iter().collect();
+        let sets = vec![all.clone(), BTreeSet::new(), all];
+        let m = JaccardMatrix::compute(&sets);
+        assert_eq!(m, reference_compute(&sets));
+        assert_eq!(m.categories.len(), Category::COUNT);
+        assert!(m.values.iter().all(|&v| v == 1.0));
+        assert!(m.support.iter().all(|&n| n == 2));
+        assert_eq!(m.n_traces, 3);
     }
 
     #[test]

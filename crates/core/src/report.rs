@@ -20,13 +20,22 @@ pub struct CategoryCounts {
 }
 
 impl CategoryCounts {
-    /// Aggregate a collection of category sets.
+    /// Aggregate a collection of category sets: count into a dense array
+    /// over the categories, then build the map once.
     pub fn from_sets<'a, I: IntoIterator<Item = &'a BTreeSet<Category>>>(sets: I) -> Self {
-        let mut out = CategoryCounts::default();
+        let mut dense: [(Option<Category>, usize); Category::COUNT] = [(None, 0); Category::COUNT];
+        let mut total = 0;
         for set in sets {
-            out.add(set);
+            total += 1;
+            for &c in set {
+                if let Some((seen, n)) = dense.get_mut(c.index()) {
+                    *seen = Some(c);
+                    *n += 1;
+                }
+            }
         }
-        out
+        let counts = dense.into_iter().filter_map(|(c, n)| Some((c?, n))).collect();
+        CategoryCounts { counts, total }
     }
 
     /// Fold one more trace in.
@@ -208,6 +217,24 @@ mod tests {
         assert_eq!(movers.len(), 2);
         assert!(movers.iter().any(|&(c, d)| c == c_read_start() && d == -1.0));
         assert!(movers.iter().any(|&(c, d)| c == c_spike() && d == 1.0));
+    }
+
+    #[test]
+    fn dense_count_equals_the_map_fold() {
+        for seed in 0..300 {
+            let sets = crate::category::testutil::random_sets(seed);
+            let mut folded = CategoryCounts::default();
+            for set in &sets {
+                folded.add(set);
+            }
+            let dense = CategoryCounts::from_sets(&sets);
+            assert_eq!(dense, folded, "seed {seed}");
+            let bits = |c: &CategoryCounts| {
+                c.iter().map(|(cat, _)| c.fraction(cat).to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&dense), bits(&folded), "seed {seed}");
+        }
+        assert_eq!(CategoryCounts::from_sets(&[]), CategoryCounts::default());
     }
 
     #[test]

@@ -101,7 +101,7 @@ const FAN_OUT_CALLS: &[&str] = &[
     "par_iter_mut",
     "read_dir",
     "read_to_string",
-    "run_chunked",
+    "run_claimed",
     "sync_all",
     "write_all",
 ];
@@ -717,11 +717,11 @@ mod tests {
             struct S { registry: Mutex<Vec<u64>> }
             fn fan_out(s: &S, data: &[u64]) {
                 let reg = s.registry.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                run_chunked(data, 4, |c| c.len());
+                run_claimed(data, 4, |c| c.len());
             }
         "#);
         assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].message.contains("still live across `run_chunked"));
+        assert!(bad[0].message.contains("still live across `run_claimed"));
         assert!(bad[0].message.contains("drop(reg)"));
 
         let good = one(r#"
@@ -729,7 +729,7 @@ mod tests {
             fn fan_out(s: &S, data: &[u64]) {
                 let reg = s.registry.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                 drop(reg);
-                run_chunked(data, 4, |c| c.len());
+                run_claimed(data, 4, |c| c.len());
             }
         "#);
         assert!(good.is_empty(), "{good:?}");

@@ -155,11 +155,11 @@ fn l10_atomics_fixture_flags_each_strong_ordering_and_honours_the_audit() {
 fn l11_guard_fixture_flags_liveness_and_poison_but_not_the_dropped_twin() {
     let findings = lint_fixture("l11_guard.rs", "crates/obs/src/l11_guard.rs");
     let l11: Vec<_> = findings.iter().filter(|(r, ..)| *r == Rule::LockDiscipline).collect();
-    // The guard live across `run_chunked`, `lock().unwrap()`, and
+    // The guard live across `run_claimed`, `lock().unwrap()`, and
     // `try_lock().expect(…)`; the drop-first twin is quiet.
     assert_eq!(l11.len(), 3, "{findings:?}");
     let text = format!("{l11:?}");
-    assert!(text.contains("still live across `run_chunked"), "{findings:?}");
+    assert!(text.contains("still live across `run_claimed"), "{findings:?}");
     assert!(text.contains("drop(reg)"), "{findings:?}");
     assert!(text.contains("PoisonError::into_inner"), "{findings:?}");
     assert!(text.contains("WouldBlock"), "{findings:?}");

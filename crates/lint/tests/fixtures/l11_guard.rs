@@ -14,7 +14,7 @@ fn guard_across_fan_out(s: &Shared, data: &[u64]) -> usize {
     let reg = s.registry.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     // The guard is still live here: a pool worker taking `registry`
     // deadlocks the fan-out.
-    let n = run_chunked(data, 4, |chunk| chunk.len());
+    let n = run_claimed(data, 4, |chunk| chunk.len());
     reg.len() + n
 }
 
@@ -22,7 +22,7 @@ fn guard_dropped_before_fan_out(s: &Shared, data: &[u64]) -> usize {
     let reg = s.registry.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let held = reg.len();
     drop(reg);
-    held + run_chunked(data, 4, |chunk| chunk.len())
+    held + run_claimed(data, 4, |chunk| chunk.len())
 }
 
 fn poisoned_unwrap(s: &Shared) -> u64 {
@@ -39,7 +39,7 @@ fn contention_as_error(s: &Shared) -> usize {
     g.len()
 }
 
-fn run_chunked<R>(data: &[u64], _chunk: usize, f: impl Fn(&[u64]) -> R) -> usize {
+fn run_claimed<R>(data: &[u64], _chunk: usize, f: impl Fn(&[u64]) -> R) -> usize {
     let _ = f(data);
     data.len()
 }

@@ -13,12 +13,14 @@ pub type AppKey = (u32, String);
 /// Pick, for every application group, the position of its heaviest trace.
 ///
 /// `items` provides `(app key, I/O weight)` per trace; ties break toward the
-/// earliest trace for determinism. Returns positions sorted ascending.
-pub fn heaviest_per_app<I>(items: I) -> Vec<usize>
+/// earliest trace for determinism. Returns positions sorted ascending. The
+/// key is generic so callers can group by `&AppKey` without cloning it.
+pub fn heaviest_per_app<K, I>(items: I) -> Vec<usize>
 where
-    I: IntoIterator<Item = (AppKey, i64)>,
+    K: Ord,
+    I: IntoIterator<Item = (K, i64)>,
 {
-    let mut best: BTreeMap<AppKey, (usize, i64)> = BTreeMap::new();
+    let mut best: BTreeMap<K, (usize, i64)> = BTreeMap::new();
     for (pos, (key, weight)) in items.into_iter().enumerate() {
         match best.get_mut(&key) {
             Some(entry) => {
@@ -37,12 +39,14 @@ where
 }
 
 /// Group trace positions by application key (used by the stability
-/// analysis, which needs *all* runs of each app).
-pub fn group_by_app<I>(items: I) -> BTreeMap<AppKey, Vec<usize>>
+/// analysis, which needs *all* runs of each app). Generic over the key like
+/// [`heaviest_per_app`].
+pub fn group_by_app<K, I>(items: I) -> BTreeMap<K, Vec<usize>>
 where
-    I: IntoIterator<Item = AppKey>,
+    K: Ord,
+    I: IntoIterator<Item = K>,
 {
-    let mut groups: BTreeMap<AppKey, Vec<usize>> = BTreeMap::new();
+    let mut groups: BTreeMap<K, Vec<usize>> = BTreeMap::new();
     for (pos, key) in items.into_iter().enumerate() {
         groups.entry(key).or_default().push(pos);
     }
@@ -82,8 +86,34 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(heaviest_per_app(Vec::new()).is_empty());
-        assert!(group_by_app(Vec::new()).is_empty());
+        assert!(heaviest_per_app(Vec::<(AppKey, i64)>::new()).is_empty());
+        assert!(group_by_app(Vec::<AppKey>::new()).is_empty());
+    }
+
+    #[test]
+    fn borrowed_keys_pick_what_owned_keys_pick() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Few keys and few weights, so duplicates and weight ties abound;
+            // uid and name both vary so the tuple order is exercised.
+            let items: Vec<(AppKey, i64)> = (0..rng.gen_range(0..80usize))
+                .map(|_| {
+                    let name = ["a", "b", "ab", ""][rng.gen_range(0..4usize)];
+                    (key(rng.gen_range(0..3u32), name), rng.gen_range(-2..4i64))
+                })
+                .collect();
+            let owned = heaviest_per_app(items.iter().cloned());
+            let borrowed = heaviest_per_app(items.iter().map(|(k, w)| (k, *w)));
+            assert_eq!(borrowed, owned, "seed {seed}");
+            let owned = group_by_app(items.iter().map(|(k, _)| k.clone()));
+            let borrowed = group_by_app(items.iter().map(|(k, _)| k));
+            assert!(
+                borrowed.into_iter().eq(owned.iter().map(|(k, v)| (k, v.clone()))),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -111,18 +111,18 @@ impl PipelineResult {
 
     /// Category distribution over all valid runs (PFS-load view).
     pub fn all_runs_counts(&self) -> CategoryCounts {
-        CategoryCounts::from_sets(self.all_runs_sets().iter())
+        CategoryCounts::from_sets(self.outcomes.iter().map(|o| &o.report.categories))
     }
 
     /// Category distribution over the single-run set (application view).
     pub fn single_run_counts(&self) -> CategoryCounts {
-        CategoryCounts::from_sets(self.single_run_sets().iter())
+        CategoryCounts::from_sets(self.representatives().map(|o| &o.report.categories))
     }
 
     /// Jaccard matrix over the single-run set (Fig 5 is computed on the
     /// categorized, deduplicated traces).
     pub fn jaccard_single_run(&self) -> JaccardMatrix {
-        JaccardMatrix::compute(&self.single_run_sets())
+        JaccardMatrix::compute(self.representatives().map(|o| &o.report.categories))
     }
 
     /// The representative outcomes themselves. Positions are produced by
@@ -442,7 +442,7 @@ pub fn process<S: TraceSource>(source: &S, config: &PipelineConfig) -> PipelineR
     }
     funnel.valid = outcomes.len();
 
-    let representatives = heaviest_per_app(outcomes.iter().map(|o| (o.app_key.clone(), o.weight)));
+    let representatives = heaviest_per_app(outcomes.iter().map(|o| (&o.app_key, o.weight)));
     funnel.unique_apps = representatives.len();
 
     store.dedup_apps().set(usize_to_u64(representatives.len()));

@@ -145,7 +145,10 @@ impl DirSource {
             .filter_map(|entry| entry.ok().map(|e| e.path()))
             .filter(|p| p.extension().map(|e| e == "mdf").unwrap_or(false))
             .collect();
-        paths.sort();
+        // Every path is `dir` joined with one file name, so their raw bytes
+        // order them exactly as `Path`'s component-wise `Ord` does, at about
+        // a seventh of the cost; that sort was most of the scan.
+        paths.sort_unstable_by(|a, b| a.as_os_str().cmp(b.as_os_str()));
         Ok(DirSource { paths })
     }
 
@@ -234,6 +237,25 @@ mod tests {
             }
             _ => panic!("expected bytes"),
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn dir_source_order_is_path_order() {
+        let dir = std::env::temp_dir().join(format!("mosaic_dirsource_ord_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Prefixes of one another, punctuation either side of '.', case,
+        // digits of unequal width, a space and non-ASCII bytes.
+        let names =
+            ["t000010", "t00001", "t0000100", "a", "a-b", "a.b", "a b", "A", "ab", "é", "z", "_"];
+        for name in names {
+            std::fs::write(dir.join(format!("{name}.mdf")), b"x").unwrap();
+        }
+        let source = DirSource::scan(&dir).unwrap();
+        let mut by_path = source.paths().to_vec();
+        by_path.sort();
+        assert_eq!(source.paths(), &by_path[..]);
+        assert_eq!(source.len(), names.len());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -40,26 +40,25 @@ impl AppStability {
 /// at least `min_runs` runs are reported (stability of a single run is
 /// vacuous).
 pub fn app_stability(outcomes: &[RunOutcome], min_runs: usize) -> Vec<AppStability> {
-    let groups = group_by_app(outcomes.iter().map(|o| o.app_key.clone()));
+    let groups = group_by_app(outcomes.iter().map(|o| &o.app_key));
     let mut out = Vec::new();
     for (app, positions) in groups {
         if positions.len() < min_runs {
             continue;
         }
         let mut freq: BTreeMap<&BTreeSet<Category>, usize> = BTreeMap::new();
-        for &p in &positions {
-            *freq.entry(&outcomes[p].report.categories).or_insert(0) += 1;
+        for o in positions.iter().filter_map(|&p| outcomes.get(p)) {
+            *freq.entry(&o.report.categories).or_insert(0) += 1;
         }
-        let (modal_set, modal_runs) = freq
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1))
-            .map(|(s, n)| (s.clone(), n))
-            .expect("non-empty group");
+        // Ties go to the greatest set: `max_by` keeps the last maximum.
+        let Some((modal_set, modal_runs)) = freq.into_iter().max_by(|a, b| a.1.cmp(&b.1)) else {
+            continue;
+        };
         out.push(AppStability {
-            app,
+            app: app.clone(),
             runs: positions.len(),
             modal_runs,
-            modal_categories: modal_set,
+            modal_categories: modal_set.clone(),
         });
     }
     // Most-run apps first, like the paper's LAMMPS/NEK5000 discussion.
@@ -106,6 +105,84 @@ mod tests {
             end_time: 1000,
             report,
         }
+    }
+
+    /// The owned-key form [`app_stability`] replaced: every key cloned into
+    /// the grouping map, runs looked up by index.
+    fn reference_app_stability(outcomes: &[RunOutcome], min_runs: usize) -> Vec<AppStability> {
+        let groups = group_by_app(outcomes.iter().map(|o| o.app_key.clone()));
+        let mut out = Vec::new();
+        for (app, positions) in groups {
+            if positions.len() < min_runs {
+                continue;
+            }
+            let mut freq: BTreeMap<&BTreeSet<Category>, usize> = BTreeMap::new();
+            for &p in &positions {
+                *freq.entry(&outcomes[p].report.categories).or_insert(0) += 1;
+            }
+            let (modal_set, modal_runs) = freq
+                .into_iter()
+                .max_by(|a, b| a.1.cmp(&b.1))
+                .map(|(s, n)| (s.clone(), n))
+                .expect("non-empty group");
+            out.push(AppStability {
+                app,
+                runs: positions.len(),
+                modal_runs,
+                modal_categories: modal_set,
+            });
+        }
+        out.sort_by_key(|s| std::cmp::Reverse(s.runs));
+        out
+    }
+
+    #[test]
+    fn borrowed_grouping_equals_the_owned_key_reference() {
+        use mosaic_core::category::{MetadataLabel, OpKindTag};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let template = outcome(0, 0, "", 1);
+        let spike = Category::Metadata(MetadataLabel::HighSpike);
+        let periodic = Category::Periodic { kind: OpKindTag::Write };
+        // Four candidate sets, so modal-set ties are common.
+        let pool: [BTreeSet<Category>; 4] = [
+            BTreeSet::new(),
+            [spike].into_iter().collect(),
+            [periodic].into_iter().collect(),
+            [spike, periodic].into_iter().collect(),
+        ];
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let outcomes: Vec<RunOutcome> = (0..rng.gen_range(0..60usize))
+                .map(|index| {
+                    let mut o = template.clone();
+                    o.index = index;
+                    o.app_key =
+                        (rng.gen_range(0..3u32), ["x", "y"][rng.gen_range(0..2usize)].into());
+                    o.report.categories = pool[rng.gen_range(0..pool.len())].clone();
+                    o
+                })
+                .collect();
+            for min_runs in [0, 1, 2, 5] {
+                assert_eq!(
+                    app_stability(&outcomes, min_runs),
+                    reference_app_stability(&outcomes, min_runs),
+                    "seed {seed}, min_runs {min_runs}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn modal_ties_go_to_the_greatest_set() {
+        use mosaic_core::category::MetadataLabel;
+        let mut outcomes = vec![outcome(0, 1, "t", 100), outcome(1, 1, "t", 100)];
+        outcomes[1].report.categories = [Category::Metadata(MetadataLabel::HighSpike)].into();
+        let stats = app_stability(&outcomes, 1);
+        assert_eq!(stats, reference_app_stability(&outcomes, 1));
+        let greatest = outcomes.iter().map(|o| &o.report.categories).max().unwrap();
+        assert_eq!(&stats[0].modal_categories, greatest);
+        assert_eq!(stats[0].modal_runs, 1);
     }
 
     #[test]
