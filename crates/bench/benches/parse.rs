@@ -1,7 +1,7 @@
 //! Criterion: MDF encode/decode and text parse throughput — the paper's
 //! Python implementation was bottlenecked on trace loading (2 files "take
 //! too long to load"; 300 GB RAM), so format cost matters. `checksum/crc32`
-//! times the MDF CRC-32 kernel on its own.
+//! times the MDF CRC-32 kernel on its own, at 1 KiB, 6 KiB and 1 MiB.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mosaic_darshan::counter::PosixCounter as C;
@@ -56,14 +56,19 @@ fn bench_parse(c: &mut Criterion) {
 }
 
 /// The MDF checksum kernel alone: every parse runs it over the whole buffer.
+/// 1 KiB and 6 KiB are about the median and p90 `bluewaters_dir` file
+/// sizes, where the remainder after the last three-lane block weighs most.
 fn bench_crc32(c: &mut Criterion) {
     let mut group = c.benchmark_group("checksum");
     let data: Vec<u8> =
         (0..1u32 << 20).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.bench_with_input(BenchmarkId::new("crc32", "1MiB"), &data, |b, data| {
-        b.iter(|| Crc32::checksum(black_box(data)))
-    });
+    for (label, len) in [("1KiB", 1 << 10), ("6KiB", 6 << 10), ("1MiB", 1 << 20)] {
+        let data = &data[..len];
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::new("crc32", label), data, |b, data| {
+            b.iter(|| Crc32::checksum(black_box(data)))
+        });
+    }
     group.finish();
 }
 

@@ -286,6 +286,12 @@ pub fn try_to_bytes(trace: &DxtTrace) -> Result<Vec<u8>, FormatError> {
     Ok(buf.to_vec())
 }
 
+/// Smallest wire encoding of a record: id, rank and the access, open and
+/// close counts, with every list empty.
+const RECORD_WIRE_MIN_BYTES: usize = 8 + 4 + 4 + 4 + 4;
+/// Wire encoding of one access: kind, offset, length, start and end.
+const ACCESS_WIRE_BYTES: usize = 1 + 8 + 8 + 8 + 8;
+
 /// Parse MDX bytes.
 pub fn from_bytes(data: &[u8]) -> Result<DxtTrace, FormatError> {
     if data.len() < DXT_MAGIC.len() + 8 {
@@ -329,7 +335,11 @@ pub fn from_bytes(data: &[u8]) -> Result<DxtTrace, FormatError> {
             len: u64::from(n_records),
         });
     }
-    let mut records = Vec::with_capacity(u32_to_usize(n_records));
+    // A count only bounded by `MAX_*` can still ask for gigabytes from a
+    // tiny file, so each capacity is also capped at what the remaining
+    // bytes could hold at the entry's minimum wire size.
+    let mut records =
+        Vec::with_capacity(u32_to_usize(n_records).min(buf.remaining() / RECORD_WIRE_MIN_BYTES));
     for _ in 0..n_records {
         let record_id = need(&mut buf, 8, "record id")?.get_u64_le();
         let rank = need(&mut buf, 4, "rank")?.get_i32_le();
@@ -340,7 +350,8 @@ pub fn from_bytes(data: &[u8]) -> Result<DxtTrace, FormatError> {
                 len: u64::from(n_acc),
             });
         }
-        let mut accesses = Vec::with_capacity(u32_to_usize(n_acc));
+        let mut accesses =
+            Vec::with_capacity(u32_to_usize(n_acc).min(buf.remaining() / ACCESS_WIRE_BYTES));
         for _ in 0..n_acc {
             let kind = match need(&mut buf, 1, "access kind")?.get_u8() {
                 0 => OpKind::Read,

@@ -4,8 +4,9 @@
 use mosaic_core::category::{OpKindTag, TemporalityLabel};
 use mosaic_core::merge::{merge_all, merge_concurrent};
 use mosaic_core::{Categorizer, CategorizerConfig};
+use mosaic_darshan::limits::{MAX_ACCESSES, MAX_RECORDS};
 use mosaic_darshan::ops::{OpKind, Operation, OperationView};
-use mosaic_darshan::{dxt, mdf, text};
+use mosaic_darshan::{dxt, mdf, text, FormatError};
 use proptest::prelude::*;
 
 // ---- parsers must reject, never panic --------------------------------
@@ -44,6 +45,64 @@ proptest! {
         bytes.truncate(cut);
         bytes.extend(junk);
         let _ = mdf::from_bytes(&bytes);
+    }
+}
+
+/// An MDX whose header is valid and whose body is `body`, sealed with a
+/// correct CRC-32 footer so the parser gets past the checksum.
+fn sealed_mdx(body: &[u8]) -> Vec<u8> {
+    let mut bytes = dxt::DXT_MAGIC.to_vec();
+    bytes.extend_from_slice(&dxt::DXT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&0u16.to_le_bytes()); // flags
+    bytes.extend_from_slice(&1u64.to_le_bytes()); // job id
+    bytes.extend_from_slice(&2u32.to_le_bytes()); // uid
+    bytes.extend_from_slice(&4u32.to_le_bytes()); // nprocs
+    bytes.extend_from_slice(&0i64.to_le_bytes()); // start
+    bytes.extend_from_slice(&100i64.to_le_bytes()); // end
+    bytes.extend_from_slice(&0u32.to_le_bytes()); // exe length
+    bytes.extend_from_slice(body);
+    let crc = mosaic_darshan::synthutil::Crc32::checksum(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+/// The counts either side of a `MAX_*` cap, and the largest a `u32` holds.
+fn hostile_counts(max: u32) -> [u32; 4] {
+    [max - 1, max, max + 1, u32::MAX]
+}
+
+/// `dxt::from_bytes` on `bytes`, which claims `count` entries it does not
+/// carry: a count above `max` is implausible, one at or below it runs out
+/// of input. Either way the error is typed, and the claim must size no
+/// allocation: `MAX_RECORDS` records would take 5.9 GB, and a failed
+/// allocation aborts the process instead of returning an error.
+fn assert_rejects_hostile_count(bytes: &[u8], count: u32, max: u32, context: &str) {
+    match dxt::from_bytes(bytes) {
+        Err(FormatError::ImplausibleLength { context: c, len }) if count > max => {
+            assert_eq!((c, len), (context, u64::from(count)));
+        }
+        Err(FormatError::Truncated { .. }) if count <= max => {}
+        other => panic!("{context} {count}: {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_mdx_record_counts_are_typed_errors_without_a_huge_allocation() {
+    for n in hostile_counts(MAX_RECORDS) {
+        let bytes = sealed_mdx(&n.to_le_bytes());
+        assert_rejects_hostile_count(&bytes, n, MAX_RECORDS, "record count");
+    }
+}
+
+#[test]
+fn hostile_mdx_access_counts_are_typed_errors_without_a_huge_allocation() {
+    for n in hostile_counts(MAX_ACCESSES) {
+        let mut body = 1u32.to_le_bytes().to_vec(); // one record
+        body.extend_from_slice(&7u64.to_le_bytes()); // record id
+        body.extend_from_slice(&0i32.to_le_bytes()); // rank
+        body.extend_from_slice(&n.to_le_bytes());
+        let bytes = sealed_mdx(&body);
+        assert_rejects_hostile_count(&bytes, n, MAX_ACCESSES, "access count");
     }
 }
 
