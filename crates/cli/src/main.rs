@@ -87,7 +87,6 @@ USAGE:
   mosaic verify    [--all | --differential --metamorphic --golden]
                    [--bless] [--golden-dir DIR] [--json]
   mosaic lint      [--format text|json] [--root DIR] [--sarif FILE]
-                   [--debt [--top N]]
   mosaic help
 
 SUBCOMMANDS:
@@ -103,11 +102,8 @@ SUBCOMMANDS:
   diff          workload drift between two datasets (category-share drift)
   watch         incrementally analyze a growing directory of .mdf files
   verify        differential / metamorphic / golden-snapshot conformance
-  lint          enforce the invariants clippy cannot: call-graph
-                panic-reachability (L5), unit consistency (L7),
-                wire-taint dataflow (L8), Relaxed-only atomics (L10),
-                lock discipline (L11);
-                --debt ranks functions by complexity x git churn instead
+  lint          enforce the invariants clippy cannot: unit consistency
+                (L7), Relaxed-only atomics (L10), lock discipline (L11)
 
 OPTIONS:
   --n N            dataset size in traces          (default 10000)
@@ -144,8 +140,6 @@ OPTIONS:
   --format F       lint: output format, `text` or `json`  (default text)
   --root DIR       lint: workspace root (default: nearest [workspace] manifest)
   --sarif FILE     lint: additionally write a stable SARIF 2.1.0 document
-  --debt           lint: technical-debt report instead of findings (exit 0)
-  --top N          lint: rows in the markdown debt table     (default 10)
 ";
 
 /// `mosaic lint`: run the workspace invariant linter (see `crates/lint`).

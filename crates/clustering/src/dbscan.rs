@@ -29,6 +29,11 @@ impl Dbscan {
 
     /// Run DBSCAN. Unclustered points get [`Clustering::NOISE`]; centers are
     /// the centroids of each cluster's members.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index is the loop's own 0..n or one neighbors() yields from 0..n, and \
+                  n == points.len() == labels.len() == visited.len()"
+    )]
     pub fn fit<const D: usize>(&self, points: &[[f64; D]]) -> Clustering<D> {
         let n = points.len();
         let eps2 = self.eps * self.eps;
@@ -37,16 +42,13 @@ impl Dbscan {
         let mut next_cluster = 0usize;
 
         let neighbors = |i: usize| -> Vec<usize> {
-            // lint: allow(panic, "i and j range over 0..n == points.len()")
             (0..n).filter(|&j| dist2(&points[i], &points[j]) <= eps2).collect()
         };
 
         for i in 0..n {
-            // lint: allow(panic, "i ranges over 0..n == visited.len()")
             if visited[i] {
                 continue;
             }
-            // lint: allow(panic, "i ranges over 0..n == visited.len() == labels.len()")
             visited[i] = true;
             let nbrs = neighbors(i);
             if nbrs.len() < self.min_pts {
@@ -54,24 +56,18 @@ impl Dbscan {
             }
             let cluster = next_cluster;
             next_cluster += 1;
-            // lint: allow(panic, "i ranges over 0..n == labels.len()")
             labels[i] = cluster;
             let mut frontier = nbrs;
             while let Some(j) = frontier.pop() {
-                // lint: allow(panic, "j comes from neighbors(), which yields indices in 0..n == labels.len()")
                 if labels[j] == Clustering::<D>::NOISE {
-                    // lint: allow(panic, "j comes from neighbors(), which yields indices in 0..n == labels.len()")
                     labels[j] = cluster; // border point
                 }
-                // lint: allow(panic, "j comes from neighbors(), which yields indices in 0..n == visited.len()")
                 if visited[j] {
                     continue;
                 }
-                // lint: allow(panic, "j comes from neighbors(), which yields indices in 0..n == visited.len()")
                 visited[j] = true;
                 let jn = neighbors(j);
                 if jn.len() >= self.min_pts {
-                    // lint: allow(panic, "j comes from neighbors(), which yields indices in 0..n == labels.len()")
                     labels[j] = cluster;
                     frontier.extend(jn);
                 }

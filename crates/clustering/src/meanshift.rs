@@ -207,19 +207,19 @@ impl MeanShift {
         let mut counts: Vec<usize> = Vec::new();
         let mut labels = Vec::with_capacity(points.len());
         for mode in &converged {
-            let found =
-                centers.iter().enumerate().find(|(_, c)| dist2(mode, c) <= merge2).map(|(i, _)| i);
+            let found = centers
+                .iter_mut()
+                .zip(counts.iter_mut())
+                .enumerate()
+                .find(|(_, (c, _))| dist2(mode, c) <= merge2);
             match found {
-                Some(i) => {
+                Some((i, (center, count))) => {
                     // Running average keeps the fused mode centered.
-                    // lint: allow(panic, "i comes from centers.iter().enumerate(); counts grows in lockstep with centers")
-                    let n = counts[i] as f64;
-                    for d in 0..D {
-                        // lint: allow(panic, "i comes from centers.iter().enumerate(); d < D indexes [f64; D]")
-                        centers[i][d] = (centers[i][d] * n + mode[d]) / (n + 1.0);
+                    let n = *count as f64;
+                    for (c, m) in center.iter_mut().zip(mode) {
+                        *c = (*c * n + m) / (n + 1.0);
                     }
-                    // lint: allow(panic, "i comes from centers.iter().enumerate(); counts grows in lockstep with centers")
-                    counts[i] += 1;
+                    *count += 1;
                     labels.push(i);
                 }
                 None => {
@@ -364,7 +364,7 @@ impl<'a, const D: usize> Grid<'a, D> {
             blocks.push((Block::new(arena.get(span.clone()).unwrap_or_default()), span));
             blocks.len() - 1
         });
-        // lint: allow(panic, "`built` only holds indices of pushed blocks")
+        #[expect(clippy::indexing_slicing, reason = "`built` only holds indices of pushed blocks")]
         let (block, span) = &blocks[at];
         (block, arena.get(span.clone()).unwrap_or_default())
     }
@@ -451,8 +451,8 @@ pub mod reference {
                 Kernel::Flat => 1.0,
                 Kernel::Gaussian => (-d2 / (2.0 * h2)).exp(),
             };
-            for i in 0..D {
-                num[i] += w * p[i];
+            for (n, x) in num.iter_mut().zip(p) {
+                *n += w * x;
             }
             den += w;
         }

@@ -5,12 +5,9 @@
 //! bomb is a 12-byte file whose header promises four billion records and
 //! makes `Vec::with_capacity` do the damage. Every parser therefore compares
 //! each untrusted length against a named `MAX_*` plausibility bound from this
-//! module *before* the length sizes an allocation.
-//!
-//! Centralizing the bounds here (rather than per-parser `const`s) gives the
-//! static analysis a single anchor: **L8 (wire-taint)** accepts a comparison
-//! against a `MAX_*` constant as the sanitizer that lets a wire-read length
-//! reach an allocation sink.
+//! module, and caps any capacity a length sizes at the remaining input bytes
+//! over the entry's minimum encoded size, so no allocation is sized from a
+//! wire count alone.
 //!
 //! The bounds are plausibility limits, not correctness limits: a legitimate
 //! Blue Waters-scale log (the MOSAIC paper's corpus is 462k logs) sits orders

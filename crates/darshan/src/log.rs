@@ -124,6 +124,10 @@ impl TraceLogBuilder {
     }
 
     /// Mutable access to a record under construction.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a handle is only minted by begin_record, after its push, and records are never removed"
+    )]
     pub fn record_mut(&mut self, h: RecordHandle) -> &mut PosixRecord {
         &mut self.records[h.0]
     }

@@ -58,6 +58,7 @@ pub const NAME_WIRE_MIN_BYTES: usize = 8 + 2;
 /// known to fit their length prefixes (anything a parser or builder in this
 /// workspace produced). Panics only on fields past `u32::MAX`/`u16::MAX`
 /// bytes, which no representable encoding could carry.
+#[expect(clippy::expect_used, reason = "the documented panic of this convenience wrapper")]
 pub fn to_bytes(log: &TraceLog) -> Vec<u8> {
     try_to_bytes(log).expect("trace exceeds MDF wire limits")
 }

@@ -3,22 +3,14 @@
 use std::fmt;
 
 /// Which invariant a finding violates. The numbers missing here (L2
-/// determinism, L3 unsafe, L4 `EvictReason` exhaustiveness, L6 lossy casts)
-/// are rustc's and clippy's; see CONTRIBUTING.md.
+/// determinism, L3 unsafe, L4 `EvictReason` exhaustiveness, L5 panic sites,
+/// L6 lossy casts) are rustc's and clippy's, and L8's wire-sized
+/// allocations are bounded in the parsers; see CONTRIBUTING.md.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// L5 — transitive panic-reachability: no panic site in any function
-    /// reachable (over the workspace call graph) from an untrusted-input
-    /// entry point. Supersedes the old per-file L1 allowlist.
-    PanicReachability,
     /// L7 — unit consistency: no `+`/`-` arithmetic mixing byte-volume and
     /// seconds-duration identifiers.
     UnitMix,
-    /// L8 — wire-taint dataflow: a length read off the wire must be
-    /// compared against a named `limits::MAX_*` guard constant before it
-    /// sizes an allocation (`with_capacity`, `reserve`, `vec![x; n]`,
-    /// slice-range bounds), on every interprocedural path.
-    WireTaint,
     /// L10 — atomics discipline: production code names no ordering but
     /// `Relaxed` and calls no fence, and a consumed `Relaxed`
     /// read-modify-write carries an audited proof that it is a pure counter.
@@ -40,9 +32,7 @@ impl Rule {
     /// Stable machine-readable identifier.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::PanicReachability => "L5/panic-reachability",
             Rule::UnitMix => "L7/unit-consistency",
-            Rule::WireTaint => "L8/wire-taint",
             Rule::AtomicsDiscipline => "L10/atomics-discipline",
             Rule::LockDiscipline => "L11/lock-discipline",
             Rule::MalformedAllow => "allow-syntax",
@@ -54,9 +44,7 @@ impl Rule {
     /// any. The allow machinery itself has no per-line escape hatch.
     pub fn allow_key(self) -> Option<&'static str> {
         match self {
-            Rule::PanicReachability => Some("panic"),
             Rule::UnitMix => Some("unit"),
-            Rule::WireTaint => Some("taint"),
             Rule::AtomicsDiscipline | Rule::LockDiscipline => Some("sync"),
             Rule::MalformedAllow | Rule::UnusedAllow => None,
         }
@@ -65,13 +53,7 @@ impl Rule {
     /// One-line rule description for report metadata (SARIF `rules` table).
     pub fn short_description(self) -> &'static str {
         match self {
-            Rule::PanicReachability => {
-                "No panic site reachable from an untrusted-input entry point"
-            }
             Rule::UnitMix => "No arithmetic mixing byte-volume and seconds identifiers",
-            Rule::WireTaint => {
-                "Wire-read lengths must be MAX_*-guard-dominated before sizing allocations"
-            }
             Rule::AtomicsDiscipline => "Relaxed-only atomics, no fences, audited consumed RMWs",
             Rule::LockDiscipline => {
                 "No guard live across fan-out, acyclic lock order, PoisonError::into_inner"
@@ -84,9 +66,7 @@ impl Rule {
 
 /// Every rule, in report order — keep in sync with the `Rule` enum.
 pub const ALL_RULES: &[Rule] = &[
-    Rule::PanicReachability,
     Rule::UnitMix,
-    Rule::WireTaint,
     Rule::AtomicsDiscipline,
     Rule::LockDiscipline,
     Rule::MalformedAllow,
@@ -255,10 +235,10 @@ mod tests {
                     message: "duration + bytes".into(),
                 },
                 Finding {
-                    rule: Rule::PanicReachability,
+                    rule: Rule::LockDiscipline,
                     file: "a.rs".into(),
                     line: 9,
-                    message: "`.unwrap()`".into(),
+                    message: "`.lock().unwrap()`".into(),
                 },
             ],
             files_scanned: 2,
@@ -278,7 +258,7 @@ mod tests {
     fn json_is_stable_and_escaped() {
         let mut r = sample();
         r.findings.push(Finding {
-            rule: Rule::WireTaint,
+            rule: Rule::AtomicsDiscipline,
             file: "c.rs".into(),
             line: 1,
             message: "quote \" backslash \\ newline \n".into(),
@@ -289,7 +269,7 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\\\" backslash \\\\ newline \\n"));
         assert!(a.contains("\"files_scanned\": 2"));
-        assert!(a.contains("\"L8/wire-taint\""));
+        assert!(a.contains("\"L10/atomics-discipline\""));
     }
 
     #[test]
@@ -303,7 +283,7 @@ mod tests {
     #[test]
     fn text_has_clickable_anchors() {
         let text = sample().render_text();
-        assert!(text.contains("a.rs:9: [L5/panic-reachability]"));
+        assert!(text.contains("a.rs:9: [L11/lock-discipline]"));
     }
 
     #[test]
@@ -329,9 +309,7 @@ mod tests {
         assert_eq!(
             ids,
             [
-                "L5/panic-reachability",
                 "L7/unit-consistency",
-                "L8/wire-taint",
                 "L10/atomics-discipline",
                 "L11/lock-discipline",
                 "allow-syntax",

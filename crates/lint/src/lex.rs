@@ -236,8 +236,7 @@ fn skip_raw_string(b: &[u8], mut i: usize, line: &mut u32) -> usize {
 }
 
 /// Line ranges (inclusive) covered by `#[cfg(test)]` items — test modules
-/// and test-only functions are exempt from the panic/determinism rules: a
-/// panicking test *is* the failure signal, not a production crash.
+/// and test-only functions are exempt from the unit and lock rules.
 pub fn test_line_ranges(lexed: &Lexed) -> Vec<(u32, u32)> {
     let toks = &lexed.tokens;
     let mut ranges = Vec::new();
@@ -367,7 +366,7 @@ mod tests {
 
     #[test]
     fn comments_are_captured_with_lines() {
-        let src = "foo();\n// lint: allow(panic, \"safe\")\nbar();\n";
+        let src = "foo();\n// lint: allow(unit, \"safe\")\nbar();\n";
         let lexed = lex(src);
         assert_eq!(lexed.comments.len(), 1);
         assert_eq!(lexed.comments[0].0, 2);

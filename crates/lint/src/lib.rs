@@ -5,25 +5,12 @@
 //!
 //! A self-hosted static-analysis pass over every `.rs` file in the
 //! workspace, for the invariants no stock lint can express. On top of a
-//! hand-rolled tokenizer ([`lex`]) sits a lightweight item/function parser
-//! ([`parse`]) and a workspace call graph ([`graph`]), which make the
-//! rules *semantic*:
+//! hand-rolled tokenizer ([`lex`]) sits a lightweight `fn`-item parser
+//! ([`parse`]) that hands the lock rule its function bodies:
 //!
-//! - **L5 transitive panic-reachability**: no panic site (`unwrap`/
-//!   `expect`, panicking macros, slice indexing) in *any function
-//!   reachable over the call graph* from the untrusted-input entry
-//!   points (darshan parsers, pipeline drivers). Findings name the call
-//!   path. Supersedes the old per-file L1 allowlist. Escape hatch:
-//!   `// lint: allow(panic, "<proof>")`.
 //! - **L7 unit consistency**: no `+`/`-` arithmetic mixing byte-volume
 //!   and seconds-duration identifiers; keep the axes apart or audit with
 //!   `allow(unit, …)`.
-//! - **L8 wire-taint dataflow** ([`dataflow`]): a length read off the
-//!   wire by the binary parsers must be compared against a named
-//!   `limits::MAX_*` guard constant before it sizes an allocation
-//!   (`with_capacity`, `reserve`, `vec![x; n]`, slice-range bounds),
-//!   on every interprocedural path; findings print the full taint
-//!   path. Escape hatch: `// lint: allow(taint, "<proof>")`.
 //! - **L10 atomics discipline** ([`sync`]): the concurrency rule
 //!   DESIGN.md writes down — production atomics are `Relaxed` counters.
 //!   An atomic call naming `Acquire`, `Release`, `AcqRel` or `SeqCst` in
@@ -40,30 +27,26 @@
 //! - **unused-allow**: a `lint: allow` that suppresses nothing is
 //!   itself reported, so audited escape hatches cannot go stale.
 //!
-//! `--debt` flips the linter from gate to observability surface: a
-//! hotspots/debtmap-style report ([`debt`]) ranking every workspace
-//! function by cyclomatic-ish complexity × git churn.
-//!
-//! Test code (`#[cfg(test)]` items) is exempt from L5/L7: a panicking
-//! test *is* the failure signal. L10 also leaves the files of `tests/` and
-//! `benches/` targets alone; L11 does not, since a deadlock there wedges CI.
+//! Test code (`#[cfg(test)]` items) is exempt from L7. L10 also leaves
+//! the files of `tests/` and `benches/` targets alone; L11 does not,
+//! since a deadlock there wedges CI.
 //!
 //! Determinism (no `HashMap`/`HashSet` or clock reads), unsafe hygiene,
-//! `EvictReason` match exhaustiveness and lossy-cast safety are rustc's
+//! `EvictReason` match exhaustiveness, lossy casts and panic sites
+//! (indexing, slicing, `unwrap`/`expect`, panicking macros) are rustc's
 //! and clippy's job: the root `clippy.toml`, the `EvictReason` impl's
-//! `#[deny]`, the `darshan`/`core`/`pipeline` crate roots and CI's
-//! `-F unsafe_code` (see CONTRIBUTING.md). Their audited exceptions are
+//! `#[deny]`, the crate-root `cfg_attr`s and CI's `-F unsafe_code` (see
+//! CONTRIBUTING.md). Their audited exceptions are
 //! `#[expect(clippy::…, reason = "…")]`, kept fresh by rustc's
-//! `unfulfilled_lint_expectations`.
+//! `unfulfilled_lint_expectations`. Allocations sized from a wire count
+//! are bounded by construction in the parsers: the capacity is capped at
+//! the remaining input bytes over the minimum encoded size.
 //!
 //! The crate is deliberately dependency-free so it builds with a bare
 //! `rustc` on machines with no crates registry access; JSON output is
 //! hand-rolled with a fixed key order so reports are byte-stable.
 
-pub mod dataflow;
-pub mod debt;
 pub mod findings;
-pub mod graph;
 pub mod lex;
 pub mod parse;
 pub mod rules;
@@ -158,15 +141,11 @@ pub const EXIT_ERROR: i32 = 2;
 /// Shared CLI driver used by both the standalone `mosaic-lint` binary and
 /// the `mosaic lint` subcommand. Accepts `--format text|json`,
 /// `--root <dir>`, `--sarif <path>` (additionally write a stable SARIF
-/// 2.1.0 document), `--debt` (technical-debt report instead of findings)
-/// and `--top <n>` (rows in the markdown debt table); returns the process
-/// exit code.
+/// 2.1.0 document); returns the process exit code.
 pub fn cli_main(args: &[String]) -> i32 {
     let mut format = "text".to_owned();
     let mut root_arg: Option<PathBuf> = None;
     let mut sarif_path: Option<PathBuf> = None;
-    let mut debt = false;
-    let mut top = 10usize;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -195,34 +174,20 @@ pub fn cli_main(args: &[String]) -> i32 {
                     return EXIT_ERROR;
                 }
             },
-            "--debt" => debt = true,
-            "--top" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => top = n,
-                _ => {
-                    eprintln!("mosaic-lint: --top requires a number");
-                    return EXIT_ERROR;
-                }
-            },
             "--help" | "-h" => {
                 println!(
-                    "usage: mosaic-lint [--format text|json] [--root <dir>] [--sarif <path>]\n\
-                     \x20                  [--debt [--top <n>]]\n\n\
+                    "usage: mosaic-lint [--format text|json] [--root <dir>] [--sarif <path>]\n\n\
                      Enforces the Mosaic workspace invariants no stock lint\n\
-                     covers: L5 call-graph panic-reachability from untrusted-input\n\
-                     entry points, L7 unit consistency,\n\
-                     L8 wire-taint dataflow (untrusted lengths must be\n\
-                     MAX_*-guard-dominated before sizing allocations),\n\
+                     covers: L7 unit consistency,\n\
                      L10 atomics discipline (Relaxed-only orderings, no fences,\n\
                      audited consumed RMWs), L11 lock discipline (no guard\n\
                      across fan-out, acyclic lock order, poison parity), and\n\
                      unused-allow staleness. Exits 0 when clean, 1 on findings.\n\
-                     Determinism, unsafe code, EvictReason exhaustiveness and\n\
-                     lossy casts are checked by `cargo clippy` (CONTRIBUTING.md).\n\n\
+                     Determinism, unsafe code, EvictReason exhaustiveness,\n\
+                     lossy casts and panic sites are checked by `cargo clippy`\n\
+                     (CONTRIBUTING.md).\n\n\
                      --sarif <path> additionally writes the findings as a\n\
-                     stable SARIF 2.1.0 document (for CI artifact upload).\n\n\
-                     --debt ranks every workspace function by complexity x git\n\
-                     churn instead (markdown top-N table, or full JSON with\n\
-                     --format json); always exits 0."
+                     stable SARIF 2.1.0 document (for CI artifact upload)."
                 );
                 return EXIT_CLEAN;
             }
@@ -252,21 +217,6 @@ pub fn cli_main(args: &[String]) -> i32 {
             }
         }
     };
-
-    if debt {
-        let report = match debt::debt_report(&root) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("mosaic-lint: failed to scan {}: {e}", root.display());
-                return EXIT_ERROR;
-            }
-        };
-        match format.as_str() {
-            "json" => print!("{}", report.to_json()),
-            _ => print!("{}", report.to_markdown(top)),
-        }
-        return EXIT_CLEAN;
-    }
 
     let report = match scan_workspace(&root) {
         Ok(r) => r,
@@ -298,7 +248,7 @@ mod tests {
     use super::*;
 
     /// The linter must pass on its own workspace: zero findings, with every
-    /// surviving panic/unit/taint/sync site carrying a justified allow. Run
+    /// surviving unit/sync site carrying a justified allow. Run
     /// from the source tree (the test binary's cwd or CARGO_MANIFEST_DIR).
     #[test]
     fn workspace_is_clean() {

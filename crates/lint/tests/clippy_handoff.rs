@@ -1,5 +1,6 @@
 //! The rules `mosaic lint` handed to rustc and clippy (L2 determinism, L3
-//! unsafe, L4 `EvictReason` exhaustiveness, L6 lossy casts) are enforced
+//! unsafe, L4 `EvictReason` exhaustiveness, L5 panic sites, L6 lossy
+//! casts) are enforced
 //! by configuration: the root `clippy.toml`, attributes on a few crate
 //! roots and on `impl EvictReason`, and the flags of CI's clippy step.
 //! `cargo test` does not run clippy, so these tests pin that wiring: a
@@ -24,6 +25,35 @@ const REPLACEMENT_LINTS: &[&str] = &[
     "unsafe_code",
     "unfulfilled_lint_expectations",
     "allow_attributes_without_reason",
+    "indexing_slicing",
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+];
+
+/// The restriction lints that replaced L5's panic reachability.
+const PANIC_LINTS: &[&str] = &[
+    "clippy::indexing_slicing",
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+    "clippy::unreachable",
+    "clippy::todo",
+    "clippy::unimplemented",
+];
+
+/// The crate roots whose production code is under the panic lints: every
+/// crate a hostile trace flows through, from parse to report.
+const PANIC_ROOTS: &[&str] = &[
+    "crates/clustering/src/lib.rs",
+    "crates/core/src/lib.rs",
+    "crates/darshan/src/lib.rs",
+    "crates/obs/src/lib.rs",
+    "crates/pipeline/src/lib.rs",
+    "crates/signal/src/lib.rs",
 ];
 
 /// The crate roots that opt out of the determinism lints: their output
@@ -248,6 +278,44 @@ fn fixture_opts_into_the_cast_lints_like_the_production_roots() {
     assert_eq!(cast(&fixture), cast(&production));
 }
 
+/// The `#![cfg_attr(not(test), warn(…))]` of `rel` that names the panic
+/// lints, whitespace removed.
+fn panic_lint_attribute(rel: &str) -> Option<String> {
+    attributes(&read(rel), "#![cfg_attr(").into_iter().find(|a| a.contains("indexing_slicing"))
+}
+
+#[test]
+fn panic_lints_are_on_at_the_six_roots() {
+    for rel in PANIC_ROOTS {
+        let attr = panic_lint_attribute(rel)
+            .unwrap_or_else(|| panic!("{rel} does not opt into the panic lints"));
+        // Test code stays exempt, as it was under L5.
+        assert!(attr.starts_with("#![cfg_attr(not(test),warn("), "{rel}: {attr}");
+        for lint in PANIC_LINTS {
+            assert!(attr.contains(lint), "{rel} lacks {lint}: {attr}");
+        }
+    }
+    // No other crate root opts in: the set is the parse-to-report path.
+    let opted_in: Vec<String> = workspace_files()
+        .into_iter()
+        .filter(|f| f.rel.ends_with("/src/lib.rs") && panic_lint_attribute(&f.rel).is_some())
+        .map(|f| f.rel)
+        .collect();
+    assert_eq!(opted_in, PANIC_ROOTS);
+}
+
+/// As with the cast lints, the fixture proves the panic lints fire only
+/// if it switches them on the way the production roots do.
+#[test]
+fn fixture_opts_into_the_panic_lints_like_the_production_roots() {
+    let production = panic_lint_attribute(PANIC_ROOTS[0]);
+    assert!(production.is_some());
+    for rel in PANIC_ROOTS {
+        assert_eq!(panic_lint_attribute(rel), production, "{rel}");
+    }
+    assert_eq!(panic_lint_attribute(&format!("{FIXTURE_DIR}/src/lib.rs")), production);
+}
+
 /// The attribute written directly above `impl EvictReason {`.
 fn evict_reason_impl_attribute(rel: &str) -> String {
     let text = read(rel);
@@ -336,6 +404,13 @@ fn fixture_has_a_bad_snippet_for_each_demanded_lint() {
             // One audited expectation that holds, one stale one.
             "unfulfilled_lint_expectations" => src.matches("#[expect(").count() >= 2,
             "allow_attributes_without_reason" => reasonless_allows >= 1,
+            "indexing_slicing" => src.contains("data[0]") && src.contains("&data[1..8]"),
+            "unwrap_used" => src.contains(".unwrap()"),
+            "expect_used" => src.contains(".expect(\""),
+            "panic" => src.contains("panic!("),
+            "unreachable" => src.contains("unreachable!("),
+            "todo" => src.contains("todo!()"),
+            "unimplemented" => src.contains("unimplemented!()"),
             other => panic!("CI demands {other} but this test knows no snippet for it"),
         };
         assert!(drawn, "the clippy fixture has no snippet for {lint}");
@@ -467,8 +542,8 @@ fn readme_rule_table_matches_the_linters_rules() {
     assert_eq!(listed, l_rules);
 }
 
-/// The `cast`, `nondeterminism` and `unsafe` keys are gone; no source or
-/// contributor doc may still show one.
+/// The `cast`, `nondeterminism`, `unsafe`, `panic` and `taint` keys are
+/// gone; no source or contributor doc may still show one.
 #[test]
 fn no_lint_allow_comment_uses_a_retired_key() {
     let mut files = workspace_files();
@@ -476,7 +551,7 @@ fn no_lint_allow_comment_uses_a_retired_key() {
         files.push(FileInput { rel: rel.to_owned(), text: read(rel) });
     }
     for FileInput { rel, text } in files {
-        for key in ["cast", "nondeterminism", "unsafe"] {
+        for key in ["cast", "nondeterminism", "unsafe", "panic", "taint"] {
             assert!(
                 !text.contains(&format!("lint: allow({key}")),
                 "{rel} still uses `lint: allow({key}`"

@@ -1,15 +1,15 @@
 //! Known-bad fixture for the escape hatch itself: `lint: allow`
 //! directives that are missing a justification, use an unknown rule key,
 //! or do not parse at all. None of these may suppress anything.
-//! Linted under the pretend path `crates/darshan/src/mdf.rs`.
+//! Linted under the pretend path `crates/darshan/src/text.rs`.
 
-pub fn parse(data: &[u8]) -> u8 {
-    // lint: allow(panic)
-    let a = data.first().unwrap();
-    // lint: allow(panic, unquoted words)
-    let b = data.last().unwrap();
+pub fn score(start_time: f64, total_bytes: f64) -> f64 {
+    // lint: allow(unit)
+    let a = total_bytes + start_time;
+    // lint: allow(unit, unquoted words)
+    let b = start_time - total_bytes;
     // lint: allow(frobnication, "not a rule")
-    let c = data.iter().next().unwrap();
+    let c = total_bytes - start_time;
     // lint: allowance("nonsense")
     a + b + c
 }

@@ -1,4 +1,4 @@
-//! Known-bad snippets, one per retired mosaic-lint rule, plus one audited
+//! Known-bad snippets, one per lint of each retired mosaic-lint rule, plus one audited
 //! and one stale `#[expect]`. Every item here must draw the lint its
 //! comment names when clippy runs with the workspace's CI flags.
 
@@ -6,6 +6,19 @@
 #![cfg_attr(
     not(test),
     warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+// L5: the same crate-root opt-in as the six parse-to-report crates.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
 )]
 
 use std::collections::{HashMap, HashSet};
@@ -78,6 +91,37 @@ pub fn casts(len: u64, count: i64) -> f64 {
     #[expect(clippy::cast_possible_truncation, reason = "stale: nothing here truncates")]
     let widened = len as f64;
     f64::from(narrowed) + unsigned as f64 + wrapped as f64 + f64::from(audited) + widened
+}
+
+/// L5 → `indexing_slicing`: an index and a slice a hostile length can
+/// push out of bounds.
+pub fn header(data: &[u8]) -> (u8, &[u8]) {
+    (data[0], &data[1..8])
+}
+
+/// L5 → `unwrap_used` and `expect_used`.
+pub fn counts(a: Option<u32>, b: Result<u32, String>) -> u32 {
+    a.unwrap() + b.expect("a count")
+}
+
+/// L5 → `panic` and `unreachable`: aborting on a bad tag instead of
+/// returning a typed error.
+pub fn module(tag: u8) -> &'static str {
+    match tag {
+        0 => "posix",
+        1 => panic!("retired module tag"),
+        _ => unreachable!("unknown module tag"),
+    }
+}
+
+/// L5 → `todo`.
+pub fn dxt_stride() -> usize {
+    todo!()
+}
+
+/// L5 → `unimplemented`.
+pub fn mpiio_stride() -> usize {
+    unimplemented!()
 }
 
 /// `allow_attributes_without_reason`: every allow must state its proof.

@@ -2,7 +2,7 @@
 //! longer suppresses anything is itself a finding.
 //! Linted under the pretend path `crates/core/src/merge.rs`.
 
-pub fn tidy(x: u64) -> u64 {
-    // lint: allow(panic, "stale: there is no panic here any more")
-    x + 1
+pub fn tidy(total_bytes: u64) -> u64 {
+    // lint: allow(unit, "stale: there is no unit mix here any more")
+    total_bytes + 1
 }

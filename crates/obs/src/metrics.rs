@@ -417,14 +417,20 @@ impl PipelineMetrics {
     }
 
     /// The latency summary (nanoseconds per call) of `stage`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "enum-derived index: Stage::index() < Stage::ALL.len() by construction"
+    )]
     pub(crate) fn stage_latency(&self, stage: Stage) -> &Summary {
-        // lint: allow(panic, "enum-derived index: Stage::index() < Stage::ALL.len() by construction")
         &self.stage_latency[stage.index()]
     }
 
     /// The byte counter of `stage`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "enum-derived index: Stage::index() < Stage::ALL.len() by construction"
+    )]
     pub(crate) fn stage_bytes(&self, stage: Stage) -> &Counter {
-        // lint: allow(panic, "enum-derived index: Stage::index() < Stage::ALL.len() by construction")
         &self.stage_bytes[stage.index()]
     }
 

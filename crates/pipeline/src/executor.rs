@@ -370,6 +370,10 @@ pub(crate) fn ingest_one(
 /// A memoized Rayon pool per explicit thread count. Building a pool spawns
 /// OS threads; repeated [`process`] calls with the same `threads: Some(n)`
 /// must not pay that cost (or leak threads) every time.
+#[expect(
+    clippy::expect_used,
+    reason = "pool construction fails only on OS thread-spawn exhaustion at startup, not on trace input"
+)]
 fn pool_for(n: usize) -> Arc<rayon::ThreadPool> {
     static POOLS: OnceLock<Mutex<BTreeMap<usize, Arc<rayon::ThreadPool>>>> = OnceLock::new();
     let registry = POOLS.get_or_init(|| Mutex::new(BTreeMap::new()));
@@ -383,7 +387,6 @@ fn pool_for(n: usize) -> Arc<rayon::ThreadPool> {
                 rayon::ThreadPoolBuilder::new()
                     .num_threads(n)
                     .build()
-                    // lint: allow(panic, "pool construction fails only on OS thread-spawn exhaustion at startup, not on trace input")
                     .expect("thread pool construction"),
             )
         })

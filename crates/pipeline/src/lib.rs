@@ -49,6 +49,21 @@
     not(test),
     warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
 )]
+// Panic safety: a hostile trace must become a typed funnel error, never a
+// crash. Production code neither indexes, slices nor unwraps without an
+// audited `#[expect]` naming its proof. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod dedup;
 pub mod executor;

@@ -75,6 +75,7 @@ impl ResultSnapshot {
 
     /// Canonical JSON: pretty-printed, with every map ordered. Equal
     /// snapshots always render to byte-identical strings.
+    #[expect(clippy::expect_used, reason = "maps, strings and integers always serialize")]
     pub fn to_canonical_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("snapshot serialization cannot fail")
     }

@@ -4,7 +4,7 @@
 use mosaic_core::category::{OpKindTag, TemporalityLabel};
 use mosaic_core::merge::{merge_all, merge_concurrent};
 use mosaic_core::{Categorizer, CategorizerConfig};
-use mosaic_darshan::limits::{MAX_ACCESSES, MAX_RECORDS};
+use mosaic_darshan::limits::{MAX_ACCESSES, MAX_EXE_LEN, MAX_NAMES, MAX_RECORDS};
 use mosaic_darshan::ops::{OpKind, Operation, OperationView};
 use mosaic_darshan::{dxt, mdf, text, FormatError};
 use proptest::prelude::*;
@@ -71,18 +71,22 @@ fn hostile_counts(max: u32) -> [u32; 4] {
     [max - 1, max, max + 1, u32::MAX]
 }
 
-/// `dxt::from_bytes` on `bytes`, which claims `count` entries it does not
-/// carry: a count above `max` is implausible, one at or below it runs out
-/// of input. Either way the error is typed, and the claim must size no
-/// allocation: `MAX_RECORDS` records would take 5.9 GB, and a failed
-/// allocation aborts the process instead of returning an error.
-fn assert_rejects_hostile_count(bytes: &[u8], count: u32, max: u32, context: &str) {
-    match dxt::from_bytes(bytes) {
-        Err(FormatError::ImplausibleLength { context: c, len }) if count > max => {
-            assert_eq!((c, len), (context, u64::from(count)));
-        }
-        Err(FormatError::Truncated { .. }) if count <= max => {}
-        other => panic!("{context} {count}: {other:?}"),
+/// The error a parser must return for a header claiming `count` entries
+/// it does not carry: a count above `max` is implausible (`context`), one
+/// at or below it runs out of input at the field named `truncated`.
+/// Either way the claim must size no allocation: `MAX_RECORDS` MDX
+/// records would take 5.9 GB, and a failed allocation aborts the process
+/// instead of returning an error.
+fn hostile_count_error(
+    count: u32,
+    max: u32,
+    context: &'static str,
+    truncated: &'static str,
+) -> FormatError {
+    if count > max {
+        FormatError::ImplausibleLength { context, len: u64::from(count) }
+    } else {
+        FormatError::Truncated { context: truncated }
     }
 }
 
@@ -90,19 +94,103 @@ fn assert_rejects_hostile_count(bytes: &[u8], count: u32, max: u32, context: &st
 fn hostile_mdx_record_counts_are_typed_errors_without_a_huge_allocation() {
     for n in hostile_counts(MAX_RECORDS) {
         let bytes = sealed_mdx(&n.to_le_bytes());
-        assert_rejects_hostile_count(&bytes, n, MAX_RECORDS, "record count");
+        let expected = hostile_count_error(n, MAX_RECORDS, "record count", "record id");
+        assert_eq!(dxt::from_bytes(&bytes).err(), Some(expected), "record count {n}");
     }
+}
+
+/// One MDX record `7` on rank 0, up to (not including) its access count.
+fn mdx_record_head() -> Vec<u8> {
+    let mut body = 1u32.to_le_bytes().to_vec(); // one record
+    body.extend_from_slice(&7u64.to_le_bytes()); // record id
+    body.extend_from_slice(&0i32.to_le_bytes()); // rank
+    body
 }
 
 #[test]
 fn hostile_mdx_access_counts_are_typed_errors_without_a_huge_allocation() {
     for n in hostile_counts(MAX_ACCESSES) {
-        let mut body = 1u32.to_le_bytes().to_vec(); // one record
-        body.extend_from_slice(&7u64.to_le_bytes()); // record id
-        body.extend_from_slice(&0i32.to_le_bytes()); // rank
+        let mut body = mdx_record_head();
         body.extend_from_slice(&n.to_le_bytes());
         let bytes = sealed_mdx(&body);
-        assert_rejects_hostile_count(&bytes, n, MAX_ACCESSES, "access count");
+        let expected = hostile_count_error(n, MAX_ACCESSES, "access count", "access kind");
+        assert_eq!(dxt::from_bytes(&bytes).err(), Some(expected), "access count {n}");
+    }
+}
+
+/// The open, close and name counts size no allocation, but a count past
+/// its `MAX_*` is still implausible rather than a long read.
+#[test]
+fn hostile_mdx_open_close_and_name_counts_are_typed_errors() {
+    for n in hostile_counts(MAX_ACCESSES) {
+        let mut opens = mdx_record_head();
+        opens.extend_from_slice(&0u32.to_le_bytes()); // no accesses
+        opens.extend_from_slice(&n.to_le_bytes());
+        let expected = hostile_count_error(n, MAX_ACCESSES, "open count", "open ts");
+        assert_eq!(dxt::from_bytes(&sealed_mdx(&opens)).err(), Some(expected), "open count {n}");
+
+        let mut closes = mdx_record_head();
+        closes.extend_from_slice(&0u32.to_le_bytes()); // no accesses
+        closes.extend_from_slice(&0u32.to_le_bytes()); // no opens
+        closes.extend_from_slice(&n.to_le_bytes());
+        let expected = hostile_count_error(n, MAX_ACCESSES, "close count", "close ts");
+        assert_eq!(dxt::from_bytes(&sealed_mdx(&closes)).err(), Some(expected), "close count {n}");
+    }
+    for n in hostile_counts(MAX_RECORDS) {
+        let mut names = 0u32.to_le_bytes().to_vec(); // no records
+        names.extend_from_slice(&n.to_le_bytes());
+        let expected = hostile_count_error(n, MAX_RECORDS, "name count", "name id");
+        assert_eq!(dxt::from_bytes(&sealed_mdx(&names)).err(), Some(expected), "name count {n}");
+    }
+}
+
+/// An MDF whose header is valid up to the exe length and whose body is
+/// `body`, sealed with a correct CRC-32 footer so the parser gets past the
+/// checksum.
+fn sealed_mdf(body: &[u8]) -> Vec<u8> {
+    let mut bytes = mdf::MAGIC.to_vec();
+    bytes.extend_from_slice(&mdf::VERSION.to_le_bytes());
+    bytes.extend_from_slice(&0u16.to_le_bytes()); // flags
+    bytes.extend_from_slice(&1u64.to_le_bytes()); // job id
+    bytes.extend_from_slice(&2u32.to_le_bytes()); // uid
+    bytes.extend_from_slice(&4u32.to_le_bytes()); // nprocs
+    bytes.extend_from_slice(&0i64.to_le_bytes()); // start
+    bytes.extend_from_slice(&100i64.to_le_bytes()); // end
+    bytes.extend_from_slice(body);
+    let crc = mosaic_darshan::synthutil::Crc32::checksum(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn hostile_mdf_exe_lengths_are_typed_errors() {
+    for n in hostile_counts(MAX_EXE_LEN) {
+        let bytes = sealed_mdf(&n.to_le_bytes());
+        let expected = hostile_count_error(n, MAX_EXE_LEN, "exe", "exe");
+        assert_eq!(mdf::from_bytes(&bytes).err(), Some(expected), "exe length {n}");
+    }
+}
+
+#[test]
+fn hostile_mdf_record_counts_are_typed_errors_without_a_huge_allocation() {
+    for n in hostile_counts(MAX_RECORDS) {
+        let mut body = 0u32.to_le_bytes().to_vec(); // empty exe
+        body.extend_from_slice(&n.to_le_bytes());
+        let bytes = sealed_mdf(&body);
+        let expected = hostile_count_error(n, MAX_RECORDS, "record count", "record array");
+        assert_eq!(mdf::from_bytes(&bytes).err(), Some(expected), "record count {n}");
+    }
+}
+
+#[test]
+fn hostile_mdf_name_counts_are_typed_errors_without_a_huge_allocation() {
+    for n in hostile_counts(MAX_NAMES) {
+        let mut body = 0u32.to_le_bytes().to_vec(); // empty exe
+        body.extend_from_slice(&0u32.to_le_bytes()); // no records
+        body.extend_from_slice(&n.to_le_bytes());
+        let bytes = sealed_mdf(&body);
+        let expected = hostile_count_error(n, MAX_NAMES, "name count", "name table");
+        assert_eq!(mdf::from_bytes(&bytes).err(), Some(expected), "name count {n}");
     }
 }
 
