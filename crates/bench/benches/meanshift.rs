@@ -1,5 +1,12 @@
 //! Criterion: Mean Shift clustering cost vs segment count, plus the
 //! k-means/DBSCAN alternatives for context.
+//!
+//! `meanshift_flat` fits three far-apart clusters. The whole-input
+//! certificate settles none of their steps, so each one scans its grid
+//! block (or, below `GRID_MIN_POINTS`, the whole input).
+//! `meanshift_flat_one_cluster` is the `dense_periodic` shape: one
+//! periodic train of a few hundred near-identical operations, in
+//! `op_feature`'s (log duration, log volume) space.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mosaic_clustering::dbscan::Dbscan;
@@ -20,6 +27,13 @@ fn points(n: usize) -> Vec<[f64; 2]> {
         .collect()
 }
 
+/// `n` points jittered by at most ±0.02 around one (log duration, log
+/// volume) centre: a diameter well inside the 0.15 bandwidth.
+fn one_cluster(n: usize) -> Vec<[f64; 2]> {
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    (0..n).map(|_| [0.6 + rng.gen_range(-0.02..0.02), 7.8 + rng.gen_range(-0.02..0.02)]).collect()
+}
+
 fn bench_clustering(c: &mut Criterion) {
     let mut group = c.benchmark_group("clustering");
     for n in [32usize, 128, 512, 2048] {
@@ -38,6 +52,15 @@ fn bench_clustering(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dbscan", n), &pts, |b, pts| {
             b.iter(|| Dbscan::new(0.15, 2).fit(black_box(pts)))
         });
+    }
+    for n in [300usize, 900] {
+        let pts = one_cluster(n);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(
+            BenchmarkId::new("meanshift_flat_one_cluster", n),
+            &pts,
+            |b, pts| b.iter(|| MeanShift::new(0.15).fit(black_box(pts))),
+        );
     }
     group.finish();
 }

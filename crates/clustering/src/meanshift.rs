@@ -12,11 +12,14 @@
 //!
 //! A step only needs the points within the kernel's support `s` of the
 //! current position (`s = h` flat, `3h` Gaussian). [`MeanShift::fit`] keys
-//! every point once per call by its uniform-grid cell `floor(x / side)`,
-//! with `side = s · (1 + 2⁻²⁰)`. A step scans only the *block* of `3^D`
-//! cells around the position's cell. Blocks are built lazily and memoized
-//! for the rest of the fit, so a dense cluster's block is gathered once and
-//! then reused by every ascent that passes through it.
+//! every point by its uniform-grid cell `floor(x / side)`, with
+//! `side = s · (1 + 2⁻²⁰)`, on the first step that needs the grid. A step
+//! scans only the *block* of `3^D` cells around the position's cell.
+//! Blocks are built lazily and memoized for the rest of the fit, so a
+//! dense cluster's block is gathered once and then reused by every ascent
+//! that passes through it. A flat-kernel step first tries the whole input
+//! as one block; a fit in which that settles every step never builds the
+//! grid.
 //!
 //! The result is bit-identical to the linear scan kept in [`reference`]:
 //!
@@ -33,10 +36,20 @@
 //!   position is within `h²`, so is every block point. The step then
 //!   returns the block's memoized flat mean, summed exactly as the scan
 //!   sums it.
-//! * **Small or degenerate input.** Below [`GRID_MIN_POINTS`] points, or
-//!   if a coordinate is not finite or too large to key, or `h²` is not a
-//!   normal float, the whole input is one block holding every point. The
-//!   same step over it *is* the linear scan, NaN semantics included.
+//! * **Whole-input certificate.** The whole input is one more block: its
+//!   bounding box and flat mean, built once per fit in O(n). A flat step
+//!   tries it before the grid. If the box corner farthest from the
+//!   position is within `h²`, the scan's own `d² > range²` test keeps
+//!   every point and sums them in input order, which is exactly how the
+//!   block's flat mean was summed, so the step returns that mean. A single
+//!   tight cluster settles every step this way and never keys or sorts its
+//!   points. A step the certificate does not settle scans its grid block,
+//!   or, when the input is not keyed, the whole input itself: below
+//!   [`GRID_MIN_POINTS`] points, if a coordinate is not finite or too
+//!   large to key, or if `h²` is not a normal float. That scan *is* the
+//!   linear scan, NaN semantics included. A non-finite coordinate also
+//!   leaves the whole input without a bounding box, which turns the
+//!   certificate off.
 
 use crate::point::{dist, dist2, Clustering};
 use serde::{Deserialize, Serialize};
@@ -52,11 +65,16 @@ const CELL_MARGIN: f64 = 1.0 / 1_048_576.0;
 /// [`CELL_MARGIN`], and `key ± 1` cannot overflow.
 const MAX_KEY: f64 = 1_073_741_824.0;
 
-/// Inputs with fewer points are one whole-input block: a linear scan of a
-/// couple of hundred points costs less than building their grid blocks.
-/// On 2-D inputs at `h = 0.15` (a 2-core Intel Xeon), the grid breaks even
-/// at about 50 points in three tight clusters and about 350 scattered
-/// singletons.
+/// Inputs with fewer points are not keyed: a step that the whole-input
+/// certificate does not settle scans every point, which for a couple of
+/// hundred points costs about as much as building the grid. Tight clusters
+/// never reach the grid, so multi-cluster and scattered inputs set the
+/// break-even. On 2-D inputs at `h = 0.15` (a 2-vCPU Intel Xeon), the grid
+/// breaks even at about 45 points in three tight clusters and at about 130
+/// scattered singletons, which it beats by under 25 % below ~700 points.
+/// The cutoff stays at 256 because no fit of the `bluewaters_dir` or
+/// `dense_periodic` benchmark workloads falls through the certificate
+/// below it.
 pub const GRID_MIN_POINTS: usize = 256;
 
 /// Kernel profile used to weight neighbourhood points.
@@ -168,8 +186,16 @@ impl MeanShift {
             Kernel::Gaussian => 3.0 * self.bandwidth,
         };
         let keyable = points.len() >= GRID_MIN_POINTS && h2.is_normal() && range2.is_normal();
-        let mut grid = Grid::new(points, keyable.then_some(support * (1.0 + CELL_MARGIN)));
-        self.ascend_and_fuse(points, |pos| self.step(pos, grid.block(pos)))
+        let side = keyable.then_some(support * (1.0 + CELL_MARGIN));
+        let whole = Block::new(points);
+        let mut grid = None;
+        self.ascend_and_fuse(points, |pos| {
+            if self.kernel == Kernel::Flat && whole.within(pos, h2) {
+                return whole.flat_mean;
+            }
+            let grid = grid.get_or_insert_with(|| Grid::new(points, &whole, side));
+            self.step(pos, grid.block(pos))
+        })
     }
 
     /// Mode-seek from every point with `step`, then fuse nearby modes into
@@ -308,10 +334,9 @@ struct Grid<'a, const D: usize> {
     side: Option<f64>,
     /// `(cell, input index)` of every point, sorted; empty without a side.
     cells: Vec<([i64; D], usize)>,
-    /// The whole input as one block, built on first use: the block of
-    /// every position when the input is not keyed, and of a position that
-    /// cannot be keyed.
-    whole: Option<Block<D>>,
+    /// The whole input as one block: the block of every position when the
+    /// input is not keyed, and of a position that cannot be keyed.
+    whole: &'a Block<D>,
     /// Index into `blocks` of each cell's block built so far.
     built: BTreeMap<[i64; D], usize>,
     /// Each built block with the span of its points in `arena`.
@@ -326,7 +351,7 @@ struct Grid<'a, const D: usize> {
 impl<'a, const D: usize> Grid<'a, D> {
     /// Key every point by its cell of the given side. One unkeyable
     /// coordinate drops the side, making the whole input one block.
-    fn new(points: &'a [[f64; D]], side: Option<f64>) -> Self {
+    fn new(points: &'a [[f64; D]], whole: &'a Block<D>, side: Option<f64>) -> Self {
         let cells: Option<Vec<([i64; D], usize)>> = side.and_then(|side| {
             points.iter().enumerate().map(|(i, p)| Some((cell_of(p, side)?, i))).collect()
         });
@@ -339,7 +364,7 @@ impl<'a, const D: usize> Grid<'a, D> {
             points,
             side,
             cells,
-            whole: None,
+            whole,
             built: BTreeMap::new(),
             blocks: Vec::new(),
             arena: Vec::new(),
@@ -352,7 +377,7 @@ impl<'a, const D: usize> Grid<'a, D> {
     fn block(&mut self, pos: &[f64; D]) -> (&Block<D>, &[[f64; D]]) {
         let Grid { points, side, cells, whole, built, blocks, arena, members } = self;
         let Some(centre) = side.and_then(|side| cell_of(pos, side)) else {
-            return (whole.get_or_insert_with(|| Block::new(points)), points);
+            return (whole, points);
         };
         let at = *built.entry(centre).or_insert_with(|| {
             members.clear();

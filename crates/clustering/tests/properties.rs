@@ -301,3 +301,107 @@ proptest! {
         }
     }
 }
+
+/// `unit.len()` points in an axis-aligned cube around `centre` whose
+/// diagonal is `diag`, each placed at its `unit` fractions of the cube's
+/// side per axis, raised to `skew` (above 1, the points crowd towards one
+/// corner). The first two points sit on opposite corners, so the input's
+/// bounding box is the whole cube.
+fn cube<const D: usize>(
+    centre: f64,
+    diag: f64,
+    skew: f64,
+    unit: &[(f64, f64, f64)],
+) -> Vec<[f64; D]> {
+    let side = diag / (D as f64).sqrt();
+    unit.iter()
+        .enumerate()
+        .map(|(i, &(a, b, c))| {
+            let u = match i {
+                0 => [0.0; 3],
+                1 => [1.0; 3],
+                _ => [a, b, c],
+            };
+            let mut p = [0.0; D];
+            for (k, (x, f)) in p.iter_mut().zip(u).enumerate() {
+                *x = centre * (k + 1) as f64 + side * (f.powf(skew) - 0.5);
+            }
+            p
+        })
+        .collect()
+}
+
+/// Unit-cube fractions for `len` points.
+fn arb_unit_cube(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(f64, f64, f64)>> {
+    prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), len)
+}
+
+// The whole-input certificate: one flat-kernel cluster large enough to be
+// keyed, at D = 1, 2 and 3. The reference fit is quadratic, hence the few
+// cases.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn meanshift_matches_reference_on_one_certified_cluster(
+        unit in arb_unit_cube(GRID_MIN_POINTS..4 * GRID_MIN_POINTS),
+        frac in 0.0f64..0.99,
+        centre in -50.0f64..50.0,
+        h in 0.05f64..2.0,
+    ) {
+        // Diameter below h: every step is settled by the whole input.
+        let ms = MeanShift::new(h);
+        agrees_with_reference(&ms, &cube::<1>(centre, frac * h, 1.0, &unit))?;
+        agrees_with_reference(&ms, &cube::<2>(centre, frac * h, 1.0, &unit))?;
+        agrees_with_reference(&ms, &cube::<3>(centre, frac * h, 1.0, &unit))?;
+    }
+
+    #[test]
+    fn meanshift_matches_reference_on_a_certified_cluster_with_one_non_finite_coordinate(
+        unit in arb_unit_cube(GRID_MIN_POINTS..GRID_MIN_POINTS + 64),
+        bad in 0usize..3,
+        at in any::<usize>(),
+        centre in -50.0f64..50.0,
+        h in 0.05f64..2.0,
+    ) {
+        // A tight cluster whose one NaN or ±inf coordinate leaves the
+        // whole input without a bounding box, so the certificate stays off.
+        // A NaN point is in range of every position, so every ascent runs
+        // to the iteration cap; a low cap keeps the reference affordable.
+        let ms = MeanShift::new(h).max_iter(8);
+        let x = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][bad];
+        fn poison<const D: usize>(mut points: Vec<[f64; D]>, at: usize, x: f64) -> Vec<[f64; D]> {
+            let i = at % points.len();
+            points[i][at % D] = x;
+            points
+        }
+        agrees_with_reference(&ms, &poison(cube::<1>(centre, 0.5 * h, 1.0, &unit), at, x))?;
+        agrees_with_reference(&ms, &poison(cube::<2>(centre, 0.5 * h, 1.0, &unit), at, x))?;
+        agrees_with_reference(&ms, &poison(cube::<3>(centre, 0.5 * h, 1.0, &unit), at, x))?;
+    }
+}
+
+// Steps settled by the whole input and steps on the grid within one fit.
+// These clusters are smaller and cheaper to fit, hence more cases.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn meanshift_matches_reference_on_a_cluster_about_as_wide_as_h(
+        unit in arb_unit_cube(GRID_MIN_POINTS..2 * GRID_MIN_POINTS),
+        frac in 0.7f64..1.5,
+        skew in 1.0f64..4.0,
+        centre in -50.0f64..50.0,
+        h in 0.05f64..2.0,
+    ) {
+        // Past a diameter of h, a step from a corner fails the whole-input
+        // certificate and goes to the grid, while a step from near the
+        // centre still passes it: both paths run within one fit. A skewed
+        // cluster's mode is not the input's mean, so a certificate that
+        // settled too many steps would move it.
+        let ms = MeanShift::new(h);
+        agrees_with_reference(&ms, &cube::<1>(centre, frac * h, skew, &unit))?;
+        agrees_with_reference(&ms, &cube::<2>(centre, frac * h, skew, &unit))?;
+        agrees_with_reference(&ms, &cube::<3>(centre, frac * h, skew, &unit))?;
+    }
+}

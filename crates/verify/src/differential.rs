@@ -30,8 +30,11 @@
 //!   valid trace, the grid-indexed [`MeanShift::fit`] on the segments'
 //!   [`op_feature`]s must return the labels and center bits of the
 //!   linear-scan [`reference::fit`]: per corpus, over the same sweep, and
-//!   over six dense periodic traces, the only inputs here large enough to
-//!   reach the grid;
+//!   over six dense periodic traces. A fit reaches the grid only if it has
+//!   at least [`GRID_MIN_POINTS`] points spread wider than the bandwidth,
+//!   so that its whole-input certificate can fail. Only the write
+//!   directions of the dense traces do, and their check fails if none
+//!   does;
 //! * **metadata vs reference** — for every valid trace of the sweep and of
 //!   the dense traces, [`metadata::characterize`]'s occupied-seconds scan
 //!   must return the peak, spike count and labels of the dense per-second
@@ -158,8 +161,14 @@ fn columnar_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<u
 /// valid trace goes through the categorizer's own steps up to clustering
 /// (columnar merge, temporality, segmentation) and each significant
 /// direction's [`op_feature`]s are fitted twice. The grid-indexed fit must
-/// return the reference's labels and center bits.
-fn meanshift_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<u8>]) {
+/// return the reference's labels and center bits. With `need_grid`, at
+/// least one fit must also be able to reach the grid.
+fn meanshift_vs_reference(
+    report: &mut VerifyReport,
+    name: String,
+    wires: &[Vec<u8>],
+    need_grid: bool,
+) {
     let config = CategorizerConfig::default();
     let ms = MeanShift::new(config.meanshift_bandwidth);
     let mut arena = TraceArena::default();
@@ -192,22 +201,39 @@ fn meanshift_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<
                 ));
             }
             fits += 1;
-            grid_fits += usize::from(features.len() >= GRID_MIN_POINTS);
+            grid_fits += usize::from(
+                features.len() >= GRID_MIN_POINTS && wider_than(&features, ms.bandwidth),
+            );
             points += features.len();
         }
     }
+    let covered = !need_grid || grid_fits > 0;
     report.check(
         name,
-        diverged.is_empty(),
-        if diverged.is_empty() {
+        diverged.is_empty() && covered,
+        if !diverged.is_empty() {
+            diverged.join("\n")
+        } else if covered {
             format!(
                 "{fits} fits ({grid_fits} on the grid) over {points} points: \
                  labels and center bits equal the reference"
             )
         } else {
-            diverged.join("\n")
+            format!("{fits} fits over {points} points, none of them on the grid")
         },
     );
+}
+
+/// Whether the bounding-box diagonal of `points` exceeds `h`: only then
+/// can a step fail the whole-input certificate. Every position is a mean
+/// of the points, so up to rounding it lies inside their box, and no box
+/// corner is farther from it than the diagonal.
+fn wider_than(points: &[[f64; 2]], h: f64) -> bool {
+    let (lo, hi) =
+        points.iter().fold(([f64::INFINITY; 2], [f64::NEG_INFINITY; 2]), |(lo, hi), p| {
+            ([lo[0].min(p[0]), lo[1].min(p[1])], [hi[0].max(p[0]), hi[1].max(p[1])])
+        });
+    (hi[0] - lo[0]).powi(2) + (hi[1] - lo[1]).powi(2) > h * h
 }
 
 /// The metadata-vs-reference check over one set of wire buffers: every
@@ -258,10 +284,13 @@ fn metadata_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<u
 
 /// Large periodic traces for the Mean Shift oracle. The mini corpora and
 /// the sweep carry tens of operations per direction, below
-/// [`GRID_MIN_POINTS`], so only these traces reach the grid. Trace `t`
-/// writes a checkpoint train of `GRID_MIN_POINTS + 90·t` operations and
-/// reads a train half as long, each jittered by a fixed hash, plus 24
-/// one-off writes of scattered sizes and durations.
+/// [`GRID_MIN_POINTS`], so only these traces reach the grid: their write
+/// directions, whose one-off writes spread the points wider than the
+/// bandwidth. Each read train is one tight cluster that the whole-input
+/// certificate settles. Trace `t` writes a checkpoint train of
+/// `GRID_MIN_POINTS + 90·t` operations and reads a train half as long,
+/// each jittered by a fixed hash, plus 24 one-off writes of scattered
+/// sizes and durations.
 fn dense_wires() -> Vec<Vec<u8>> {
     const NPROCS: u32 = 64;
     let jitter = |k: usize, salt: usize| ((k * 7919 + salt * 104_729) % 1000) as f64 / 1000.0 - 0.5;
@@ -429,6 +458,7 @@ pub fn run(report: &mut VerifyReport) {
             report,
             format!("differential/meanshift-vs-reference/{}", corpus.name()),
             &wires,
+            false,
         );
     }
 
@@ -451,6 +481,7 @@ pub fn run(report: &mut VerifyReport) {
         report,
         "differential/meanshift-vs-reference/synthetic-2k".to_owned(),
         &sweep_wires,
+        false,
     );
     metadata_vs_reference(
         report,
@@ -462,6 +493,7 @@ pub fn run(report: &mut VerifyReport) {
         report,
         "differential/meanshift-vs-reference/dense-periodic".to_owned(),
         &dense,
+        true,
     );
     metadata_vs_reference(
         report,
@@ -526,21 +558,48 @@ mod tests {
     fn meanshift_vs_reference_fits_real_directions() {
         // Not vacuous: the corpus's significant directions reach the fit,
         // and the dense traces reach the grid. All six write directions
-        // hold at least GRID_MIN_POINTS operations; the read trains
-        // (ops / 2) do from the fourth trace on.
+        // hold at least GRID_MIN_POINTS operations, spread wider than the
+        // bandwidth by their one-off writes. The read trains (ops / 2)
+        // hold that many from the fourth trace on, but each is one tight
+        // cluster that the whole-input certificate settles.
         let corpus = MiniCorpus::standard().remove(0);
         let mut wires: Vec<Vec<u8>> = (0..corpus.len()).map(|i| corpus.mdf_bytes(i)).collect();
         wires.push(vec![7u8; 32]);
         let mut report = VerifyReport::default();
-        meanshift_vs_reference(&mut report, "meanshift".to_owned(), &wires);
-        meanshift_vs_reference(&mut report, "dense".to_owned(), &dense_wires());
+        meanshift_vs_reference(&mut report, "meanshift".to_owned(), &wires, false);
+        meanshift_vs_reference(&mut report, "dense".to_owned(), &dense_wires(), true);
         assert!(report.passed(), "{}", report.render());
         let counts = |detail: &str| -> (usize, usize) {
             let words: Vec<&str> = detail.split(['(', ' ']).collect();
             (words[0].parse().unwrap(), words[3].parse().unwrap())
         };
         assert!(counts(&report.checks[0].detail).0 > 0, "{}", report.render());
-        assert_eq!(counts(&report.checks[1].detail), (12, 9), "{}", report.render());
+        assert_eq!(counts(&report.checks[1].detail), (12, 6), "{}", report.render());
+    }
+
+    #[test]
+    fn meanshift_vs_reference_fails_when_the_grid_is_not_exercised() {
+        // The mini corpus agrees with the reference everywhere, but none
+        // of its fits can reach the grid.
+        let corpus = MiniCorpus::standard().remove(0);
+        let wires: Vec<Vec<u8>> = (0..corpus.len()).map(|i| corpus.mdf_bytes(i)).collect();
+        let mut report = VerifyReport::default();
+        meanshift_vs_reference(&mut report, "meanshift".to_owned(), &wires, true);
+        assert!(!report.passed(), "{}", report.render());
+        assert!(
+            report.checks[0].detail.ends_with("none of them on the grid"),
+            "{}",
+            report.render()
+        );
+    }
+
+    #[test]
+    fn wider_than_compares_the_bounding_box_diagonal() {
+        // A 3-4-5 box: diagonal 5.
+        let points = [[1.0, 2.0], [4.0, 6.0], [2.0, 3.0]];
+        assert!(wider_than(&points, 4.99));
+        assert!(!wider_than(&points, 5.0));
+        assert!(!wider_than(&[[1.0, 2.0]; 3], 1e-9));
     }
 
     #[test]
