@@ -2,13 +2,19 @@
 //! Python implementation was bottlenecked on trace loading (2 files "take
 //! too long to load"; 300 GB RAM), so format cost matters. `checksum/crc32`
 //! times the MDF CRC-32 kernel on its own, at 1 KiB, 6 KiB and 1 MiB.
+//! `ingest` times what the byte path does to a parsed trace before
+//! categorizing it: `walk` is the executor's one record walk
+//! (`ColumnarTrace::load_checked`), `staged` the same work as
+//! `validate_view` followed by `load`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mosaic_core::columnar::ColumnarTrace;
 use mosaic_darshan::counter::PosixCounter as C;
 use mosaic_darshan::counter::PosixFCounter as F;
 use mosaic_darshan::job::JobHeader;
 use mosaic_darshan::log::TraceLogBuilder;
 use mosaic_darshan::synthutil::Crc32;
+use mosaic_darshan::view::{validate_view, TraceView};
 use mosaic_darshan::{mdf, text, validate};
 use std::hint::black_box;
 
@@ -55,6 +61,30 @@ fn bench_parse(c: &mut Criterion) {
     group.finish();
 }
 
+/// Validation and columnar extraction of one parsed trace. 640 records is
+/// about a `dense_periodic` trace (61,685 records over 96 traces).
+fn bench_ingest(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ingest");
+    for n_records in [10u32, 640] {
+        let bytes = mdf::to_bytes(&traces(n_records));
+        let view = TraceView::parse(&bytes).unwrap();
+        let tag = format!("{n_records}rec");
+        let mut trace = ColumnarTrace::default();
+        group.throughput(Throughput::Elements(u64::from(n_records)));
+        group.bench_with_input(BenchmarkId::new("walk", &tag), &view, |b, view| {
+            b.iter(|| trace.load_checked(black_box(view)))
+        });
+        group.bench_with_input(BenchmarkId::new("staged", &tag), &view, |b, view| {
+            b.iter(|| {
+                let report = validate_view(black_box(view));
+                trace.load(view, &report);
+                report
+            })
+        });
+    }
+    group.finish();
+}
+
 /// The MDF checksum kernel alone: every parse runs it over the whole buffer.
 /// 1 KiB and 6 KiB are about the median and p90 `bluewaters_dir` file
 /// sizes, where the remainder after the last three-lane block weighs most.
@@ -72,5 +102,5 @@ fn bench_crc32(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_parse, bench_crc32);
+criterion_group!(benches, bench_parse, bench_ingest, bench_crc32);
 criterion_main!(benches);

@@ -22,6 +22,16 @@
 //! a single stable sort of extraction order by `(start, end)` — which is
 //! what [`merge_concurrent_columnar`] does with one index sort.
 //!
+//! **Extraction contract:** [`ColumnarTrace::load_checked`] is the byte
+//! path's whole pre-processing step ① in one walk over the wire records. It
+//! returns the report [`mosaic_darshan::validate::validate`] gives the
+//! materialized log, and its columns, metadata events and weight are what
+//! `delete_invalid` + [`OperationView::from_log`] extract from that log
+//! (reads and writes in extraction order rather than start-sorted, see
+//! above). [`ColumnarTrace::load`] is the same extraction behind a report
+//! computed apart. `tests/zerocopy_agreement.rs` and the
+//! `columnar-vs-reference` oracle pin both.
+//!
 //! Arena ownership rule: an arena borrows nothing and owns all its buffers;
 //! a loaded [`ColumnarTrace`] is valid until the next `load`, and anything
 //! that must outlive the trace (the report) is built from copies.
@@ -30,8 +40,9 @@ use crate::config::CategorizerConfig;
 use mosaic_darshan::convert::{nonneg_u64, usize_to_u64};
 use mosaic_darshan::counter::{PosixCounter as C, PosixFCounter as F};
 use mosaic_darshan::ops::{MetaEvent, MetaKind, OpKind, Operation, OperationView};
-use mosaic_darshan::validate::ValidityReport;
-use mosaic_darshan::view::TraceView;
+use mosaic_darshan::validate::{check_trace, ValidityReport};
+use mosaic_darshan::view::{RecordView, TraceView};
+use mosaic_darshan::RecordFields;
 
 /// One direction's intervals in struct-of-arrays layout. The four vectors
 /// always have equal length; element `i` of each describes one operation.
@@ -185,71 +196,95 @@ pub struct ColumnarTrace {
     pub weight: i64,
 }
 
+/// Saturating byte totals of the records extracted so far: the dedup
+/// weight's two halves, summed apart like
+/// [`mosaic_darshan::TraceLog::io_weight`] sums them.
+#[derive(Default)]
+struct ByteSums {
+    read: i64,
+    written: i64,
+}
+
 impl ColumnarTrace {
+    /// Check and extract a borrowed trace in one walk over its records.
+    ///
+    /// Each record is read straight from the wire and checked against every
+    /// validity rule and the name table
+    /// ([`mosaic_darshan::validate::check_trace`]). A broken record lands in
+    /// the returned report as `(index, errors)` and is skipped; a valid one
+    /// is extracted into the columns. The report equals
+    /// [`mosaic_darshan::view::validate_view`]'s, and the columns equal what
+    /// [`ColumnarTrace::load`] extracts with that report.
+    pub fn load_checked(&mut self, view: &TraceView<'_>) -> ValidityReport {
+        let mut sums = self.begin(view);
+        let report = check_trace(view.runtime(), view.nprocs, view.named_records(), |rec| {
+            self.push_record(rec, &mut sums);
+        });
+        self.finish(sums);
+        report
+    }
+
     /// Extract a borrowed trace into the columns, skipping the records the
     /// validity `report` flagged (the byte-input equivalent of
     /// `delete_invalid` + [`mosaic_darshan::OperationView::from_log`]).
     ///
-    /// Extraction order, the per-record op/meta conditions, and the final
-    /// stable meta sort mirror `from_log`'s `push_record` exactly.
+    /// The staged form of [`ColumnarTrace::load_checked`], for callers that
+    /// time validation and extraction apart; both extract each record with
+    /// the same step.
     pub fn load(&mut self, view: &TraceView<'_>, report: &ValidityReport) {
+        let mut sums = self.begin(view);
+        let mut bad = report.record_errors.iter().map(|(i, _)| *i).peekable();
+        for (i, rec) in view.records().enumerate() {
+            if bad.next_if_eq(&i).is_none() {
+                self.push_record(rec, &mut sums);
+            }
+        }
+        self.finish(sums);
+    }
+
+    /// Reset the columns for a new trace.
+    fn begin(&mut self, view: &TraceView<'_>) -> ByteSums {
         self.runtime = view.runtime();
         self.nprocs = view.nprocs;
         self.reads.clear();
         self.writes.clear();
         self.meta.clear();
-        let mut bytes_read: i64 = 0;
-        let mut bytes_written: i64 = 0;
-        let mut bad = report.record_errors.iter().map(|(i, _)| *i).peekable();
-        for (i, rec) in view.records().enumerate() {
-            if bad.peek() == Some(&i) {
-                bad.next();
-                continue;
-            }
-            let ranks = rec.rank_count(self.nprocs);
-            if let Some((start, end)) = rec.read_interval() {
-                self.reads.push(start, end, nonneg_u64(rec.bytes_read()), ranks);
-            }
-            if let Some((start, end)) = rec.write_interval() {
-                self.writes.push(start, end, nonneg_u64(rec.bytes_written()), ranks);
-            }
-            let opens = nonneg_u64(rec.get(C::Opens));
-            if opens > 0 {
-                self.meta.push(MetaEvent {
-                    time: rec.getf(F::OpenStartTimestamp),
-                    kind: MetaKind::Open,
-                    count: opens,
-                });
-            }
-            let seeks = nonneg_u64(rec.get(C::Seeks));
-            if seeks > 0 {
-                self.meta.push(MetaEvent {
-                    time: rec.getf(F::OpenStartTimestamp),
-                    kind: MetaKind::Seek,
-                    count: seeks,
-                });
-            }
-            let stats = nonneg_u64(rec.get(C::Stats));
-            if stats > 0 {
-                self.meta.push(MetaEvent {
-                    time: rec.getf(F::OpenStartTimestamp),
-                    kind: MetaKind::Stat,
-                    count: stats,
-                });
-            }
-            let closes = nonneg_u64(rec.get(C::Closes));
-            if closes > 0 {
-                self.meta.push(MetaEvent {
-                    time: rec.getf(F::CloseEndTimestamp),
-                    kind: MetaKind::Close,
-                    count: closes,
-                });
-            }
-            bytes_read = bytes_read.saturating_add(rec.bytes_read());
-            bytes_written = bytes_written.saturating_add(rec.bytes_written());
+        ByteSums::default()
+    }
+
+    /// Extract one valid record: its read and write intervals, its metadata
+    /// events and its byte volumes. The op/meta conditions and their order
+    /// mirror `from_log`'s `push_record` exactly.
+    #[inline]
+    fn push_record(&mut self, rec: RecordView<'_>, sums: &mut ByteSums) {
+        let ranks = rec.rank_count(self.nprocs);
+        if let Some((start, end)) = rec.read_interval() {
+            self.reads.push(start, end, nonneg_u64(rec.bytes_read()), ranks);
         }
+        if let Some((start, end)) = rec.write_interval() {
+            self.writes.push(start, end, nonneg_u64(rec.bytes_written()), ranks);
+        }
+        let open_time = rec.getf(F::OpenStartTimestamp);
+        for (counter, kind, time) in [
+            (C::Opens, MetaKind::Open, open_time),
+            (C::Seeks, MetaKind::Seek, open_time),
+            (C::Stats, MetaKind::Stat, open_time),
+            (C::Closes, MetaKind::Close, rec.getf(F::CloseEndTimestamp)),
+        ] {
+            let count = nonneg_u64(rec.get(counter));
+            if count > 0 {
+                self.meta.push(MetaEvent { time, kind, count });
+            }
+        }
+        sums.read = sums.read.saturating_add(rec.bytes_read());
+        sums.written = sums.written.saturating_add(rec.bytes_written());
+    }
+
+    /// Sort the metadata events by time (stable, as `from_log` sorts them)
+    /// and set the dedup weight.
+    fn finish(&mut self, sums: ByteSums) {
         self.meta.sort_by(|a, b| a.time.total_cmp(&b.time));
-        self.weight = bytes_read.saturating_add(bytes_written);
+        self.weight = sums.read.saturating_add(sums.written);
     }
 
     /// Load an already-extracted [`OperationView`] — how log inputs join
@@ -440,7 +475,7 @@ mod tests {
     use crate::merge::{merge_all, merge_concurrent, merge_neighbors};
     use crate::temporality::chunk_volumes;
     use mosaic_darshan::job::JobHeader;
-    use mosaic_darshan::log::TraceLogBuilder;
+    use mosaic_darshan::log::{TraceLog, TraceLogBuilder};
     use mosaic_darshan::mdf;
     use mosaic_darshan::ops::OperationView;
     use mosaic_darshan::validate;
@@ -733,6 +768,187 @@ mod tests {
         assert_eq!(trace.weight, log.io_weight());
         assert_eq!(trace.reads.len(), 2);
         assert_eq!(trace.writes.len(), 2);
+    }
+
+    // ---- the one record walk: `load_checked` against the staged pair ----
+
+    /// Runtime, nprocs, reads and writes, metadata events and weight.
+    type TraceBits = (u64, u32, [Vec<(u64, u64, u64, u32)>; 2], Vec<(u64, MetaKind, u64)>, i64);
+
+    /// Every bit of a loaded trace, NaN payloads and zero signs included.
+    fn trace_bits(t: &ColumnarTrace) -> TraceBits {
+        let cols = |c: &OpColumns| {
+            (0..c.len())
+                .map(|i| {
+                    let (start, end, bytes, ranks) = c.row(i);
+                    (start.to_bits(), end.to_bits(), bytes, ranks)
+                })
+                .collect()
+        };
+        let meta = t.meta.iter().map(|e| (e.time.to_bits(), e.kind, e.count)).collect();
+        (t.runtime.to_bits(), t.nprocs, [cols(&t.reads), cols(&t.writes)], meta, t.weight)
+    }
+
+    /// The one walk over `bytes` must return `validate_view`'s report, which
+    /// is also the log validator's, and extract exactly what `load` does
+    /// with it. Returns the report and the loaded trace.
+    fn walk_equals_staged(bytes: &[u8]) -> (ValidityReport, ColumnarTrace) {
+        let view = TraceView::parse(bytes).unwrap();
+        let mut fused = ColumnarTrace::default();
+        let report = fused.load_checked(&view);
+        assert_eq!(report, validate_view(&view));
+        assert_eq!(report, validate::validate(&view.to_log()));
+        let mut staged = ColumnarTrace::default();
+        staged.load(&view, &report);
+        assert_eq!(trace_bits(&fused), trace_bits(&staged));
+        (report, fused)
+    }
+
+    /// A clean record reading 10 bytes over [1, 2] s, opened at 0.5 s and
+    /// closed at 3 s.
+    fn clean(rec: &mut mosaic_darshan::PosixRecord) -> &mut mosaic_darshan::PosixRecord {
+        rec.set(C::Reads, 1)
+            .set(C::BytesRead, 10)
+            .set(C::Opens, 1)
+            .set(C::Closes, 1)
+            .setf(F::OpenStartTimestamp, 0.5)
+            .setf(F::ReadStartTimestamp, 1.0)
+            .setf(F::ReadEndTimestamp, 2.0)
+            .setf(F::CloseEndTimestamp, 3.0)
+    }
+
+    #[test]
+    fn load_checked_flags_each_record_rule_and_extracts_the_rest() {
+        use mosaic_darshan::record::PosixRecord;
+        use mosaic_darshan::ValidityError as V;
+        // One record breaking exactly one rule, between two clean ones. The
+        // broken record reads over [2, 2.5] s.
+        type Break = fn(&mut PosixRecord);
+        let breaks: [(V, Break); 8] = [
+            (V::RankOutOfRange, |r| r.rank = 4),
+            (V::NegativeBytes, |r| {
+                r.set(C::BytesWritten, -5);
+            }),
+            (V::BytesWithoutOps, |r| {
+                r.set(C::Reads, 0);
+            }),
+            (V::NegativeTimestamp, |r| {
+                r.setf(F::ReadTime, -0.25);
+            }),
+            (V::InvertedInterval, |r| {
+                r.setf(F::ReadEndTimestamp, 0.75);
+            }),
+            (V::TimestampBeyondRuntime, |r| {
+                r.setf(F::CloseEndTimestamp, 101.5);
+            }),
+            (V::DeallocatedBeforeEnd, |r| {
+                r.setf(F::CloseEndTimestamp, 0.0);
+            }),
+            (V::MissingName, |_| {}),
+        ];
+        let mut seen = vec![V::NonPositiveRuntime, V::ZeroProcs];
+        for (rule, break_it) in breaks {
+            let mut records = Vec::new();
+            let mut names = std::collections::BTreeMap::new();
+            for (i, id) in [11u64, 22, 33].into_iter().enumerate() {
+                let mut rec = PosixRecord::new(id, i as i32);
+                clean(&mut rec)
+                    .setf(F::ReadStartTimestamp, 1.0 + i as f64)
+                    .setf(F::ReadEndTimestamp, 1.5 + i as f64);
+                if id == 22 {
+                    break_it(&mut rec);
+                }
+                if id != 22 || rule != V::MissingName {
+                    names.insert(id, format!("/f{id}"));
+                }
+                records.push(rec);
+            }
+            let log = TraceLog::from_parts(JobHeader::new(1, 1, 4, 0, 100), records, names);
+            let (report, trace) = walk_equals_staged(&mdf::to_bytes(&log));
+            assert_eq!(report.record_errors, vec![(1, vec![rule])], "{rule:?}");
+            assert!(!report.is_fatal());
+            let starts: Vec<f64> = trace.reads.starts.clone();
+            assert_eq!(starts, vec![1.0, 3.0], "{rule:?}: only the clean records are extracted");
+            assert_eq!(trace.weight, 20, "{rule:?}");
+            seen.push(rule);
+        }
+        seen.sort_by_key(|r| r.slug());
+        let mut all = V::ALL.to_vec();
+        all.sort_by_key(|r| r.slug());
+        assert_eq!(seen, all, "every rule is exercised");
+    }
+
+    #[test]
+    fn load_checked_on_header_fatal_and_all_invalid_traces() {
+        use mosaic_darshan::{EvictReason, ValidityError as V};
+        // Zero runtime and zero processes: fatal whatever the records say.
+        let mut b = TraceLogBuilder::new(JobHeader::new(1, 1, 0, 50, 50));
+        for i in 0..3 {
+            let r = b.begin_record(&format!("/h{i}"), 0);
+            clean(b.record_mut(r));
+        }
+        let (report, _) = walk_equals_staged(&mdf::to_bytes(&b.finish()));
+        assert_eq!(report.header_errors, vec![V::NonPositiveRuntime, V::ZeroProcs]);
+        assert!(report.is_fatal());
+        assert_eq!(report.evict_reason(), EvictReason::ValidationFatal(V::NonPositiveRuntime));
+
+        // A sound header whose every record is out of rank range.
+        let mut b = TraceLogBuilder::new(JobHeader::new(1, 1, 2, 0, 100));
+        for i in 0..3 {
+            let r = b.begin_record(&format!("/a{i}"), 5 + i);
+            clean(b.record_mut(r));
+        }
+        let (report, trace) = walk_equals_staged(&mdf::to_bytes(&b.finish()));
+        assert!(report.header_errors.is_empty());
+        assert_eq!(report.record_errors.len(), 3);
+        assert!(report.is_fatal());
+        assert_eq!(report.evict_reason(), EvictReason::AllRecordsInvalid);
+        assert!(trace.reads.is_empty() && trace.meta.is_empty());
+        assert_eq!(trace.weight, 0);
+    }
+
+    #[test]
+    fn load_checked_rejects_nan_and_negative_timestamps_but_keeps_negative_zero() {
+        use mosaic_darshan::ValidityError as V;
+        let mut b = TraceLogBuilder::new(JobHeader::new(1, 1, 4, 0, 100));
+        let nan = b.begin_record("/nan", 0);
+        clean(b.record_mut(nan)).setf(F::ReadEndTimestamp, f64::NAN);
+        let neg = b.begin_record("/neg", 1);
+        clean(b.record_mut(neg)).setf(F::OpenStartTimestamp, -1.0);
+        let zero = b.begin_record("/zero", 2);
+        clean(b.record_mut(zero)).setf(F::ReadStartTimestamp, -0.0);
+        let (report, trace) = walk_equals_staged(&mdf::to_bytes(&b.finish()));
+        assert_eq!(
+            report.record_errors,
+            vec![(0, vec![V::TimestampBeyondRuntime]), (1, vec![V::NegativeTimestamp])]
+        );
+        assert_eq!(trace.reads.len(), 1);
+        assert_eq!(trace.reads.starts[0].to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn load_checked_saturates_the_weight() {
+        // Each direction's sum saturates on its own, then their sum does.
+        let mut b = TraceLogBuilder::new(JobHeader::new(1, 1, 4, 0, 1000));
+        for rank in 0..3 {
+            let r = b.begin_record(&format!("/huge.{rank}"), rank);
+            b.record_mut(r)
+                .set(C::Reads, 1)
+                .set(C::BytesRead, i64::MAX - 1)
+                .set(C::Writes, 1)
+                .set(C::BytesWritten, 1 << 40)
+                .setf(F::ReadStartTimestamp, 10.0)
+                .setf(F::ReadEndTimestamp, 20.0)
+                .setf(F::WriteStartTimestamp, 30.0)
+                .setf(F::WriteEndTimestamp, 40.0);
+        }
+        let log = b.finish();
+        let (report, trace) = walk_equals_staged(&mdf::to_bytes(&log));
+        assert!(report.is_clean());
+        assert_eq!(trace.weight, i64::MAX);
+        assert_eq!(trace.weight, log.io_weight());
+        assert_eq!(trace.reads.bytes, vec![nonneg_u64(i64::MAX - 1); 3]);
+        assert_eq!(trace.writes.bytes, vec![1 << 40; 3]);
     }
 
     #[test]

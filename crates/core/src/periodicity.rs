@@ -83,19 +83,24 @@ pub(crate) fn member_segments<'a>(
     members.iter().map(move |&i| &segments[i])
 }
 
-/// Median of an already-sorted, non-empty slice.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "mid = len / 2 < len, and the even branch has len >= 2 (callers pass non-empty \
-              gap lists), so 1 <= mid"
-)]
-fn median_of_sorted(sorted: &[f64]) -> f64 {
-    let mid = sorted.len() / 2;
-    if sorted.len() % 2 == 1 {
-        sorted[mid]
-    } else {
-        0.5 * (sorted[mid - 1] + sorted[mid])
+/// Median of `gaps`, reordering them: the middle element by
+/// [`f64::total_cmp`], or the mean of the middle two. A selection puts the
+/// order statistics in place without sorting the rest, and `total_cmp` is a
+/// total order in which equal values have equal bits, so they are the bits
+/// a full sort would put there. `None` for an empty list.
+fn median(gaps: &mut [f64]) -> Option<f64> {
+    if gaps.is_empty() {
+        return None;
     }
+    let mid = gaps.len() / 2;
+    let odd = gaps.len() % 2 == 1;
+    let (lower, &mut upper, _) = gaps.select_nth_unstable_by(mid, f64::total_cmp);
+    if odd {
+        return Some(upper);
+    }
+    // The lower partition holds the `mid` smallest gaps, so its maximum is
+    // the element a sort would put just below the middle.
+    lower.iter().copied().max_by(f64::total_cmp).map(|below| 0.5 * (below + upper))
 }
 
 /// Detect periodic operations among `segments` (which must be sorted by
@@ -123,9 +128,7 @@ pub fn detect_periodic(segments: &[Segment], config: &CategorizerConfig) -> Vec<
         // an op's duration over the bandwidth), which leaves double- or
         // triple-period holes in each cluster's arrival stream; a plain
         // mean inter-arrival then overshoots the true cadence.
-        let mut sorted_gaps = gaps.clone();
-        sorted_gaps.sort_by(f64::total_cmp);
-        let base = median_of_sorted(&sorted_gaps);
+        let Some(base) = median(&mut gaps.clone()) else { continue };
         if base <= 0.0 {
             continue;
         }
@@ -248,6 +251,53 @@ pub(crate) mod tests {
             [segments[4].start, segments[0].start, segments[4].start, segments[2].start]
         );
         assert_eq!(member_segments(&segments, &[]).count(), 0);
+    }
+
+    /// The median by a full sort: the reference [`median`] must match.
+    fn median_of_sorted(sorted: &[f64]) -> f64 {
+        let mid = sorted.len() / 2;
+        if sorted.len() % 2 == 1 {
+            sorted[mid]
+        } else {
+            0.5 * (sorted[mid - 1] + sorted[mid])
+        }
+    }
+
+    #[test]
+    fn median_by_selection_equals_the_sorted_median_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(26);
+        // Repeats, both zeros and a wide spread of magnitudes, at odd and
+        // even lengths.
+        let pool = [0.0, -0.0, 1.0, 1.0 + f64::EPSILON, 2.5, 10.0, 1e-300, 7e12, -3.0];
+        for len in 1..=40 {
+            for _ in 0..50 {
+                let gaps: Vec<f64> = (0..len)
+                    .map(|_| match rng.gen_range(0..3) {
+                        0 => pool[rng.gen_range(0..pool.len())],
+                        1 => rng.gen_range(-1.0..100.0),
+                        _ => rng.gen_range(0..4) as f64 * 0.5,
+                    })
+                    .collect();
+                let mut sorted = gaps.clone();
+                sorted.sort_by(f64::total_cmp);
+                let expected = median_of_sorted(&sorted).to_bits();
+                let got = median(&mut gaps.clone()).map(f64::to_bits);
+                assert_eq!(got, Some(expected), "{gaps:?}");
+            }
+        }
+        assert_eq!(median(&mut []), None);
+        // Both middle elements are zeros of opposite sign: the sum's sign
+        // depends on which is taken, so the selection must take the sorted
+        // pair.
+        for gaps in [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]] {
+            let mut sorted = gaps;
+            sorted.sort_by(f64::total_cmp);
+            assert_eq!(
+                median(&mut gaps.clone()).map(f64::to_bits),
+                Some(median_of_sorted(&sorted).to_bits())
+            );
+        }
     }
 
     #[test]

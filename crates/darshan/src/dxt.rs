@@ -400,6 +400,7 @@ fn need<'b>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::RecordFields;
 
     /// A file held open the whole run with 5 evenly spaced slab writes —
     /// the §IV-A scenario: aggregation hides the periodicity.

@@ -103,5 +103,5 @@ pub use error::{EvictClass, EvictReason, FormatError, ValidityError};
 pub use job::JobHeader;
 pub use log::{TraceLog, TraceLogBuilder};
 pub use ops::{MetaEvent, MetaKind, OpKind, Operation, OperationView};
-pub use record::PosixRecord;
+pub use record::{PosixRecord, RecordFields};
 pub use view::{RecordView, TraceView};

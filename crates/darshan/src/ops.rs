@@ -17,7 +17,7 @@
 use crate::convert::nonneg_u64;
 use crate::counter::{PosixCounter as C, PosixFCounter as F};
 use crate::log::TraceLog;
-use crate::record::PosixRecord;
+use crate::record::{PosixRecord, RecordFields};
 use serde::{Deserialize, Serialize};
 
 /// Direction of a data operation.

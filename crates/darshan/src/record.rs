@@ -94,28 +94,6 @@ impl PosixRecord {
         self
     }
 
-    /// Number of ranks this record stands for, given the job's `nprocs`.
-    #[inline]
-    pub fn rank_count(&self, nprocs: u32) -> u32 {
-        if self.rank == SHARED_RANK {
-            nprocs
-        } else {
-            1
-        }
-    }
-
-    /// Bytes read by this record.
-    #[inline]
-    pub fn bytes_read(&self) -> i64 {
-        self.get(PosixCounter::BytesRead)
-    }
-
-    /// Bytes written by this record.
-    #[inline]
-    pub fn bytes_written(&self) -> i64 {
-        self.get(PosixCounter::BytesWritten)
-    }
-
     /// Total metadata operations (opens + closes + seeks + stats).
     #[inline]
     pub fn meta_ops(&self) -> i64 {
@@ -124,23 +102,64 @@ impl PosixRecord {
             + self.get(PosixCounter::Seeks)
             + self.get(PosixCounter::Stats)
     }
+}
 
-    /// `true` if the record observed any read activity.
+/// Read access to one record's fields: what the validity rules
+/// ([`crate::validate::check_record`]) and operation extraction need.
+///
+/// An owned [`PosixRecord`] and a [`crate::view::RecordView`] over the wire
+/// bytes both implement it, so the log path and the byte path run the same
+/// rule and extraction code, and the byte path never decodes a record.
+pub trait RecordFields {
+    /// Rank that produced the record, or [`SHARED_RANK`].
+    fn rank(&self) -> i32;
+
+    /// Read an integer counter.
+    fn get(&self, c: PosixCounter) -> i64;
+
+    /// Read a float counter.
+    fn getf(&self, c: PosixFCounter) -> f64;
+
+    /// Number of ranks this record stands for, given the job's `nprocs`.
     #[inline]
-    pub fn has_reads(&self) -> bool {
+    fn rank_count(&self, nprocs: u32) -> u32 {
+        if self.rank() == SHARED_RANK {
+            nprocs
+        } else {
+            1
+        }
+    }
+
+    /// Bytes read by this record.
+    #[inline]
+    fn bytes_read(&self) -> i64 {
+        self.get(PosixCounter::BytesRead)
+    }
+
+    /// Bytes written by this record.
+    #[inline]
+    fn bytes_written(&self) -> i64 {
+        self.get(PosixCounter::BytesWritten)
+    }
+
+    /// `true` if the record observed any read activity: both an op count
+    /// and a byte volume.
+    #[inline]
+    fn has_reads(&self) -> bool {
         self.get(PosixCounter::Reads) > 0 && self.bytes_read() > 0
     }
 
     /// `true` if the record observed any write activity.
     #[inline]
-    pub fn has_writes(&self) -> bool {
+    fn has_writes(&self) -> bool {
         self.get(PosixCounter::Writes) > 0 && self.bytes_written() > 0
     }
 
     /// The `[start, end]` interval (relative seconds) covering this record's
     /// read activity, if any. Darshan aggregates between open and close, so
     /// this is all the temporal information a record carries.
-    pub fn read_interval(&self) -> Option<(f64, f64)> {
+    #[inline]
+    fn read_interval(&self) -> Option<(f64, f64)> {
         if self.has_reads() {
             Some((
                 self.getf(PosixFCounter::ReadStartTimestamp),
@@ -152,7 +171,8 @@ impl PosixRecord {
     }
 
     /// The `[start, end]` interval covering this record's write activity.
-    pub fn write_interval(&self) -> Option<(f64, f64)> {
+    #[inline]
+    fn write_interval(&self) -> Option<(f64, f64)> {
         if self.has_writes() {
             Some((
                 self.getf(PosixFCounter::WriteStartTimestamp),
@@ -161,6 +181,40 @@ impl PosixRecord {
         } else {
             None
         }
+    }
+}
+
+impl RecordFields for PosixRecord {
+    #[inline]
+    fn rank(&self) -> i32 {
+        self.rank
+    }
+
+    #[inline]
+    fn get(&self, c: PosixCounter) -> i64 {
+        PosixRecord::get(self, c)
+    }
+
+    #[inline]
+    fn getf(&self, c: PosixFCounter) -> f64 {
+        PosixRecord::getf(self, c)
+    }
+}
+
+impl<R: RecordFields> RecordFields for &R {
+    #[inline]
+    fn rank(&self) -> i32 {
+        R::rank(self)
+    }
+
+    #[inline]
+    fn get(&self, c: PosixCounter) -> i64 {
+        R::get(self, c)
+    }
+
+    #[inline]
+    fn getf(&self, c: PosixFCounter) -> f64 {
+        R::getf(self, c)
     }
 }
 

@@ -17,29 +17,50 @@
 use crate::counter::{PosixCounter as C, PosixFCounter as F};
 use crate::error::{EvictReason, ValidityError};
 use crate::log::TraceLog;
-use crate::record::{PosixRecord, SHARED_RANK};
+use crate::record::{PosixRecord, RecordFields, SHARED_RANK};
 
 /// Tolerance for timestamps slightly beyond the (integer-second) job
 /// runtime: Darshan's job times are whole seconds while record timestamps
 /// are not, so sub-second overhang is legitimate.
 const RUNTIME_SLACK: f64 = 1.0;
 
-/// Check a single record against a job runtime. Returns every violated rule.
-pub fn check_record(rec: &PosixRecord, runtime: f64, nprocs: u32) -> Vec<ValidityError> {
+/// Every rule one record breaks, in report order: the counter rules, then
+/// [`ValidityError::MissingName`] when the record has no name-table entry
+/// (`named` is false).
+///
+/// Generic over [`RecordFields`], so an owned [`crate::PosixRecord`] and a
+/// [`crate::view::RecordView`] over the wire bytes are checked by this one
+/// function.
+pub fn check_record<R: RecordFields>(
+    rec: &R,
+    runtime: f64,
+    nprocs: u32,
+    named: bool,
+) -> Vec<ValidityError> {
     let mut errs = Vec::new();
 
-    if rec.rank < SHARED_RANK || u32::try_from(rec.rank).is_ok_and(|r| r >= nprocs.max(1)) {
+    let rank = rec.rank();
+    if rank < SHARED_RANK || u32::try_from(rank).is_ok_and(|r| r >= nprocs.max(1)) {
         errs.push(ValidityError::RankOutOfRange);
     }
-    if rec.get(C::BytesRead) < 0 || rec.get(C::BytesWritten) < 0 {
+    let (bytes_read, bytes_written) = (rec.bytes_read(), rec.bytes_written());
+    if bytes_read < 0 || bytes_written < 0 {
         errs.push(ValidityError::NegativeBytes);
     }
-    if (rec.get(C::BytesRead) > 0 && rec.get(C::Reads) == 0)
-        || (rec.get(C::BytesWritten) > 0 && rec.get(C::Writes) == 0)
+    if (bytes_read > 0 && rec.get(C::Reads) == 0) || (bytes_written > 0 && rec.get(C::Writes) == 0)
     {
         errs.push(ValidityError::BytesWithoutOps);
     }
-    if rec.fcounters.iter().any(|&v| v < 0.0) {
+    // One pass over the float counters decides both timestamp rules. NaN
+    // fails every comparison, so it is tested for by name: a NaN time
+    // cannot be placed within the runtime.
+    let (mut negative, mut beyond) = (false, false);
+    for c in F::ALL {
+        let v = rec.getf(c);
+        negative |= v < 0.0;
+        beyond |= v.is_nan() || v > runtime + RUNTIME_SLACK;
+    }
+    if negative {
         errs.push(ValidityError::NegativeTimestamp);
     }
 
@@ -57,9 +78,7 @@ pub fn check_record(rec: &PosixRecord, runtime: f64, nprocs: u32) -> Vec<Validit
         }
     }
 
-    // NaN fails every comparison, so it is tested for by name: a NaN time
-    // cannot be placed within the runtime.
-    if rec.fcounters.iter().any(|&v| v.is_nan() || v > runtime + RUNTIME_SLACK) {
+    if beyond {
         errs.push(ValidityError::TimestampBeyondRuntime);
     }
 
@@ -73,18 +92,42 @@ pub fn check_record(rec: &PosixRecord, runtime: f64, nprocs: u32) -> Vec<Validit
         errs.push(ValidityError::DeallocatedBeforeEnd);
     }
 
+    if !named {
+        errs.push(ValidityError::MissingName);
+    }
     errs
 }
 
-/// Check job-level invariants.
-pub fn check_header(log: &TraceLog) -> Vec<ValidityError> {
-    check_header_fields(log.header().runtime(), log.header().nprocs)
+/// Check a whole trace: the header rules, then [`check_record`] on every
+/// `(record, named)` pair in record order. A record that breaks no rule is
+/// handed to `keep`; a broken one lands in the report as
+/// `(index, errors)` instead.
+///
+/// The one record loop of validation: [`validate`] runs it over a log,
+/// [`crate::view::validate_view`] over wire bytes, and the columnar load
+/// over wire bytes with `keep` extracting each valid record.
+pub fn check_trace<R: RecordFields>(
+    runtime: f64,
+    nprocs: u32,
+    records: impl ExactSizeIterator<Item = (R, bool)>,
+    mut keep: impl FnMut(R),
+) -> ValidityReport {
+    let header_errors = check_header_fields(runtime, nprocs);
+    let records_checked = records.len();
+    let mut record_errors = Vec::new();
+    for (i, (rec, named)) in records.enumerate() {
+        let errs = check_record(&rec, runtime, nprocs, named);
+        if errs.is_empty() {
+            keep(rec);
+        } else {
+            record_errors.push((i, errs));
+        }
+    }
+    ValidityReport { header_errors, record_errors, records_checked }
 }
 
-/// Header invariants on bare fields — the shared core of [`check_header`]
-/// and the borrowed-view validation ([`crate::view::validate_view`]), so
-/// both paths apply the same rules in the same order.
-pub fn check_header_fields(runtime: f64, nprocs: u32) -> Vec<ValidityError> {
+/// Job-level invariants, on the header's bare fields.
+fn check_header_fields(runtime: f64, nprocs: u32) -> Vec<ValidityError> {
     let mut errs = Vec::new();
     if runtime <= 0.0 {
         errs.push(ValidityError::NonPositiveRuntime);
@@ -134,20 +177,13 @@ impl ValidityReport {
 
 /// Validate a decoded trace.
 pub fn validate(log: &TraceLog) -> ValidityReport {
-    let runtime = log.header().runtime();
-    let nprocs = log.header().nprocs;
-    let header_errors = check_header(log);
-    let mut record_errors = Vec::new();
-    for (i, rec) in log.records().iter().enumerate() {
-        let mut errs = check_record(rec, runtime, nprocs);
-        if !log.names().contains_key(&rec.record_id) {
-            errs.push(ValidityError::MissingName);
-        }
-        if !errs.is_empty() {
-            record_errors.push((i, errs));
-        }
-    }
-    ValidityReport { header_errors, record_errors, records_checked: log.records().len() }
+    let named = |rec: &PosixRecord| log.names().contains_key(&rec.record_id);
+    check_trace(
+        log.header().runtime(),
+        log.header().nprocs,
+        log.records().iter().map(|rec| (rec, named(rec))),
+        |_| {},
+    )
 }
 
 /// Delete the records `report` flagged invalid, in place. Returns the number

@@ -8,13 +8,21 @@
 //!
 //! * header fields are decoded to scalars, the exe stays a `&str` into the
 //!   input buffer;
-//! * the record array stays a raw `&[u8]` walked through fixed-offset
-//!   [`RecordView`] accessors — a record is only decoded (to a stack
-//!   [`PosixRecord`], still heap-free) when validation or extraction needs
-//!   it;
+//! * the record array stays on the wire as `&[[u8; RECORD_WIRE_BYTES]]`,
+//!   and each [`RecordView`] reads its fields at fixed offsets into one
+//!   fixed-size array, so once the `#[inline]` readers are inlined the
+//!   compiler sees every read in bounds and drops the check. A record is
+//!   never decoded on the way to the categorizer: the validity rules
+//!   ([`crate::validate::check_record`]) and the columnar extraction read
+//!   the view through [`RecordFields`], the same accessor an owned
+//!   [`PosixRecord`] implements;
 //! * the name table is reduced to a sorted id list (validation only needs
 //!   membership) plus the raw region for the rare full materialization
 //!   ([`TraceView::to_log`], which is all [`crate::mdf::from_bytes`] adds).
+//!
+//! [`validate_view`] applies the validation loop of
+//! [`crate::validate::validate`] ([`crate::validate::check_trace`]) to the
+//! wire records, so both produce the same report by construction.
 //!
 //! The ownership rule for everything downstream: a `TraceView` borrows the
 //! wire buffer and must not outlive it; anything that survives the trace
@@ -27,10 +35,9 @@ use crate::job::JobHeader;
 use crate::limits::{MAX_EXE_LEN, MAX_NAMES, MAX_RECORDS};
 use crate::log::TraceLog;
 use crate::mdf::{MAGIC, NAME_WIRE_MIN_BYTES, RECORD_WIRE_BYTES, VERSION};
-use crate::record::{PosixRecord, SHARED_RANK};
+use crate::record::{PosixRecord, RecordFields};
 use crate::synthutil::Crc32;
-use crate::validate::{check_header_fields, check_record, ValidityReport};
-use crate::ValidityError;
+use crate::validate::{check_trace, ValidityReport};
 use std::collections::BTreeMap;
 
 /// Byte offset of the counter array inside one wire record.
@@ -84,6 +91,7 @@ impl<'a> Cursor<'a> {
 // bounds (cursor takes and record strides are length-checked structurally),
 // so the one slice below cannot fire on any input that reached them.
 
+#[inline]
 #[expect(
     clippy::indexing_slicing,
     reason = "callers pass offsets inside a length-checked take/stride"
@@ -94,30 +102,37 @@ fn le_bytes<const N: usize>(b: &[u8], off: usize) -> [u8; N] {
     a
 }
 
+#[inline]
 fn le_u8(b: &[u8], off: usize) -> u8 {
     u8::from_le_bytes(le_bytes(b, off))
 }
 
+#[inline]
 fn le_u16(b: &[u8], off: usize) -> u16 {
     u16::from_le_bytes(le_bytes(b, off))
 }
 
+#[inline]
 fn le_u32(b: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(le_bytes(b, off))
 }
 
+#[inline]
 fn le_i32(b: &[u8], off: usize) -> i32 {
     i32::from_le_bytes(le_bytes(b, off))
 }
 
+#[inline]
 fn le_u64(b: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(le_bytes(b, off))
 }
 
+#[inline]
 fn le_i64(b: &[u8], off: usize) -> i64 {
     i64::from_le_bytes(le_bytes(b, off))
 }
 
+#[inline]
 fn le_f64(b: &[u8], off: usize) -> f64 {
     f64::from_le_bytes(le_bytes(b, off))
 }
@@ -128,7 +143,7 @@ fn le_f64(b: &[u8], off: usize) -> f64 {
 /// record array; all accessors are fixed-offset little-endian reads.
 #[derive(Clone, Copy)]
 pub struct RecordView<'a> {
-    data: &'a [u8],
+    data: &'a [u8; RECORD_WIRE_BYTES],
 }
 
 impl<'a> RecordView<'a> {
@@ -136,12 +151,6 @@ impl<'a> RecordView<'a> {
     #[inline]
     pub fn record_id(&self) -> u64 {
         le_u64(self.data, 0)
-    }
-
-    /// Rank that produced the record, or [`SHARED_RANK`].
-    #[inline]
-    pub fn rank(&self) -> i32 {
-        le_i32(self.data, 8)
     }
 
     /// The raw module tag byte (verified known at parse time).
@@ -158,79 +167,6 @@ impl<'a> RecordView<'a> {
         Module::from_tag(self.module_tag()).unwrap_or(Module::Posix)
     }
 
-    /// Read an integer counter.
-    #[inline]
-    pub fn get(&self, c: PosixCounter) -> i64 {
-        le_i64(self.data, COUNTERS_OFF + c.index() * 8)
-    }
-
-    /// Read a float counter.
-    #[inline]
-    pub fn getf(&self, c: PosixFCounter) -> f64 {
-        le_f64(self.data, FCOUNTERS_OFF + c.index() * 8)
-    }
-
-    /// Number of ranks this record stands for (mirrors
-    /// [`PosixRecord::rank_count`]).
-    #[inline]
-    pub fn rank_count(&self, nprocs: u32) -> u32 {
-        if self.rank() == SHARED_RANK {
-            nprocs
-        } else {
-            1
-        }
-    }
-
-    /// Bytes read by this record.
-    #[inline]
-    pub fn bytes_read(&self) -> i64 {
-        self.get(PosixCounter::BytesRead)
-    }
-
-    /// Bytes written by this record.
-    #[inline]
-    pub fn bytes_written(&self) -> i64 {
-        self.get(PosixCounter::BytesWritten)
-    }
-
-    /// `true` if the record observed any read activity (mirrors
-    /// [`PosixRecord::has_reads`]: both an op count and a byte volume).
-    #[inline]
-    pub fn has_reads(&self) -> bool {
-        self.get(PosixCounter::Reads) > 0 && self.bytes_read() > 0
-    }
-
-    /// `true` if the record observed any write activity.
-    #[inline]
-    pub fn has_writes(&self) -> bool {
-        self.get(PosixCounter::Writes) > 0 && self.bytes_written() > 0
-    }
-
-    /// The read-activity interval, if any (mirrors
-    /// [`PosixRecord::read_interval`]).
-    pub fn read_interval(&self) -> Option<(f64, f64)> {
-        if self.has_reads() {
-            Some((
-                self.getf(PosixFCounter::ReadStartTimestamp),
-                self.getf(PosixFCounter::ReadEndTimestamp),
-            ))
-        } else {
-            None
-        }
-    }
-
-    /// The write-activity interval, if any.
-    pub fn write_interval(&self) -> Option<(f64, f64)> {
-        if self.has_writes() {
-            Some((
-                self.getf(PosixFCounter::WriteStartTimestamp),
-                self.getf(PosixFCounter::WriteEndTimestamp),
-            ))
-        } else {
-            None
-        }
-    }
-
     /// Decode to an owned record — stack-only, no heap allocation; the
     /// arrays are copied straight out of the wire bytes.
     pub fn decode(&self) -> PosixRecord {
@@ -243,6 +179,23 @@ impl<'a> RecordView<'a> {
             *c = le_f64(self.data, FCOUNTERS_OFF + i * 8);
         }
         rec
+    }
+}
+
+impl RecordFields for RecordView<'_> {
+    #[inline]
+    fn rank(&self) -> i32 {
+        le_i32(self.data, 8)
+    }
+
+    #[inline]
+    fn get(&self, c: PosixCounter) -> i64 {
+        le_i64(self.data, COUNTERS_OFF + c.index() * 8)
+    }
+
+    #[inline]
+    fn getf(&self, c: PosixFCounter) -> f64 {
+        le_f64(self.data, FCOUNTERS_OFF + c.index() * 8)
     }
 }
 
@@ -263,8 +216,7 @@ pub struct TraceView<'a> {
     pub end_time: i64,
     /// Executable command line, borrowed from the wire buffer.
     pub exe: &'a str,
-    records: &'a [u8],
-    n_records: usize,
+    records: &'a [[u8; RECORD_WIRE_BYTES]],
     /// Sorted record ids present in the name table (membership only — the
     /// path strings stay on the wire).
     name_ids: Vec<u64>,
@@ -325,13 +277,15 @@ impl<'a> TraceView<'a> {
         if u64::from(n_records) * usize_to_u64(RECORD_WIRE_BYTES) > usize_to_u64(cur.remaining()) {
             return Err(FormatError::Truncated { context: "record array" });
         }
-        let n_records = u32_to_usize(n_records);
-        // Cannot overflow: the product fit inside `remaining` above.
-        let records = cur.take(n_records * RECORD_WIRE_BYTES, "record array")?;
+        // Cannot overflow: the product fit inside `remaining` above. The
+        // take is a whole number of records, so no remainder is left over.
+        let (records, _) = cur
+            .take(u32_to_usize(n_records) * RECORD_WIRE_BYTES, "record array")?
+            .as_chunks::<RECORD_WIRE_BYTES>();
         // Unknown module tags are rejected here, so record views can decode
         // the tag without a fallible path.
-        for record in records.chunks_exact(RECORD_WIRE_BYTES) {
-            let tag = le_u8(record, 12);
+        for data in records {
+            let tag = RecordView { data }.module_tag();
             if Module::from_tag(tag).is_none() {
                 return Err(FormatError::UnknownModule(tag));
             }
@@ -379,7 +333,6 @@ impl<'a> TraceView<'a> {
             end_time,
             exe,
             records,
-            n_records,
             name_ids,
             names_raw,
             n_names,
@@ -389,22 +342,24 @@ impl<'a> TraceView<'a> {
     /// Number of records on the wire.
     #[inline]
     pub fn n_records(&self) -> usize {
-        self.n_records
+        self.records.len()
     }
 
     /// View of record `i`. Returns `None` past the end.
     #[inline]
     pub fn record(&self, i: usize) -> Option<RecordView<'a>> {
-        if i >= self.n_records {
-            return None;
-        }
-        let off = i * RECORD_WIRE_BYTES;
-        self.records.get(off..off + RECORD_WIRE_BYTES).map(|data| RecordView { data })
+        self.records.get(i).map(|data| RecordView { data })
     }
 
     /// Iterate over all record views.
-    pub fn records(&self) -> impl Iterator<Item = RecordView<'a>> + '_ {
-        self.records.chunks_exact(RECORD_WIRE_BYTES).map(|data| RecordView { data })
+    pub fn records(&self) -> impl ExactSizeIterator<Item = RecordView<'a>> + '_ {
+        self.records.iter().map(|data| RecordView { data })
+    }
+
+    /// Every record view with whether the name table has an entry for it:
+    /// the `(record, named)` pairs [`check_trace`] walks.
+    pub fn named_records(&self) -> impl ExactSizeIterator<Item = (RecordView<'a>, bool)> + '_ {
+        self.records().map(|rec| (rec, self.has_name(rec.record_id())))
     }
 
     /// `true` when the name table has an entry for `record_id`.
@@ -458,25 +413,12 @@ impl<'a> TraceView<'a> {
     }
 }
 
-/// Validate a borrowed trace, mirroring [`crate::validate::validate`] rule
-/// for rule: header invariants, per-record checks in record order, and the
-/// name-table membership check appended after the record rules.
+/// Validate a borrowed trace: the validation loop of
+/// [`crate::validate::validate`] over the wire records, so the report is
+/// the one the materialized log gets — header rules, per-record rules in
+/// record order, the name-table check last.
 pub fn validate_view(view: &TraceView<'_>) -> ValidityReport {
-    let runtime = view.runtime();
-    let nprocs = view.nprocs;
-    let header_errors = check_header_fields(runtime, nprocs);
-    let mut record_errors = Vec::new();
-    for (i, rec) in view.records().enumerate() {
-        let decoded = rec.decode();
-        let mut errs = check_record(&decoded, runtime, nprocs);
-        if !view.has_name(decoded.record_id) {
-            errs.push(ValidityError::MissingName);
-        }
-        if !errs.is_empty() {
-            record_errors.push((i, errs));
-        }
-    }
-    ValidityReport { header_errors, record_errors, records_checked: view.n_records() }
+    check_trace(view.runtime(), view.nprocs, view.named_records(), |_| {})
 }
 
 #[cfg(test)]
@@ -487,6 +429,7 @@ mod tests {
     use crate::log::TraceLogBuilder;
     use crate::mdf;
     use crate::validate;
+    use crate::ValidityError;
 
     fn sample() -> TraceLog {
         let mut b = TraceLogBuilder::new(

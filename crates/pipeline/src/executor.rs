@@ -8,7 +8,6 @@ use mosaic_core::columnar::TraceArena;
 use mosaic_core::report::CategoryCounts;
 use mosaic_core::{Categorizer, CategorizerConfig, JaccardMatrix, TraceReport};
 use mosaic_darshan::convert::usize_to_u64;
-use mosaic_darshan::view::validate_view;
 use mosaic_darshan::{validate, EvictClass, EvictReason, OperationView, TraceLog, TraceView};
 use mosaic_obs::{
     MetricsReport, MetricsSnapshot, Recorder, Span, SpanOutcome, Stage, TraceTimeline,
@@ -230,9 +229,9 @@ struct Extracted {
     end_time: i64,
 }
 
-/// Byte input: borrowed parse, borrowed validation, columnar extraction
-/// into the arena. The arena load skips the records validation flagged,
-/// which is what `delete_invalid` does for log inputs.
+/// Byte input: borrowed parse, then one walk over the wire records that
+/// validates each one and extracts the valid ones into the arena. Skipping
+/// the flagged records is what `delete_invalid` does for log inputs.
 fn extract_bytes(
     bytes: &[u8],
     arena: &mut TraceArena,
@@ -251,15 +250,16 @@ fn extract_bytes(
         Err(err) => return Err(scope.evict(Stage::Parse, t0, dur, wire, EvictReason::from(&err))),
     };
 
+    // One walk checks and extracts every record, so the validate span
+    // covers the extraction too.
     let t0 = recorder.now_ns();
-    let report = validate_view(&view);
+    let report = arena.trace.load_checked(&view);
     let dur = recorder.now_ns().saturating_sub(t0);
     if report.is_fatal() {
         return Err(scope.evict(Stage::Validate, t0, dur, 0, report.evict_reason()));
     }
     scope.emit(Stage::Validate, t0, dur, 0, SpanOutcome::Ok, None);
 
-    arena.trace.load(&view, &report);
     Ok(Extracted {
         app_key: view.app_key(),
         sanitized_records: report.record_errors.len(),

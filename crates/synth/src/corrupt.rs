@@ -12,7 +12,7 @@
 
 use mosaic_darshan::counter::PosixCounter as C;
 use mosaic_darshan::counter::PosixFCounter as F;
-use mosaic_darshan::{mdf, TraceLog};
+use mosaic_darshan::{mdf, RecordFields, TraceLog};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 

@@ -20,12 +20,17 @@
 //! * **traced vs untraced** — a run with structured span tracing enabled
 //!   must snapshot byte-identically to one without: the timeline is
 //!   observability, never part of the answer;
-//! * **columnar vs reference** — for every valid trace, the production
-//!   columnar extraction and merge ([`merge_all_columnar`], materialized)
-//!   must equal the row reference [`merge::merge_all`] over the log's
-//!   operation view, and [`chunk_volumes_columnar`] must equal
-//!   [`chunk_volumes`] on the merged operations: per corpus, and once over
-//!   a 2 000-trace mixed-corruption synthetic sweep;
+//! * **columnar vs reference** — every trace that parses is checked and
+//!   extracted by the executor's one record walk
+//!   ([`mosaic_core::columnar::ColumnarTrace::load_checked`]), whose validity report must equal
+//!   [`validate::validate`] on the materialized log. For every valid trace,
+//!   its metadata events and dedup weight must equal the sanitized log's
+//!   ([`validate::delete_invalid`], [`OperationView::from_log`]), the
+//!   columnar merge ([`merge_all_columnar`], materialized) must equal the
+//!   row reference [`merge::merge_all`] over the log's operation view, and
+//!   [`chunk_volumes_columnar`] must equal [`chunk_volumes`] on the merged
+//!   operations: per corpus, and once over a 2 000-trace mixed-corruption
+//!   synthetic sweep;
 //! * **Mean Shift vs reference** — for every significant direction of every
 //!   valid trace, the grid-indexed [`MeanShift::fit`] on the segments'
 //!   [`op_feature`]s must return the labels and center bits of the
@@ -50,8 +55,6 @@ use mosaic_core::{merge, metadata, CategorizerConfig, TemporalityLabel};
 use mosaic_darshan::counter::PosixCounter as C;
 use mosaic_darshan::counter::PosixFCounter as F;
 use mosaic_darshan::record::SHARED_RANK;
-use mosaic_darshan::validate::ValidityReport;
-use mosaic_darshan::view::validate_view;
 use mosaic_darshan::{mdf, validate, JobHeader, OpKind, OperationView, TraceLogBuilder, TraceView};
 use mosaic_pipeline::executor::{process, PipelineConfig};
 use mosaic_pipeline::source::{TraceInput, VecSource};
@@ -92,16 +95,11 @@ fn compare(report: &mut VerifyReport, name: String, a: &ResultSnapshot, b: &Resu
     }
 }
 
-/// The traces of `wires` that parse and are not fatally invalid, with their
-/// index and validity report.
-fn valid_views(
-    wires: &[Vec<u8>],
-) -> impl Iterator<Item = (usize, TraceView<'_>, ValidityReport)> + '_ {
-    wires.iter().enumerate().filter_map(|(i, wire)| {
-        let view = TraceView::parse(wire).ok()?;
-        let validity = validate_view(&view);
-        (!validity.is_fatal()).then_some((i, view, validity))
-    })
+/// The traces of `wires` that parse, with their index. Callers check and
+/// extract each one into their arena with the production walk
+/// ([`mosaic_core::columnar::ColumnarTrace::load_checked`]) and skip the fatally invalid ones.
+fn parsed(wires: &[Vec<u8>]) -> impl Iterator<Item = (usize, TraceView<'_>)> + '_ {
+    wires.iter().enumerate().filter_map(|(i, wire)| Some((i, TraceView::parse(wire).ok()?)))
 }
 
 /// The columnar-vs-reference check over one set of wire buffers: every
@@ -113,15 +111,31 @@ fn columnar_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<u
     let config = CategorizerConfig::default();
     let mut arena = TraceArena::default();
     let mut merged = Vec::new();
-    let mut valid = 0usize;
+    let (mut checked, mut valid) = (0usize, 0usize);
     let mut diverged = Vec::new();
-    for (i, view, validity) in valid_views(wires) {
-        valid += 1;
-        arena.trace.load(&view, &validity);
+    for (i, view) in parsed(wires) {
+        checked += 1;
+        let validity = arena.trace.load_checked(&view);
         let mut log = view.to_log();
         let log_validity = validate::validate(&log);
+        if validity != log_validity {
+            diverged.push(format!("trace {i}: validity {validity:?}, reference {log_validity:?}"));
+        }
+        if validity.is_fatal() {
+            continue;
+        }
+        valid += 1;
         validate::delete_invalid(&mut log, &log_validity);
         let rows = OperationView::from_log(&log);
+        if arena.trace.meta != rows.meta || arena.trace.weight != log.io_weight() {
+            diverged.push(format!(
+                "trace {i}: {} meta events and weight {}, reference {} and {}",
+                arena.trace.meta.len(),
+                arena.trace.weight,
+                rows.meta.len(),
+                log.io_weight()
+            ));
+        }
         let runtime = arena.trace.runtime;
         for (kind, cols, raw) in [
             (OpKind::Read, &arena.trace.reads, &rows.reads),
@@ -150,7 +164,10 @@ fn columnar_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<u
         name,
         diverged.is_empty(),
         if diverged.is_empty() {
-            format!("{valid} valid traces: columnar merge and chunk volumes equal the reference")
+            format!(
+                "{checked} parsed traces: validity reports equal the reference; {valid} valid \
+                 traces: metadata, weight, columnar merge and chunk volumes equal the reference"
+            )
         } else {
             diverged.join("\n")
         },
@@ -175,8 +192,10 @@ fn meanshift_vs_reference(
     let mut merged = Vec::new();
     let (mut fits, mut grid_fits, mut points) = (0usize, 0usize, 0usize);
     let mut diverged = Vec::new();
-    for (i, view, validity) in valid_views(wires) {
-        arena.trace.load(&view, &validity);
+    for (i, view) in parsed(wires) {
+        if arena.trace.load_checked(&view).is_fatal() {
+            continue;
+        }
         let runtime = arena.trace.runtime;
         for (kind, cols) in
             [(OpKind::Read, &arena.trace.reads), (OpKind::Write, &arena.trace.writes)]
@@ -245,8 +264,10 @@ fn metadata_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<u
     let mut arena = TraceArena::default();
     let (mut traces, mut events, mut spiky) = (0usize, 0usize, 0usize);
     let mut diverged = Vec::new();
-    for (i, view, validity) in valid_views(wires) {
-        arena.trace.load(&view, &validity);
+    for (i, view) in parsed(wires) {
+        if arena.trace.load_checked(&view).is_fatal() {
+            continue;
+        }
         let trace = &arena.trace;
         let sparse = metadata::characterize(&trace.meta, trace.runtime, trace.nprocs, &config);
         let dense =
@@ -528,7 +549,8 @@ mod tests {
         use mosaic_darshan::log::TraceLogBuilder;
         // A valid trace carrying one invalid record (sanitized away on both
         // sides), a trace whose every record is invalid (fatal), and bytes
-        // that do not parse: only the first is compared.
+        // that do not parse: the reports of the two that parse are
+        // compared, and only the first one's extraction.
         let mut b = TraceLogBuilder::new(JobHeader::new(1, 1, 4, 0, 100).with_exe("/bin/a"));
         for rank in 0..3 {
             let r = b.begin_record(&format!("/in.{rank}"), rank);
@@ -551,7 +573,13 @@ mod tests {
         columnar_vs_reference(&mut report, "columnar".to_owned(), &wires);
         assert!(report.passed(), "{}", report.render());
         assert_eq!(report.checks.len(), 1);
-        assert!(report.checks[0].detail.starts_with("1 valid traces"), "{}", report.render());
+        assert!(
+            report.checks[0].detail.starts_with(
+                "2 parsed traces: validity reports equal the reference; 1 valid traces"
+            ),
+            "{}",
+            report.render()
+        );
     }
 
     #[test]

@@ -1,13 +1,21 @@
-//! Property pin for the one MDF parser, [`TraceView::parse`]: it must never
-//! panic on any input — arbitrary garbage, mutated real traces, and
-//! structurally valid logs with hostile counter values — and on every
-//! accepted input the two production validators must agree: the borrowed
-//! [`validate_view`] (byte inputs) and [`validate::validate`] (log inputs).
+//! Property pin for the one MDF parser, [`TraceView::parse`], and the one
+//! record walk, [`ColumnarTrace::load_checked`]. Parsing must never panic on
+//! any input — arbitrary garbage, mutated real traces, and structurally
+//! valid logs with hostile counter values. On every accepted input the walk
+//! must agree with the staged byte path and with the row reference:
 //!
-//! Deliberately compares parse results and validity reports, not pipeline
-//! aggregates: arbitrary `i64` counters are free to be absurd here, and the
-//! contract under test is parsing and validation, not downstream arithmetic.
+//! * its validity report equals the borrowed [`validate_view`]'s and
+//!   [`validate::validate`]'s on the materialized log;
+//! * its columns, metadata events and weight equal what
+//!   [`ColumnarTrace::load`] extracts with that report, bit for bit;
+//! * and what the row reference extracts: `delete_invalid` +
+//!   [`OperationView::from_log`], whose reads and writes are start-sorted
+//!   (stably) where the columns keep extraction order.
+//!
+//! Arbitrary `i64` counters are free to be absurd here; the contract under
+//! test is parsing, validation and extraction, not downstream arithmetic.
 
+use mosaic_core::columnar::{ColumnarTrace, OpColumns};
 use mosaic_darshan::error::FormatError;
 use mosaic_darshan::job::JobHeader;
 use mosaic_darshan::log::TraceLog;
@@ -15,20 +23,72 @@ use mosaic_darshan::record::PosixRecord;
 use mosaic_darshan::synthutil::Crc32;
 use mosaic_darshan::validate;
 use mosaic_darshan::view::{validate_view, TraceView};
-use mosaic_darshan::{mdf, TraceLogBuilder};
+use mosaic_darshan::{mdf, MetaEvent, Operation, OperationView, TraceLogBuilder};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
+type OpBits = Vec<(u64, u64, u64, u32)>;
+type MetaBits = Vec<(u64, u64, u64)>;
+/// Runtime, nprocs, reads, writes, metadata events and weight, by bits.
+type LoadedBits = (u64, u32, OpBits, OpBits, MetaBits, i64);
+
+/// Column rows, stably sorted by start as the row reference sorts them.
+fn start_sorted(cols: &OpColumns) -> OpBits {
+    let mut rows: Vec<(f64, f64, u64, u32)> = (0..cols.len())
+        .map(|i| (cols.starts[i], cols.ends[i], cols.bytes[i], cols.ranks[i]))
+        .collect();
+    rows.sort_by(|a, b| a.0.total_cmp(&b.0));
+    rows.into_iter().map(|(s, e, b, r)| (s.to_bits(), e.to_bits(), b, r)).collect()
+}
+
+fn op_bits(ops: &[Operation]) -> OpBits {
+    ops.iter().map(|o| (o.start.to_bits(), o.end.to_bits(), o.bytes, o.ranks)).collect()
+}
+
+fn meta_bits(meta: &[MetaEvent]) -> MetaBits {
+    meta.iter().map(|e| (e.time.to_bits(), e.kind as u64, e.count)).collect()
+}
+
+/// Everything a loaded trace holds, by bits; reads and writes start-sorted.
+fn loaded_bits(t: &ColumnarTrace) -> LoadedBits {
+    let (reads, writes) = (start_sorted(&t.reads), start_sorted(&t.writes));
+    (t.runtime.to_bits(), t.nprocs, reads, writes, meta_bits(&t.meta), t.weight)
+}
+
 /// The contract, applied to one byte buffer: parsing returns instead of
-/// panicking, and an accepted view validates exactly like its materialized
-/// log — the same report from both production validators.
-fn assert_validators_agree(bytes: &[u8]) -> TestCaseResult {
+/// panicking, and an accepted view is checked and extracted by the one
+/// walk exactly as by the staged pair and by the row reference.
+fn assert_walk_agrees(bytes: &[u8]) -> TestCaseResult {
     if let Ok(view) = TraceView::parse(bytes) {
         let log = view.to_log();
-        prop_assert_eq!(validate_view(&view), validate::validate(&log), "validity reports differ");
+        let mut walked = ColumnarTrace::default();
+        let report = walked.load_checked(&view);
+        prop_assert_eq!(&report, &validate_view(&view), "walk vs validate_view");
+        prop_assert_eq!(&report, &validate::validate(&log), "walk vs validate");
         prop_assert_eq!(view.n_records(), log.records().len());
         prop_assert_eq!(view.exe, log.header().exe.as_str());
         prop_assert_eq!(view.app_key(), log.header().app_key());
+
+        let mut staged = ColumnarTrace::default();
+        staged.load(&view, &report);
+        let walked_bits = loaded_bits(&walked);
+        prop_assert_eq!(&walked_bits, &loaded_bits(&staged), "walk vs load");
+        // Extraction order, not only its sorted image, must match too.
+        prop_assert_eq!(&walked.reads, &staged.reads);
+        prop_assert_eq!(&walked.writes, &staged.writes);
+
+        let mut sanitized = log.clone();
+        validate::delete_invalid(&mut sanitized, &report);
+        let rows = OperationView::from_log(&sanitized);
+        let reference = (
+            rows.runtime.to_bits(),
+            rows.nprocs,
+            op_bits(&rows.reads),
+            op_bits(&rows.writes),
+            meta_bits(&rows.meta),
+            sanitized.io_weight(),
+        );
+        prop_assert_eq!(walked_bits, reference, "walk vs row reference");
     }
     Ok(())
 }
@@ -155,7 +215,7 @@ proptest! {
     fn arbitrary_bytes_never_panic_and_agree(
         bytes in prop::collection::vec(any::<u8>(), 0..2048),
     ) {
-        assert_validators_agree(&bytes)?;
+        assert_walk_agrees(&bytes)?;
     }
 
     #[test]
@@ -166,7 +226,7 @@ proptest! {
         // header decoding paths instead of bailing at byte 0.
         let mut bytes = mdf::MAGIC.to_vec();
         bytes.extend(tail);
-        assert_validators_agree(&bytes)?;
+        assert_walk_agrees(&bytes)?;
     }
 
     #[test]
@@ -178,7 +238,7 @@ proptest! {
         let cut = cut.min(bytes.len());
         bytes.truncate(cut);
         bytes.extend(junk);
-        assert_validators_agree(&bytes)?;
+        assert_walk_agrees(&bytes)?;
     }
 
     #[test]
@@ -186,7 +246,7 @@ proptest! {
         let mut bytes = seed_trace_bytes();
         let pos = pos % bytes.len();
         bytes[pos] ^= mask;
-        assert_validators_agree(&bytes)?;
+        assert_walk_agrees(&bytes)?;
     }
 
     #[test]
@@ -203,13 +263,13 @@ proptest! {
         let crc = Crc32::checksum(&bytes[..bytes.len() - 4]);
         let footer = bytes.len() - 4;
         bytes[footer..].copy_from_slice(&crc.to_le_bytes());
-        assert_validators_agree(&bytes)?;
+        assert_walk_agrees(&bytes)?;
     }
 
     #[test]
     fn adversarial_valid_logs_decode_and_validate_identically(log in arb_log()) {
         let bytes = mdf::to_bytes(&log);
-        assert_validators_agree(&bytes)?;
+        assert_walk_agrees(&bytes)?;
         // The parser must *accept* a well-formed serialization, however
         // hostile the counter values are, and decode it losslessly.
         let view = TraceView::parse(&bytes);
