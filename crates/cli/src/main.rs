@@ -48,7 +48,6 @@ fn main() -> ExitCode {
         "diff" => diff(rest),
         "watch" => watch(rest),
         "verify" => verify(rest),
-        "lint" => lint(rest),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             Ok(())
@@ -86,7 +85,6 @@ USAGE:
   mosaic watch     --dir DIR [--interval SECS] [--rounds R]
   mosaic verify    [--all | --differential --metamorphic --golden]
                    [--bless] [--golden-dir DIR] [--json]
-  mosaic lint      [--format text|json] [--root DIR] [--sarif FILE]
   mosaic help
 
 SUBCOMMANDS:
@@ -102,8 +100,6 @@ SUBCOMMANDS:
   diff          workload drift between two datasets (category-share drift)
   watch         incrementally analyze a growing directory of .mdf files
   verify        differential / metamorphic / golden-snapshot conformance
-  lint          enforce the invariants clippy cannot: unit consistency
-                (L7), Relaxed-only atomics (L10), lock discipline (L11)
 
 OPTIONS:
   --n N            dataset size in traces          (default 10000)
@@ -137,21 +133,7 @@ OPTIONS:
   --golden         verify: compare against committed tests/golden snapshots
   --bless          verify: regenerate the golden snapshots instead of checking
   --golden-dir DIR verify: override the golden snapshot directory
-  --format F       lint: output format, `text` or `json`  (default text)
-  --root DIR       lint: workspace root (default: nearest [workspace] manifest)
-  --sarif FILE     lint: additionally write a stable SARIF 2.1.0 document
 ";
-
-/// `mosaic lint`: run the workspace invariant linter (see `crates/lint`).
-fn lint(args: &[String]) -> Result<(), String> {
-    match mosaic_lint::cli_main(args) {
-        mosaic_lint::EXIT_CLEAN => Ok(()),
-        mosaic_lint::EXIT_FINDINGS => {
-            Err("lint findings above — fix them or add a justified `lint: allow`".to_owned())
-        }
-        _ => Err("lint invocation failed".to_owned()),
-    }
-}
 
 /// Tiny flag parser: `--key value` pairs only.
 fn parse_flags(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>), String> {

@@ -46,6 +46,24 @@ use mosaic_darshan::RecordFields;
 
 /// One direction's intervals in struct-of-arrays layout. The four vectors
 /// always have equal length; element `i` of each describes one operation.
+///
+/// As in [`Operation`](mosaic_darshan::Operation), bytes are integers and
+/// times `f64`, so an element's bytes and start cannot be summed:
+///
+/// ```compile_fail,E0277
+/// # use mosaic_core::columnar::OpColumns;
+/// let cols = OpColumns { starts: vec![1.0], ends: vec![3.0], bytes: vec![4096], ranks: vec![1] };
+/// let _meaningless: Vec<_> = cols.bytes.iter().zip(&cols.starts).map(|(b, s)| b + s).collect();
+/// ```
+///
+/// while a per-operation rate converts explicitly:
+///
+/// ```
+/// # use mosaic_core::columnar::OpColumns;
+/// let cols = OpColumns { starts: vec![1.0], ends: vec![3.0], bytes: vec![4096], ranks: vec![1] };
+/// let rate = cols.bytes[0] as f64 / (cols.ends[0] - cols.starts[0]);
+/// assert_eq!(rate, 2048.0);
+/// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpColumns {
     /// Operation start times (seconds relative to job start).

@@ -11,6 +11,23 @@ use mosaic_darshan::ops::Operation;
 use serde::{Deserialize, Serialize};
 
 /// One segment of the per-direction timeline.
+///
+/// Bytes are integers and times are `f64` seconds, so the type system keeps
+/// the two axes apart: a rate needs an explicit conversion,
+///
+/// ```
+/// # use mosaic_core::segment::Segment;
+/// let seg = Segment { start: 0.0, duration: 2.0, bytes: 4096, op_duration: 0.5 };
+/// assert_eq!(seg.bytes as f64 / seg.duration, 2048.0);
+/// ```
+///
+/// and a sum of bytes and seconds does not compile:
+///
+/// ```compile_fail,E0277
+/// # use mosaic_core::segment::Segment;
+/// let seg = Segment { start: 0.0, duration: 2.0, bytes: 4096, op_duration: 0.5 };
+/// let _meaningless = seg.bytes + seg.duration;
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Segment {
     /// Start of the opening operation (seconds, relative).

@@ -28,6 +28,25 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One individual access, as DXT records it.
+///
+/// Its length is an integer and its times `f64` seconds, so a bandwidth
+/// needs an explicit conversion,
+///
+/// ```
+/// # use mosaic_darshan::dxt::DxtAccess;
+/// # use mosaic_darshan::OpKind;
+/// let a = DxtAccess { kind: OpKind::Read, offset: 0, length: 4096, start: 1.0, end: 3.0 };
+/// assert_eq!(a.length as f64 / (a.end - a.start), 2048.0);
+/// ```
+///
+/// and a sum of length and time does not compile:
+///
+/// ```compile_fail,E0277
+/// # use mosaic_darshan::dxt::DxtAccess;
+/// # use mosaic_darshan::OpKind;
+/// let a = DxtAccess { kind: OpKind::Read, offset: 0, length: 4096, start: 1.0, end: 3.0 };
+/// let _meaningless = a.length + a.start;
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DxtAccess {
     /// Read or write.

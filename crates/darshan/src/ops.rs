@@ -42,6 +42,23 @@ impl OpKind {
 /// One aggregated data operation: everything a trace knows about the
 /// activity of one direction of one record, or (after merging) of several
 /// records fused together.
+///
+/// Bytes are an integer and times `f64` seconds, so a rate needs an
+/// explicit conversion,
+///
+/// ```
+/// # use mosaic_darshan::{OpKind, Operation};
+/// let op = Operation { kind: OpKind::Write, start: 1.0, end: 3.0, bytes: 4096, ranks: 1 };
+/// assert_eq!(op.bytes as f64 / op.duration(), 2048.0);
+/// ```
+///
+/// and a sum of bytes and seconds does not compile:
+///
+/// ```compile_fail,E0277
+/// # use mosaic_darshan::{OpKind, Operation};
+/// let op = Operation { kind: OpKind::Write, start: 1.0, end: 3.0, bytes: 4096, ranks: 1 };
+/// let _meaningless = op.bytes + op.start;
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Operation {
     /// Read or write.

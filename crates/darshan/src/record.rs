@@ -15,6 +15,27 @@ pub const SHARED_RANK: i32 = -1;
 /// Counters are dense arrays indexed by [`PosixCounter`] / [`PosixFCounter`],
 /// exactly like Darshan's in-memory layout. All timestamps are seconds
 /// relative to the job start.
+///
+/// Byte counters are `i64` and timestamps `f64`, so a read rate needs an
+/// explicit conversion,
+///
+/// ```
+/// # use mosaic_darshan::counter::{PosixCounter as C, PosixFCounter as F};
+/// # use mosaic_darshan::PosixRecord;
+/// let mut rec = PosixRecord::new(7, 0);
+/// rec.set(C::BytesRead, 4096).setf(F::ReadStartTimestamp, 1.0).setf(F::ReadEndTimestamp, 3.0);
+/// let secs = rec.getf(F::ReadEndTimestamp) - rec.getf(F::ReadStartTimestamp);
+/// assert_eq!(rec.get(C::BytesRead) as f64 / secs, 2048.0);
+/// ```
+///
+/// and a sum of a byte counter and a timestamp does not compile:
+///
+/// ```compile_fail,E0277
+/// # use mosaic_darshan::counter::{PosixCounter as C, PosixFCounter as F};
+/// # use mosaic_darshan::PosixRecord;
+/// let rec = PosixRecord::new(7, 0);
+/// let _meaningless = rec.get(C::BytesRead) + rec.getf(F::ReadStartTimestamp);
+/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PosixRecord {
     /// Stable hash of the file path (see [`crate::synthutil::record_id`]).

@@ -47,7 +47,9 @@
     )
 )]
 
+mod counter;
 pub mod expo;
+pub mod lock;
 pub mod metrics;
 pub mod progress;
 pub mod sketch;

@@ -24,82 +24,13 @@
 //!   panicking on a worker thread.
 
 use crate::expo::{MetricFamily, MetricKind, MetricsSnapshot, Sample};
+use crate::lock::with_lock;
 use crate::sketch::QuantileSketch;
 use crate::Stage;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
-/// Monotonically increasing counter. Pure telemetry: all operations are
-/// relaxed and results are never consumed for control flow.
-#[derive(Debug, Default)]
-pub struct Counter {
-    hits: AtomicU64,
-}
-
-impl Counter {
-    /// Fresh zeroed counter.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Add `n` to the total. Wait-free.
-    pub fn add(&self, n: u64) {
-        self.hits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current total.
-    pub fn get(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-}
-
-/// Instantaneous level (resident bytes, in-flight traces, set sizes).
-/// Supports two-way movement plus a monotonic watermark mode via
-/// [`Gauge::set_max`]. Pure telemetry — relaxed, results discarded.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    level: AtomicU64,
-}
-
-impl Gauge {
-    /// Fresh zeroed gauge.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Overwrite the level.
-    pub fn set(&self, v: u64) {
-        self.level.store(v, Ordering::Relaxed);
-    }
-
-    /// Raise the level by `n`.
-    pub fn add(&self, n: u64) {
-        self.level.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Lower the level by `n` (saturating is the caller's concern; in-flight
-    /// style gauges pair every `sub` with a prior `add`).
-    pub fn sub(&self, n: u64) {
-        self.level.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Raise the level to at least `v` — the monotonic-watermark mode used
-    /// for peak trackers.
-    pub fn set_max(&self, v: u64) {
-        self.level.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    pub fn get(&self) -> u64 {
-        self.level.load(Ordering::Relaxed)
-    }
-}
+pub use crate::counter::{Counter, Gauge};
 
 /// A registered quantile sketch plus the running sum and count that
 /// OpenMetrics summaries expose, and the largest observation — kept as
@@ -202,6 +133,17 @@ fn normalize_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
 /// The unified registry: dotted names → kinds → labelled handles. Cheap to
 /// share (`Arc` it), cheap to record through (handles are lock-free);
 /// the internal lock guards only registration and snapshotting.
+///
+/// ```
+/// use mosaic_obs::MetricsRegistry;
+///
+/// let registry = MetricsRegistry::new();
+/// registry.counter("mosaic.demo.evictions", "Evictions", &[("reason", "truncated")]).add(2);
+/// registry.counter("mosaic.demo.evictions", "Evictions", &[("reason", "bad_magic")]).inc();
+/// assert_eq!(registry.counter_total("mosaic.demo.evictions"), 3);
+/// let snapshot = registry.snapshot();
+/// assert_eq!(snapshot.families[0].samples.len(), 2, "one series per label set");
+/// ```
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     families: Mutex<BTreeMap<String, Family>>,
@@ -218,105 +160,104 @@ impl MetricsRegistry {
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         let key = sanitize_name(name);
         let labels = normalize_labels(labels);
-        let mut families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
-        let family = families.entry(key).or_insert_with(|| Family {
-            help: help.to_owned(),
-            slots: Slots::Counter(BTreeMap::new()),
-        });
-        match &mut family.slots {
-            Slots::Counter(slots) => Arc::clone(slots.entry(labels).or_default()),
-            _ => Arc::new(Counter::new()),
-        }
+        with_lock(&self.families, |families| {
+            let family = families.entry(key).or_insert_with(|| Family {
+                help: help.to_owned(),
+                slots: Slots::Counter(BTreeMap::new()),
+            });
+            match &mut family.slots {
+                Slots::Counter(slots) => Arc::clone(slots.entry(labels).or_default()),
+                _ => Arc::new(Counter::new()),
+            }
+        })
     }
 
     /// Get or register the gauge `name{labels}`; detached on kind conflict.
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         let key = sanitize_name(name);
         let labels = normalize_labels(labels);
-        let mut families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
-        let family = families.entry(key).or_insert_with(|| Family {
-            help: help.to_owned(),
-            slots: Slots::Gauge(BTreeMap::new()),
-        });
-        match &mut family.slots {
-            Slots::Gauge(slots) => Arc::clone(slots.entry(labels).or_default()),
-            _ => Arc::new(Gauge::new()),
-        }
+        with_lock(&self.families, |families| {
+            let family = families.entry(key).or_insert_with(|| Family {
+                help: help.to_owned(),
+                slots: Slots::Gauge(BTreeMap::new()),
+            });
+            match &mut family.slots {
+                Slots::Gauge(slots) => Arc::clone(slots.entry(labels).or_default()),
+                _ => Arc::new(Gauge::new()),
+            }
+        })
     }
 
     /// Get or register the summary `name{labels}`; detached on kind conflict.
     pub fn summary(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Summary> {
         let key = sanitize_name(name);
         let labels = normalize_labels(labels);
-        let mut families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
-        let family = families.entry(key).or_insert_with(|| Family {
-            help: help.to_owned(),
-            slots: Slots::Summary(BTreeMap::new()),
-        });
-        match &mut family.slots {
-            Slots::Summary(slots) => Arc::clone(slots.entry(labels).or_default()),
-            _ => Arc::new(Summary::new()),
-        }
+        with_lock(&self.families, |families| {
+            let family = families.entry(key).or_insert_with(|| Family {
+                help: help.to_owned(),
+                slots: Slots::Summary(BTreeMap::new()),
+            });
+            match &mut family.slots {
+                Slots::Summary(slots) => Arc::clone(slots.entry(labels).or_default()),
+                _ => Arc::new(Summary::new()),
+            }
+        })
     }
 
     /// Sum over every series of the counter family `name`; 0 when the
     /// family is absent or not a counter.
     pub fn counter_total(&self, name: &str) -> u64 {
-        let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
-        match families.get(&sanitize_name(name)).map(|family| &family.slots) {
+        let name = sanitize_name(name);
+        with_lock(&self.families, |families| match families.get(&name).map(|f| &f.slots) {
             Some(Slots::Counter(slots)) => slots.values().map(|c| c.get()).sum(),
             _ => 0,
-        }
+        })
     }
 
     /// Freeze every family into an ordering-stable [`MetricsSnapshot`].
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut out = Vec::with_capacity(families.len());
-        for (name, family) in families.iter() {
-            let samples = match &family.slots {
-                Slots::Counter(slots) => slots
-                    .iter()
-                    .map(|(labels, c)| Sample {
+        with_lock(&self.families, |families| MetricsSnapshot {
+            families: families.iter().map(|(name, family)| family.export(name)).collect(),
+        })
+    }
+}
+
+impl Family {
+    /// This family's handles, read into one exported [`MetricFamily`].
+    fn export(&self, name: &str) -> MetricFamily {
+        let plain = |labels: &Vec<(String, String)>, value: u64| Sample {
+            labels: labels.clone(),
+            value: value as f64,
+            quantiles: Vec::new(),
+            count: 0,
+        };
+        let samples = match &self.slots {
+            Slots::Counter(slots) => {
+                slots.iter().map(|(labels, c)| plain(labels, c.get())).collect()
+            }
+            Slots::Gauge(slots) => slots.iter().map(|(labels, g)| plain(labels, g.get())).collect(),
+            Slots::Summary(slots) => slots
+                .iter()
+                .map(|(labels, s)| {
+                    let sketch = s.sketch().snapshot();
+                    Sample {
                         labels: labels.clone(),
-                        value: c.get() as f64,
-                        quantiles: Vec::new(),
-                        count: 0,
-                    })
-                    .collect(),
-                Slots::Gauge(slots) => slots
-                    .iter()
-                    .map(|(labels, g)| Sample {
-                        labels: labels.clone(),
-                        value: g.get() as f64,
-                        quantiles: Vec::new(),
-                        count: 0,
-                    })
-                    .collect(),
-                Slots::Summary(slots) => slots
-                    .iter()
-                    .map(|(labels, s)| {
-                        let sketch = s.sketch().snapshot();
-                        Sample {
-                            labels: labels.clone(),
-                            value: s.sum() as f64,
-                            quantiles: SUMMARY_QUANTILES
-                                .iter()
-                                .map(|&q| (q, sketch.quantile(q)))
-                                .collect(),
-                            count: s.count(),
-                        }
-                    })
-                    .collect(),
-            };
-            out.push(MetricFamily {
-                name: name.clone(),
-                kind: family.slots.kind(),
-                help: family.help.clone(),
-                samples,
-            });
+                        value: s.sum() as f64,
+                        quantiles: SUMMARY_QUANTILES
+                            .iter()
+                            .map(|&q| (q, sketch.quantile(q)))
+                            .collect(),
+                        count: s.count(),
+                    }
+                })
+                .collect(),
+        };
+        MetricFamily {
+            name: name.to_owned(),
+            kind: self.slots.kind(),
+            help: self.help.clone(),
+            samples,
         }
-        MetricsSnapshot { families: out }
     }
 }
 
@@ -504,6 +445,52 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_registry_still_registers_and_snapshots() {
+        let r = MetricsRegistry::new();
+        r.counter("mosaic.test.before", "h", &[]).add(2);
+        let poisoner = std::thread::scope(|scope| {
+            scope.spawn(|| with_lock(&r.families, |_| panic!("poison the registry"))).join()
+        });
+        assert!(poisoner.is_err());
+        r.counter("mosaic.test.after", "h", &[]).inc();
+        let names: Vec<String> = r.snapshot().families.into_iter().map(|f| f.name).collect();
+        assert_eq!(names, ["mosaic.test.after", "mosaic.test.before"]);
+        assert_eq!(r.counter_total("mosaic.test.before"), 2);
+    }
+
+    #[test]
+    fn counter_total_sums_every_series_under_the_sanitized_name() {
+        let r = MetricsRegistry::new();
+        r.counter("mosaic.test.evictions", "h", &[("reason", "a")]).add(2);
+        r.counter("mosaic.test.evictions", "h", &[("reason", "b")]).add(3);
+        r.gauge("mosaic.test.level", "h", &[]).set(9);
+        assert_eq!(r.counter_total("Mosaic.Test.Evictions"), 5);
+        assert_eq!(r.counter_total("mosaic.test.level"), 0, "a gauge is not a counter");
+        assert_eq!(r.counter_total("mosaic.test.absent"), 0);
+    }
+
+    #[test]
+    fn concurrent_registration_and_snapshots_lose_no_series() {
+        let r = MetricsRegistry::new();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let r = &r;
+                scope.spawn(move || {
+                    for i in 0..50 {
+                        let label = format!("{t}-{i}");
+                        r.counter("mosaic.test.series", "h", &[("id", &label)]).inc();
+                        if i % 10 == 0 {
+                            let _ = r.snapshot();
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(r.snapshot().families[0].samples.len(), 200);
+        assert_eq!(r.counter_total("mosaic.test.series"), 200);
+    }
+
+    #[test]
     fn registry_returns_the_same_handle_for_the_same_series() {
         let r = MetricsRegistry::new();
         let a = r.counter("mosaic.test.hits", "h", &[("k", "v")]);
@@ -527,6 +514,19 @@ mod tests {
         assert_eq!(snap.families.len(), 1);
         assert_eq!(snap.families[0].kind, MetricKind::Counter);
         assert_eq!(snap.families[0].samples[0].value, 7.0, "gauge write went to a detached handle");
+    }
+
+    #[test]
+    fn a_summary_or_counter_on_another_kinds_name_is_detached() {
+        let r = MetricsRegistry::new();
+        r.gauge("mosaic.test.level", "h", &[]).set(4);
+        r.summary("mosaic.test.level", "h", &[]).observe(9);
+        r.counter("mosaic.test.level", "h", &[]).add(5);
+        let snap = r.snapshot();
+        assert_eq!(snap.families.len(), 1);
+        assert_eq!(snap.families[0].kind, MetricKind::Gauge);
+        assert_eq!(snap.families[0].samples.len(), 1);
+        assert_eq!(snap.families[0].samples[0].value, 4.0);
     }
 
     #[test]

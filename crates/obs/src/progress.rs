@@ -10,12 +10,12 @@
 //! Ticks are cheap by construction: callers invoke [`ProgressLine::tick`]
 //! once per ingested trace, but the line is recomputed at most once per
 //! redraw interval and concurrent tickers skip rather than queue behind the
-//! state lock, so full-parallelism pipelines see one relaxed `try_lock`
+//! state lock, so full-parallelism pipelines see one `try_with_lock`
 //! per trace in the common case.
 
-use crate::{Recorder, Stage};
+use crate::lock::try_with_lock;
+use crate::{Counter, Recorder, Stage};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -33,11 +33,23 @@ struct ProgressState {
 }
 
 /// Throttled formatter of the live progress line.
+///
+/// ```
+/// use mosaic_obs::{ProgressLine, Recorder};
+/// use std::time::Duration;
+///
+/// let recorder = Recorder::new();
+/// let line = ProgressLine::new(Duration::from_secs(3600));
+/// assert_eq!(line.tick(1, 10, &recorder), None, "throttled");
+/// let last = line.tick(10, 10, &recorder).expect("the completion tick always renders");
+/// assert!(last.starts_with("10/10 · "), "{last}");
+/// assert!(last.ends_with(" · 0 evicted · 0 frames skipped"), "{last}");
+/// ```
 #[derive(Debug)]
 pub struct ProgressLine {
     every: Duration,
     state: Mutex<ProgressState>,
-    skipped: AtomicU64,
+    skipped: Counter,
 }
 
 impl ProgressLine {
@@ -57,7 +69,7 @@ impl ProgressLine {
                 last_nanos: [0; Stage::ALL.len()],
                 ewma_micros: [0.0; Stage::ALL.len()],
             }),
-            skipped: AtomicU64::new(0),
+            skipped: Counter::new(),
         }
     }
 
@@ -66,17 +78,41 @@ impl ProgressLine {
     /// tick faster than frames render, but a count that equals the tick
     /// count would mean the line never updates.
     pub fn skipped(&self) -> u64 {
-        self.skipped.load(Ordering::Relaxed)
+        self.skipped.get()
     }
 
     /// Offer a progress tick. Returns the freshly-rendered line when the
     /// redraw interval elapsed, `None` when throttled (or when another
     /// thread holds the state — skipping a frame beats blocking a worker).
     pub fn tick(&self, done: usize, total: usize, recorder: &Recorder) -> Option<String> {
-        let Ok(mut state) = self.state.try_lock() else {
-            self.skipped.fetch_add(1, Ordering::Relaxed);
+        let Some(frame) =
+            try_with_lock(&self.state, |state| self.frame(state, done, total, recorder))
+        else {
+            self.skipped.inc();
             return None;
         };
+        let mut line = frame?;
+        // Read after the state lock is released: the eviction total takes
+        // the registry lock, and no lock nests inside another.
+        let _ = write!(line, " · {} evicted", recorder.evictions());
+        // The completion tick is the line that stays on screen: surface the
+        // contention-skip count there so a starved redraw loop is visible
+        // without cluttering every intermediate frame.
+        if done >= total {
+            let _ = write!(line, " · {} frames skipped", self.skipped());
+        }
+        Some(line)
+    }
+
+    /// Under the state lock: the line up to its per-stage means, or `None`
+    /// while the redraw interval has not elapsed.
+    fn frame(
+        &self,
+        state: &mut ProgressState,
+        done: usize,
+        total: usize,
+        recorder: &Recorder,
+    ) -> Option<String> {
         #[expect(
             clippy::disallowed_methods,
             reason = "redraw throttling only; the rendered line goes to stderr, never into snapshot-bearing output"
@@ -92,12 +128,11 @@ impl ProgressLine {
         }
         let dt = since.as_secs_f64().max(1e-9);
         let rate = (done.saturating_sub(state.last_done)) as f64 / dt;
-        let fields = &mut *state;
-        let slots = fields
+        let slots = state
             .last_calls
             .iter_mut()
-            .zip(fields.last_nanos.iter_mut())
-            .zip(fields.ewma_micros.iter_mut());
+            .zip(state.last_nanos.iter_mut())
+            .zip(state.ewma_micros.iter_mut());
         for (&stage, ((last_calls, last_nanos), ewma)) in Stage::ALL.iter().zip(slots) {
             let latency = recorder.stage(stage);
             let calls = latency.count();
@@ -123,13 +158,6 @@ impl ProgressLine {
         for (stage, ewma) in Stage::ALL.iter().zip(&state.ewma_micros) {
             let _ = write!(line, " {} {ewma:.1}µs", stage.name());
         }
-        let _ = write!(line, " · {} evicted", recorder.evictions());
-        // The completion tick is the line that stays on screen: surface the
-        // contention-skip count there so a starved redraw loop is visible
-        // without cluttering every intermediate frame.
-        if done >= total {
-            let _ = write!(line, " · {} frames skipped", self.skipped());
-        }
         Some(line)
     }
 }
@@ -137,12 +165,26 @@ impl ProgressLine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lock::with_lock;
+    use std::sync::Barrier;
 
     #[test]
     fn first_tick_before_interval_is_throttled() {
         let rec = Recorder::new();
         let line = ProgressLine::new(Duration::from_secs(3600));
         assert_eq!(line.tick(1, 100, &rec), None);
+    }
+
+    #[test]
+    fn a_throttled_tick_is_not_counted_as_a_skip() {
+        // `tick` returns `None` both when throttled and when contended;
+        // only contention counts.
+        let rec = Recorder::new();
+        let line = ProgressLine::new(Duration::from_secs(3600));
+        for done in 1..=5 {
+            assert_eq!(line.tick(done, 10, &rec), None);
+        }
+        assert_eq!(line.skipped(), 0);
     }
 
     #[test]
@@ -184,14 +226,22 @@ mod tests {
         let rec = Recorder::new();
         let line = ProgressLine::new(Duration::ZERO);
         assert_eq!(line.skipped(), 0);
-        {
-            // Hold the state lock on this very thread: if tick() ever
-            // blocked on a contended lock this test would deadlock
-            // instead of fail.
-            let _held = line.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let gate = Barrier::new(2);
+        std::thread::scope(|scope| {
+            // Another thread holds the state lock until told to let go: if
+            // tick() ever blocked on a contended lock this test would
+            // deadlock instead of fail.
+            scope.spawn(|| {
+                with_lock(&line.state, |_| {
+                    gate.wait();
+                    gate.wait();
+                });
+            });
+            gate.wait();
             assert_eq!(line.tick(1, 10, &rec), None);
             assert_eq!(line.skipped(), 1, "the skipped frame must be observable");
-        }
+            gate.wait();
+        });
         // Once the lock is free the same tick renders, and the skip count
         // stays at the one contended frame — and the completion tick
         // surfaces it to the user.
@@ -199,6 +249,58 @@ mod tests {
         assert_eq!(line.skipped(), 1);
         let last = line.tick(10, 10, &rec).expect("final tick renders");
         assert!(last.contains("1 frames skipped"), "{last}");
+    }
+
+    #[test]
+    fn every_contended_tick_is_counted() {
+        let rec = Recorder::new();
+        let line = ProgressLine::new(Duration::ZERO);
+        let gate = Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                with_lock(&line.state, |_| {
+                    gate.wait();
+                    gate.wait();
+                });
+            });
+            gate.wait();
+            for done in 1..=3 {
+                assert_eq!(line.tick(done, 10, &rec), None);
+            }
+            gate.wait();
+        });
+        assert_eq!(line.skipped(), 3);
+    }
+
+    #[test]
+    fn a_poisoned_state_lock_still_renders() {
+        let rec = Recorder::new();
+        rec.count_eviction("truncated");
+        let line = ProgressLine::new(Duration::ZERO);
+        let poisoner = std::thread::scope(|scope| {
+            scope.spawn(|| with_lock(&line.state, |_| panic!("poison the state"))).join()
+        });
+        assert!(poisoner.is_err());
+        let last = line.tick(10, 10, &rec).expect("a poisoned lock is recovered");
+        assert!(last.ends_with(" · 1 evicted · 0 frames skipped"), "{last}");
+    }
+
+    #[test]
+    fn concurrent_tickers_render_or_skip_every_tick() {
+        // With a zero interval a tick that gets the lock always renders, so
+        // every tick is either a rendered frame or a counted skip.
+        let rec = Recorder::new();
+        let line = ProgressLine::new(Duration::ZERO);
+        let rendered = std::thread::scope(|scope| {
+            let tickers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope
+                        .spawn(|| (0..500).filter(|&i| line.tick(i, 1_000, &rec).is_some()).count())
+                })
+                .collect();
+            tickers.into_iter().map(|t| t.join().expect("ticker")).sum::<usize>()
+        });
+        assert_eq!(rendered as u64 + line.skipped(), 2_000);
     }
 
     /// The rendered EWMA of `stage`, in microseconds.

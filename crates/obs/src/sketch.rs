@@ -18,12 +18,12 @@
 //!   `L = (16 + sub) · 2^(e-4)`. Since `L ≥ 16·2^(e-4)`, the half-width
 //!   midpoint error is at most `L/32`.
 //!
-//! Total buckets: `16 + 60·16 = 976`, one relaxed `AtomicU64` each — 7.6 KiB
+//! Total buckets: `16 + 60·16 = 976`, one relaxed [`Counter`] each — 7.6 KiB
 //! per sketch, wait-free concurrent recording like every registry handle, and
 //! mergeable across workers by bucket-wise addition (merging two sketches is
 //! byte-equivalent to feeding both sample streams into one).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::Counter;
 
 /// Linear sub-buckets per power-of-two octave (`2^SUB_BITS`).
 pub const SUB_BUCKETS: usize = 16;
@@ -71,9 +71,20 @@ fn bucket_midpoint(i: usize) -> f64 {
 /// relative error on every quantile. Recording is one relaxed `fetch_add`;
 /// reading takes a bucket-wise snapshot first so multiple quantiles come
 /// from one consistent view.
+///
+/// ```
+/// use mosaic_obs::{QuantileSketch, RELATIVE_ERROR};
+///
+/// let sketch = QuantileSketch::new();
+/// for v in 1..=1_000u64 {
+///     sketch.record(v);
+/// }
+/// let p50 = sketch.quantile(0.5);
+/// assert!((p50 - 500.0).abs() <= 500.0 * RELATIVE_ERROR, "{p50}");
+/// ```
 #[derive(Debug)]
 pub struct QuantileSketch {
-    counts: Box<[AtomicU64]>,
+    counts: Box<[Counter]>,
 }
 
 impl Default for QuantileSketch {
@@ -85,7 +96,7 @@ impl Default for QuantileSketch {
 impl QuantileSketch {
     /// A fresh, empty sketch.
     pub fn new() -> QuantileSketch {
-        QuantileSketch { counts: (0..N_SKETCH_BUCKETS).map(|_| AtomicU64::new(0)).collect() }
+        QuantileSketch { counts: (0..N_SKETCH_BUCKETS).map(|_| Counter::new()).collect() }
     }
 
     /// Record one sample. Wait-free: a single relaxed `fetch_add`.
@@ -93,7 +104,7 @@ impl QuantileSketch {
     /// checked lookup always hits; it keeps the record path panic-free.
     pub fn record(&self, v: u64) {
         if let Some(bucket) = self.counts.get(bucket_index(v)) {
-            bucket.fetch_add(1, Ordering::Relaxed);
+            bucket.inc();
         }
     }
 
@@ -102,9 +113,9 @@ impl QuantileSketch {
     /// both sample streams — the property the merge proptest pins.
     pub fn merge_from(&self, other: &QuantileSketch) {
         for (mine, theirs) in self.counts.iter().zip(other.counts.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
+            let n = theirs.get();
             if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
+                mine.add(n);
             }
         }
     }
@@ -112,12 +123,12 @@ impl QuantileSketch {
     /// Samples recorded so far (sums all buckets — prefer keeping a
     /// dedicated counter on hot read paths).
     pub fn count(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        self.counts.iter().map(Counter::get).sum()
     }
 
     /// Consistent bucket-wise snapshot for quantile queries.
     pub fn snapshot(&self) -> SketchSnapshot {
-        SketchSnapshot { counts: self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect() }
+        SketchSnapshot { counts: self.counts.iter().map(Counter::get).collect() }
     }
 
     /// One-off quantile query (snapshots internally).
@@ -276,6 +287,28 @@ mod tests {
     fn empty_sketch_quantile_is_zero() {
         assert_eq!(QuantileSketch::new().quantile(0.5), 0.0);
         assert_eq!(QuantileSketch::new().count(), 0);
+    }
+
+    #[test]
+    fn merging_while_another_thread_records_loses_nothing() {
+        let (into, from) = (QuantileSketch::new(), QuantileSketch::new());
+        for v in 0..1000u64 {
+            from.record(v * 7);
+        }
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for v in 0..1000u64 {
+                    into.record(v * 7);
+                }
+            });
+            scope.spawn(|| into.merge_from(&from));
+        });
+        assert_eq!(into.count(), 2000);
+        // Both streams were identical, so every bucket holds twice `from`'s.
+        let (merged, single) = (into.snapshot(), from.snapshot());
+        for q in [0.1, 0.5, 0.9] {
+            assert_eq!(merged.quantile(q), single.quantile(q), "q = {q}");
+        }
     }
 
     #[test]

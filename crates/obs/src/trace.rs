@@ -28,11 +28,12 @@
 //! started); the tracer itself never reads a clock, so determinism
 //! arguments stay confined to the recorder.
 
+use crate::lock::with_lock;
 use crate::Stage;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 /// How many slow-trace exemplars each stage retains.
 pub const EXEMPLARS_PER_STAGE: usize = 10;
@@ -142,38 +143,37 @@ impl Tracer {
             worker: span.worker,
             outcome: span.outcome,
         };
-        // Every write below completes before the guard drops, so a panic
-        // elsewhere cannot leave the ring half-written and poison recovery
-        // is sound (same argument as the executor's pool registry).
-        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
-        let slot = (ring.head % self.capacity as u64) as usize;
-        match ring.events.get_mut(slot) {
-            Some(old) => *old = event,
-            None => ring.events.push(event),
-        }
-        ring.head += 1;
-        let Some(top) = ring.slowest.get_mut(span.stage.index()) else { return };
-        let pos = top.partition_point(|e| e.duration_ns >= span.duration_ns);
-        if pos < EXEMPLARS_PER_STAGE {
-            top.truncate(EXEMPLARS_PER_STAGE - 1);
-            top.insert(
-                pos,
-                Exemplar {
-                    trace: span.trace,
-                    duration_ns: span.duration_ns,
-                    outcome: span.detail.unwrap_or(span.outcome.name()).to_owned(),
-                },
-            );
-        }
+        // Every write below completes before the closure returns, so a
+        // panic elsewhere cannot leave the ring half-written and poison
+        // recovery is sound (same argument as the executor's pool registry).
+        with_lock(&self.ring, |ring| {
+            let slot = (ring.head % self.capacity as u64) as usize;
+            match ring.events.get_mut(slot) {
+                Some(old) => *old = event,
+                None => ring.events.push(event),
+            }
+            ring.head += 1;
+            let Some(top) = ring.slowest.get_mut(span.stage.index()) else { return };
+            let pos = top.partition_point(|e| e.duration_ns >= span.duration_ns);
+            if pos < EXEMPLARS_PER_STAGE {
+                top.truncate(EXEMPLARS_PER_STAGE - 1);
+                top.insert(
+                    pos,
+                    Exemplar {
+                        trace: span.trace,
+                        duration_ns: span.duration_ns,
+                        outcome: span.detail.unwrap_or(span.outcome.name()).to_owned(),
+                    },
+                );
+            }
+        });
     }
 
     /// Snapshot the ring and exemplar lists into an immutable, serializable
     /// [`TraceTimeline`]. Copies under the lock; sorts after releasing it.
     pub fn snapshot(&self) -> TraceTimeline {
-        let (recorded, mut events, slowest) = {
-            let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
-            (ring.head, ring.events.clone(), ring.slowest.clone())
-        };
+        let (recorded, mut events, slowest) =
+            with_lock(&self.ring, |ring| (ring.head, ring.events.clone(), ring.slowest.clone()));
         events.sort_by_key(|e| (e.start_ns, e.trace, e.stage.index()));
         let exemplars = Stage::ALL
             .into_iter()
@@ -455,8 +455,7 @@ mod tests {
         let poisoner = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
-                    let _guard = tracer.ring.lock().unwrap_or_else(PoisonError::into_inner);
-                    panic!("poison the ring");
+                    with_lock(&tracer.ring, |_| panic!("poison the ring"));
                 })
                 .join()
         });

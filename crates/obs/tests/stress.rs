@@ -9,9 +9,8 @@
 //! internal inconsistency, not just a statistical anomaly.
 
 use mosaic_obs::trace::{Span, SpanOutcome, TraceTimeline, Tracer, EXEMPLARS_PER_STAGE};
-use mosaic_obs::Stage;
+use mosaic_obs::{Counter, Stage};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Writer threads, spans per writer, and the (deliberately small, so the
 /// ring wraps dozens of times) slot capacity.
@@ -73,17 +72,19 @@ fn check_snapshot(snap: &TraceTimeline) {
 #[test]
 fn concurrent_writers_and_reader_never_corrupt_the_ring() {
     let tracer = Tracer::new(CAPACITY);
-    let writers_done = AtomicBool::new(false);
+    // Both flags only pace the threads; every span travels through the
+    // tracer's lock, so relaxed counters are enough.
+    let writers_done = Counter::new();
     // Writers hold off until the reader is running, so a loaded machine
     // cannot schedule every write before the first snapshot.
-    let reader_started = AtomicBool::new(false);
+    let reader_started = Counter::new();
     let snapshots_taken = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..WRITERS)
             .map(|w| {
                 let tracer = &tracer;
                 let reader_started = &reader_started;
                 scope.spawn(move || {
-                    while !reader_started.load(Ordering::Acquire) {
+                    while reader_started.get() == 0 {
                         std::thread::yield_now();
                     }
                     for i in 0..SPANS_PER_WRITER {
@@ -94,8 +95,8 @@ fn concurrent_writers_and_reader_never_corrupt_the_ring() {
             .collect();
         let reader = scope.spawn(|| {
             let mut taken = 0u64;
-            reader_started.store(true, Ordering::Release);
-            while !writers_done.load(Ordering::Acquire) {
+            reader_started.inc();
+            while writers_done.get() == 0 {
                 check_snapshot(&tracer.snapshot());
                 taken += 1;
             }
@@ -104,7 +105,7 @@ fn concurrent_writers_and_reader_never_corrupt_the_ring() {
         for h in handles {
             h.join().expect("writer thread panicked");
         }
-        writers_done.store(true, Ordering::Release);
+        writers_done.inc();
         reader.join().expect("reader thread panicked")
     });
     assert!(snapshots_taken > 0, "the reader must have observed the ring under contention");

@@ -9,13 +9,13 @@ use mosaic_core::report::CategoryCounts;
 use mosaic_core::{Categorizer, CategorizerConfig, JaccardMatrix, TraceReport};
 use mosaic_darshan::convert::usize_to_u64;
 use mosaic_darshan::{validate, EvictClass, EvictReason, OperationView, TraceLog, TraceView};
+use mosaic_obs::lock::{self, with_lock};
 use mosaic_obs::{
     MetricsReport, MetricsSnapshot, Recorder, Span, SpanOutcome, Stage, TraceTimeline,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Progress callback: `(traces done, traces total, live recorder)`. Called
@@ -379,22 +379,26 @@ fn pool_for(n: usize) -> Arc<rayon::ThreadPool> {
     let registry = POOLS.get_or_init(|| Mutex::new(BTreeMap::new()));
     // The registry holds only built pools; a panic elsewhere cannot leave it
     // half-written, so recovering from poisoning is sound.
-    let mut pools = registry.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    pools
-        .entry(n)
-        .or_insert_with(|| {
-            Arc::new(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(n)
-                    .build()
-                    .expect("thread pool construction"),
-            )
-        })
-        .clone()
+    with_lock(registry, |pools| {
+        pools
+            .entry(n)
+            .or_insert_with(|| {
+                Arc::new(
+                    rayon::ThreadPoolBuilder::new()
+                        .num_threads(n)
+                        .build()
+                        .expect("thread pool construction"),
+                )
+            })
+            .clone()
+    })
 }
 
 /// Run the full pipeline over a source.
 pub fn process<S: TraceSource>(source: &S, config: &PipelineConfig) -> PipelineResult {
+    // Checked before the recorder registers its metrics: a worker that
+    // needs a lock the caller holds would deadlock the fan-out below.
+    debug_assert_eq!(lock::held(), 0, "process() fans out with a lock held on the calling thread");
     let categorizer = Categorizer::new(config.categorizer.clone());
     // Worker lanes are 1-based (lane 0 is a caller outside any pool), so
     // size for the pool width plus the coordinator lane.
@@ -405,7 +409,11 @@ pub fn process<S: TraceSource>(source: &S, config: &PipelineConfig) -> PipelineR
     }
     .with_worker_lanes(lanes + 1);
     let store = recorder.pipeline_metrics();
-    let done = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "pure progress counter: the value only feeds the monotonic done/total display and guards no shared state; ingest results flow through the scoped join, not this count"
+    )]
+    let done = std::sync::atomic::AtomicUsize::new(0);
     let total = source.len();
     let run = || {
         (0..total)
@@ -422,8 +430,7 @@ pub fn process<S: TraceSource>(source: &S, config: &PipelineConfig) -> PipelineR
                 let out = ingest_one(fetched, i, &categorizer, &recorder);
                 store.inflight().sub(1);
                 if let Some(progress) = &config.progress {
-                    // lint: allow(sync, "pure progress counter: the value only feeds the monotonic done/total display and guards no shared state; ingest results flow through the scoped-join, not this count")
-                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+                    let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
                     progress(n, total, &recorder);
                 }
                 out
@@ -657,27 +664,103 @@ mod tests {
         assert_eq!(result.metrics.traces, 0);
     }
 
+    // Release builds do not check: there the run below completes.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "process() fans out with a lock held"))]
+    fn process_inside_a_lock_panics_before_it_fans_out() {
+        let inputs = vec![TraceInput::log(log_for(0, "/bin/a", 100))];
+        let registry = Mutex::new(());
+        with_lock(&registry, |_| process(&VecSource::new(inputs), &PipelineConfig::default()));
+    }
+
+    #[test]
+    fn pool_for_builds_one_pool_per_width_and_reuses_it() {
+        let three = pool_for(3);
+        assert!(Arc::ptr_eq(&three, &pool_for(3)), "a width's pool is memoized");
+        assert_eq!(three.current_num_threads(), 3);
+        assert!(!Arc::ptr_eq(&three, &pool_for(2)));
+        assert_eq!(lock::held(), 0);
+    }
+
+    #[test]
+    fn two_threads_asking_for_one_width_share_one_pool() {
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| pool_for(5));
+            let b = scope.spawn(|| pool_for(5));
+            (a.join().expect("first"), b.join().expect("second"))
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn parallel_progress_counts_each_trace_once() {
+        // The `done` counter's value is consumed: under two workers each
+        // trace must still get its own count, 1..=total.
+        let inputs: Vec<TraceInput> =
+            (0..40).map(|i| TraceInput::log(log_for(i, "/bin/a", 100))).collect();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let config = PipelineConfig {
+            threads: Some(2),
+            progress: Some(Arc::new(move |done, _total, _recorder: &Recorder| {
+                with_lock(&sink, |s| s.push(done));
+            })),
+            ..Default::default()
+        };
+        let _ = process(&VecSource::new(inputs), &config);
+        let mut seen = with_lock(&seen, std::mem::take);
+        seen.sort_unstable();
+        assert_eq!(seen, (1..=40).collect::<Vec<usize>>());
+    }
+
+    /// One debug run through every production lock: the pool registry,
+    /// the metrics registry (registration, an eviction's lazy counter, the
+    /// export), the span ring and the progress line's state. A nested
+    /// acquisition anywhere panics here.
+    #[test]
+    fn a_traced_parallel_run_with_progress_takes_no_lock_inside_another() {
+        let mut inputs: Vec<TraceInput> = (0..16)
+            .map(|i| TraceInput::bytes(mdf::to_bytes(&log_for(i, &format!("/bin/app{i}"), 500))))
+            .collect();
+        inputs.push(TraceInput::bytes(b"not an MDF file".to_vec()));
+        let line = Arc::new(mosaic_obs::ProgressLine::new(std::time::Duration::ZERO));
+        let ticker = Arc::clone(&line);
+        let config = PipelineConfig {
+            threads: Some(2),
+            trace_capacity: Some(64),
+            progress: Some(Arc::new(move |done, total, recorder: &Recorder| {
+                let _ = ticker.tick(done, total, recorder);
+            })),
+            ..Default::default()
+        };
+        let result = process(&VecSource::new(inputs), &config);
+        assert_eq!(result.funnel.total, 17);
+        assert_eq!(result.funnel.evicted(), 1);
+        assert!(result.timeline.is_some_and(|t| t.recorded > 0));
+        assert_eq!(lock::held(), 0);
+    }
+
     #[test]
     fn progress_callback_fires_once_per_trace() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        use mosaic_obs::{Counter, Gauge};
         let inputs: Vec<TraceInput> =
             (0..25).map(|i| TraceInput::log(log_for(i, "/bin/a", 100))).collect();
-        let calls = Arc::new(AtomicUsize::new(0));
-        let max_seen = Arc::new(AtomicUsize::new(0));
+        let calls = Arc::new(Counter::new());
+        let max_seen = Arc::new(Gauge::new());
         let c2 = calls.clone();
         let m2 = max_seen.clone();
         let config = PipelineConfig {
             progress: Some(Arc::new(move |done, total, recorder: &Recorder| {
                 assert_eq!(total, 25);
                 assert!(recorder.stage(Stage::Validate).count() > 0);
-                c2.fetch_add(1, Ordering::Relaxed);
-                m2.fetch_max(done, Ordering::Relaxed);
+                c2.inc();
+                m2.set_max(usize_to_u64(done));
             })),
             ..Default::default()
         };
         let _ = process(&VecSource::new(inputs), &config);
-        assert_eq!(calls.load(Ordering::Relaxed), 25);
-        assert_eq!(max_seen.load(Ordering::Relaxed), 25);
+        assert_eq!(calls.get(), 25);
+        assert_eq!(max_seen.get(), 25);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! Keeps the `criterion_group!`/`criterion_main!` + `benchmark_group` +
 //! `bench_with_input` surface so the workspace's benches compile and run
 //! offline, but replaces the statistics engine with a plain
-//! warmup-then-measure loop that prints mean wall-clock time per iteration.
-//! Numbers are indicative, not rigorous.
+//! warmup-then-measure loop that prints the median wall-clock time of the
+//! timed iterations. The median, unlike a mean, is not dragged by the odd
+//! iteration a scheduler hiccup slows down. Numbers are indicative, not
+//! rigorous.
 
 #![forbid(unsafe_code)]
 #![allow(
@@ -72,20 +74,23 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        let mut bencher = Bencher { sample_size: self.sample_size, mean_ns: 0.0, iters: 0 };
+        let mut bencher = Bencher { sample_size: self.sample_size, median_ns: 0.0, iters: 0 };
         routine(&mut bencher, input);
         let label = format!("{}/{}/{}", self.name, id.function, id.parameter);
         let rate = match self.throughput {
-            Some(Throughput::Elements(n)) if bencher.mean_ns > 0.0 => {
-                format!("  {:.1} Melem/s", n as f64 / bencher.mean_ns * 1e3)
+            Some(Throughput::Elements(n)) if bencher.median_ns > 0.0 => {
+                format!("  {:.1} Melem/s", n as f64 / bencher.median_ns * 1e3)
             }
-            Some(Throughput::Bytes(n)) if bencher.mean_ns > 0.0 => {
-                format!("  {:.1} MiB/s", n as f64 / bencher.mean_ns * 1e9 / (1 << 20) as f64)
+            Some(Throughput::Bytes(n)) if bencher.median_ns > 0.0 => {
+                format!("  {:.1} MiB/s", n as f64 / bencher.median_ns * 1e9 / (1 << 20) as f64)
             }
             _ => String::new(),
         };
-        println!("bench {label}: {:.1} ns/iter ({} iters){rate}", bencher.mean_ns, bencher.iters);
-        println!("{}", machine_line(&label, bencher.mean_ns, bencher.iters));
+        println!(
+            "bench {label}: {:.1} ns/iter median ({} iters){rate}",
+            bencher.median_ns, bencher.iters
+        );
+        println!("{}", machine_line(&label, bencher.median_ns, bencher.iters));
         self
     }
 
@@ -94,9 +99,10 @@ impl BenchmarkGroup<'_> {
 
 /// The stable machine-readable result line emitted after the human one:
 /// a `BENCH_RESULT ` prefix followed by a single-line JSON object with
-/// fixed keys (`name`, `ns_per_iter`, `iters`). Scripts grep the prefix and
-/// parse the rest; the human line above it stays free to change.
-pub fn machine_line(label: &str, mean_ns: f64, iters: u64) -> String {
+/// fixed keys (`name`, `ns_per_iter`, `iters`); `ns_per_iter` is the median
+/// iteration time. Scripts grep the prefix and parse the rest; the human
+/// line above it stays free to change.
+pub fn machine_line(label: &str, ns_per_iter: f64, iters: u64) -> String {
     let escaped: String = label
         .chars()
         .flat_map(|c| match c {
@@ -105,14 +111,14 @@ pub fn machine_line(label: &str, mean_ns: f64, iters: u64) -> String {
         })
         .collect();
     format!(
-        "BENCH_RESULT {{\"name\":\"{escaped}\",\"ns_per_iter\":{mean_ns:.1},\"iters\":{iters}}}"
+        "BENCH_RESULT {{\"name\":\"{escaped}\",\"ns_per_iter\":{ns_per_iter:.1},\"iters\":{iters}}}"
     )
 }
 
 /// Runs and times one benchmark routine.
 pub struct Bencher {
     sample_size: usize,
-    mean_ns: f64,
+    median_ns: f64,
     iters: u64,
 }
 
@@ -124,16 +130,26 @@ impl Bencher {
         // Warmup: one untimed pass to populate caches and allocators.
         std::hint::black_box(routine());
         let budget_start = Instant::now();
-        let mut total = Duration::ZERO;
-        let mut iters: u64 = 0;
-        while iters < self.sample_size as u64 && budget_start.elapsed() < TIME_BUDGET {
+        let mut samples = Vec::with_capacity(self.sample_size);
+        while samples.len() < self.sample_size && budget_start.elapsed() < TIME_BUDGET {
             let start = Instant::now();
             std::hint::black_box(routine());
-            total += start.elapsed();
-            iters += 1;
+            samples.push(start.elapsed().as_nanos() as f64);
         }
-        self.iters = iters;
-        self.mean_ns = if iters == 0 { 0.0 } else { total.as_nanos() as f64 / iters as f64 };
+        self.iters = samples.len() as u64;
+        self.median_ns = median(&mut samples);
+    }
+}
+
+/// The median of `samples` (the mean of the middle two for an even count),
+/// 0 for none. Reorders `samples`.
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let mid = samples.len() / 2;
+    match samples.len() {
+        0 => 0.0,
+        n if n % 2 == 1 => samples[mid],
+        _ => (samples[mid - 1] + samples[mid]) / 2.0,
     }
 }
 
@@ -187,6 +203,39 @@ mod tests {
         group.finish();
         // one warmup + at least one timed iteration
         assert!(calls >= 2);
+    }
+
+    #[test]
+    fn median_picks_the_middle_sample() {
+        assert_eq!(median(&mut []), 0.0);
+        assert_eq!(median(&mut [7.0]), 7.0);
+        assert_eq!(median(&mut [9.0, 1.0, 5.0]), 5.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+    }
+
+    #[test]
+    fn one_slow_iteration_does_not_move_the_figure() {
+        // Nine fast iterations and one 50 ms stall: a mean would report at
+        // least 5 ms per iteration, the median a fast one.
+        let mut bencher = Bencher { sample_size: 10, median_ns: 0.0, iters: 0 };
+        let mut calls = 0u32;
+        bencher.iter(|| {
+            calls += 1;
+            if calls == 4 {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            calls
+        });
+        assert_eq!(bencher.iters, 10);
+        assert!(bencher.median_ns < 1e6, "median {} ns", bencher.median_ns);
+    }
+
+    #[test]
+    fn fast_routines_fill_the_sample_size() {
+        let mut bencher = Bencher { sample_size: 25, median_ns: 0.0, iters: 0 };
+        bencher.iter(|| 1 + 1);
+        assert_eq!(bencher.iters, 25);
+        assert!(bencher.median_ns >= 0.0);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub mod prelude {
     pub use crate::IntoParallelIterator;
@@ -169,13 +168,34 @@ where
     }
 }
 
-/// The claim cursor, alone on its own cache lines. Both workers bump it once
-/// per item; the closure captures they read on every item sit next to it on
-/// the caller's stack, so without the padding every claim would invalidate
-/// the line those reads hit. 128 bytes covers the adjacent-line prefetch
-/// pair on x86-64 and the 128-byte lines of some aarch64 cores.
-#[repr(align(128))]
-struct ClaimCursor(AtomicUsize);
+#[expect(
+    clippy::disallowed_types,
+    reason = "work-sharing cursor: each fetch_add claims one index no other worker can claim, and the results are published by the scoped-thread join, not by this counter"
+)]
+mod claim {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The claim cursor, alone on its own cache lines. Both workers bump it
+    /// once per item; the closure captures they read on every item sit next
+    /// to it on the caller's stack, so without the padding every claim would
+    /// invalidate the line those reads hit. 128 bytes covers the
+    /// adjacent-line prefetch pair on x86-64 and the 128-byte lines of some
+    /// aarch64 cores.
+    #[repr(align(128))]
+    pub(crate) struct ClaimCursor(AtomicUsize);
+
+    impl ClaimCursor {
+        pub(crate) fn new() -> ClaimCursor {
+            ClaimCursor(AtomicUsize::new(0))
+        }
+
+        /// The next unclaimed offset (past the end once every index is taken).
+        pub(crate) fn claim(&self) -> usize {
+            self.0.fetch_add(1, Ordering::Relaxed)
+        }
+    }
+}
+use claim::ClaimCursor;
 
 /// Work-sharing executor: `workers` scoped threads claim one index at a time
 /// off an atomic cursor; results come back keyed by index and are placed in
@@ -198,7 +218,7 @@ where
         return out;
     }
 
-    let cursor = ClaimCursor(AtomicUsize::new(0));
+    let cursor = ClaimCursor::new();
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(total).collect();
     let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
     std::thread::scope(|scope| {
@@ -210,8 +230,7 @@ where
                     AMBIENT_THREADS.with(|a| a.set(Some(workers)));
                     let mut local: Vec<(usize, R)> = Vec::with_capacity(total / workers + 1);
                     loop {
-                        // lint: allow(sync, "work-sharing cursor: each fetch_add claims one index no other worker can claim, and the results are published by the scoped-thread join, not by this counter")
-                        let i = cursor.0.fetch_add(1, Ordering::Relaxed);
+                        let i = cursor.claim();
                         if i >= total {
                             break;
                         }
@@ -245,6 +264,10 @@ where
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test code: the shim cannot depend on mosaic_obs's lock helpers, and a panic here fails the test"
+)]
 mod tests {
     use super::prelude::*;
     use super::*;
@@ -303,6 +326,29 @@ mod tests {
         });
         assert_eq!(out[0], 63, "item 0 saw only {} of the other 63 items run", out[0]);
         assert_eq!(&out[1..], &(1..64).collect::<Vec<usize>>()[..]);
+    }
+
+    #[test]
+    fn concurrent_claims_hand_out_each_index_once() {
+        let cursor = ClaimCursor::new();
+        let claimed = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let mine: Vec<usize> = (0..1_000).map(|_| cursor.claim()).collect();
+                    claimed.lock().unwrap().extend(mine);
+                });
+            }
+        });
+        let mut claimed = claimed.into_inner().unwrap();
+        claimed.sort_unstable();
+        assert_eq!(claimed, (0..4_000).collect::<Vec<usize>>());
+    }
+
+    #[test]
+    fn the_claim_cursor_sits_alone_on_its_cache_lines() {
+        assert_eq!(std::mem::align_of::<ClaimCursor>(), 128);
+        assert_eq!(std::mem::size_of::<ClaimCursor>(), 128);
     }
 
     #[test]
