@@ -12,13 +12,10 @@
     reason = "benchmark plumbing: timings and lookup tables are reported, never digested"
 )]
 
-use mosaic_core::CategorizerConfig;
 use mosaic_pipeline::executor::{process, PipelineConfig, PipelineResult};
-use mosaic_pipeline::source::{ClosureSource, TraceInput, VecSource};
+use mosaic_pipeline::source::{ClosureSource, TraceInput};
 use mosaic_synth::{Dataset, DatasetConfig, Payload};
 use std::collections::HashMap;
-
-pub mod perf;
 
 /// Parsed `--key value` flags.
 pub struct Flags(HashMap<String, String>);
@@ -69,46 +66,11 @@ pub fn dataset(flags: &Flags) -> Dataset {
 
 /// Run the full pipeline over a dataset.
 pub fn run_pipeline(ds: &Dataset, threads: Option<usize>) -> PipelineResult {
-    run_pipeline_traced(ds, threads, None)
-}
-
-/// Run the full pipeline over a dataset, optionally recording a span
-/// timeline of `capacity` entries (attached to the result's `timeline`).
-pub fn run_pipeline_traced(
-    ds: &Dataset,
-    threads: Option<usize>,
-    trace_capacity: Option<usize>,
-) -> PipelineResult {
     let source = ClosureSource::new(ds.len(), |i| match ds.generate(i).payload {
         Payload::Log(log) => TraceInput::log(log),
         Payload::Bytes(bytes) => TraceInput::bytes(bytes),
     });
-    let config = PipelineConfig {
-        threads,
-        categorizer: CategorizerConfig::default(),
-        progress: None,
-        trace_capacity,
-    };
-    process(&source, &config)
-}
-
-/// Pre-serialize every dataset payload to MDF wire bytes. Deliberately a
-/// separate step so wire-fed benchmarks can serialize OUTSIDE the timed
-/// region and measure parse→validate→merge→categorize, not generation.
-pub fn wire_inputs(ds: &Dataset) -> Vec<TraceInput> {
-    (0..ds.len())
-        .map(|i| match ds.generate(i).payload {
-            Payload::Log(log) => TraceInput::bytes(mosaic_darshan::mdf::to_bytes(&log)),
-            Payload::Bytes(bytes) => TraceInput::bytes(bytes),
-        })
-        .collect()
-}
-
-/// Run the pipeline over pre-built inputs — the wire-fed harness of
-/// `sec4e_performance`.
-pub fn run_pipeline_inputs(inputs: Vec<TraceInput>, threads: Option<usize>) -> PipelineResult {
-    let config = PipelineConfig { threads, ..Default::default() };
-    process(&VecSource::new(inputs), &config)
+    process(&source, &PipelineConfig { threads, ..Default::default() })
 }
 
 /// Print a two-column "paper vs measured" row.

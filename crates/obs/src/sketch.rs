@@ -2,12 +2,13 @@
 //!
 //! The PR-1 histograms bucketed durations by `floor(log2(ns))` alone, so a
 //! reported p99 was the midpoint of a power-of-two octave — up to ~50% away
-//! from the true quantile, and `BENCH_sec4e.json` percentiles were literally
-//! 96/3072/49152 ns. [`QuantileSketch`] splits every octave into
-//! [`SUB_BUCKETS`] linear sub-buckets (the top [`SUB_BITS`] mantissa bits
-//! after the leading one), which caps the midpoint estimate's relative error
-//! at `1/(2·SUB_BUCKETS)` = 3.125% — advertised conservatively as
-//! [`RELATIVE_ERROR`] to absorb `u64→f64` rounding at the extremes.
+//! from the true quantile, and the old wire-fed benchmark's stage
+//! percentiles were literally 96/3072/49152 ns. [`QuantileSketch`] splits
+//! every octave into [`SUB_BUCKETS`] linear sub-buckets (the top
+//! [`SUB_BITS`] mantissa bits after the leading one), which caps the
+//! midpoint estimate's relative error at `1/(2·SUB_BUCKETS)` = 3.125% —
+//! advertised conservatively as [`RELATIVE_ERROR`] to absorb `u64→f64`
+//! rounding at the extremes.
 //!
 //! Layout (`SUB_BUCKETS = 16`):
 //!

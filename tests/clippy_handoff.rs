@@ -58,7 +58,6 @@ const PANIC_ROOTS: &[&str] = &[
 /// never feeds a `ResultSnapshot` digest.
 const DETERMINISM_OPT_OUTS: &[&str] = &[
     "crates/bench/src/bin/ablation_periodicity_method.rs",
-    "crates/bench/src/bin/sec4e_performance.rs",
     "crates/bench/src/lib.rs",
     "crates/cli/src/main.rs",
     "shims/criterion/src/lib.rs",
@@ -303,13 +302,7 @@ fn determinism_opt_outs_are_exactly_the_documented_crate_roots() {
         .collect();
     assert_eq!(opted_out, DETERMINISM_OPT_OUTS);
     let contributing = squash(&read("CONTRIBUTING.md"));
-    for crate_ in [
-        "`bench`",
-        "`ablation_periodicity_method`",
-        "`sec4e_performance`",
-        "`cli`",
-        "`shims/criterion`",
-    ] {
+    for crate_ in ["`bench`", "`ablation_periodicity_method`", "`cli`", "`shims/criterion`"] {
         assert!(contributing.contains(crate_), "CONTRIBUTING does not name the opt-out {crate_}");
     }
 }
