@@ -79,9 +79,9 @@ impl Run {
 /// One run's result, or why it has none.
 type Outcome = Result<Run, String>;
 
-/// Read a run from its exit status and standard output; its result line
-/// must carry every metric in `required`.
-fn parse_run(success: bool, stdout: &str, required: &[&str]) -> Outcome {
+/// Read a run from its exit status and standard output. Which metrics its
+/// result line must carry is [`decide`]'s business.
+fn parse_run(success: bool, stdout: &str) -> Outcome {
     let last = stdout.lines().rev().find(|l| !l.trim().is_empty()).unwrap_or_default();
     let run: Run = match (success, serde_json::from_str(last)) {
         (false, _) => return Err("exited non-zero".to_owned()),
@@ -91,10 +91,7 @@ fn parse_run(success: bool, stdout: &str, required: &[&str]) -> Outcome {
     if !run.correct {
         return Err("printed \"correct\": false".to_owned());
     }
-    match required.iter().find(|name| !run.metrics.contains_key(**name)) {
-        Some(missing) => Err(format!("result has no metric {missing}")),
-        None => Ok(run),
-    }
+    Ok(run)
 }
 
 /// Base's and head's run at one seed; pair `i` of a workload runs at seed
@@ -124,23 +121,58 @@ fn quantile(values: &[f64], q: f64) -> f64 {
 }
 
 /// Decide one workload. It fails when a run has no correct result line,
-/// when head fails a larger share of its operations, when `accuracy_pct`
-/// differs within a pair, when head's `traces_per_s` is worse in every pair
-/// *and* its median by more than `min(base IQR, bound × base median)`, or
-/// when a layer p99 of the traced pair is above [`P99_CEILING`] × base's.
+/// when a run lacks a declared metric (end-to-end ones untraced, per-layer
+/// ones traced), when head fails a larger share of its operations, when
+/// `accuracy_pct` differs within a pair, when head's `traces_per_s` is
+/// worse in every pair *and* its median by more than
+/// `min(base IQR, bound × base median)`, or when a layer p99 of the traced
+/// pair is above [`P99_CEILING`] × base's.
+///
+/// A declared metric that no base run prints is new: the base predates it.
+/// Head must still print it in every run; it is listed under `new_metrics`
+/// and not compared. A metric that some base runs print and others omit
+/// still fails.
 fn decide(spec: &Spec, pairs: &[Pair], traced: &Pair) -> Verdict {
     let mut failures = Vec::new();
-    for (seed, trace, pair) in (1..).zip(pairs).map(|(s, p)| (s, 0, p)).chain([(1, 1, traced)]) {
+    let runs: Vec<(u64, u8, &Pair)> =
+        (1..).zip(pairs).map(|(seed, pair)| (seed, 0, pair)).chain([(1, 1, traced)]).collect();
+    for &(seed, trace, pair) in &runs {
         for (side, run) in SIDES.iter().zip(pair) {
             if let Err(e) = run {
                 failures.push(format!("{side} run at seed {seed} (trace {trace}): {e}"));
             }
         }
     }
+    let declared = [
+        (0, spec.end_to_end.iter().map(|m| &m.name).collect::<Vec<_>>()),
+        (1, spec.per_layer.iter().map(|l| &l.name).collect()),
+    ];
+    let mut new_metrics = Vec::new();
+    for (trace, names) in declared {
+        let mode_runs = || runs.iter().filter(move |r| r.1 == trace);
+        for name in names {
+            let prints = |run: &Outcome| run.as_ref().is_ok_and(|r| r.metrics.contains_key(name));
+            let new = !mode_runs().any(|(_, _, pair)| prints(&pair[0]));
+            if new {
+                new_metrics.push(name);
+            }
+            for (seed, _, pair) in mode_runs() {
+                for (side, run) in SIDES.iter().zip(pair.iter()).skip(usize::from(new)) {
+                    if run.is_ok() && !prints(run) {
+                        failures.push(format!(
+                            "{side} run at seed {seed} (trace {trace}): result has no metric {name}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
     let ok: Vec<(u64, [&Run; 2])> =
         (1..).zip(pairs).filter_map(|(seed, pair)| Some((seed, both(pair)?))).collect();
-    let (Some([traced_base, traced_head]), true) = (both(traced), ok.len() == pairs.len()) else {
-        let summary = json!({ "verdict": "fail", "failures": failures });
+    let complete = ok.len() == pairs.len() && failures.is_empty();
+    let (Some([traced_base, traced_head]), true) = (both(traced), complete) else {
+        let summary =
+            json!({ "verdict": "fail", "failures": failures, "new_metrics": new_metrics });
         return Verdict { failures, report: Vec::new(), summary };
     };
 
@@ -152,14 +184,15 @@ fn decide(spec: &Spec, pairs: &[Pair], traced: &Pair) -> Verdict {
     if shares[1] > shares[0] {
         failures.push(format!("head fails {} of its operations, base {}", shares[1], shares[0]));
     }
-    for (seed, [base, head]) in &ok {
+    let accuracy_is_new = new_metrics.iter().any(|name| *name == ACCURACY);
+    for (seed, [base, head]) in ok.iter().filter(|_| !accuracy_is_new) {
         let (b, h) = (base.get(ACCURACY), head.get(ACCURACY));
         if b != h {
             failures.push(format!("{ACCURACY} differs at seed {seed}: base {b}, head {h}"));
         }
     }
     let (mut metrics, mut report) = (BTreeMap::new(), Vec::new());
-    for m in &spec.end_to_end {
+    for m in spec.end_to_end.iter().filter(|m| !new_metrics.contains(&&m.name)) {
         let [base, head] =
             [0, 1].map(|side| ok.iter().map(|(_, r)| r[side].get(&m.name)).collect::<Vec<_>>());
         let (base_median, head_median) = (quantile(&base, 0.5), quantile(&head, 0.5));
@@ -183,7 +216,8 @@ fn decide(spec: &Spec, pairs: &[Pair], traced: &Pair) -> Verdict {
             "ratio": ratio, "base_iqr": base_iqr, "bound": m.bound, "head_worse_pairs": worse });
         metrics.insert(&m.name, entry);
     }
-    for name in spec.per_layer.iter().map(|l| &l.name).filter(|n| n.ends_with("p99_us")) {
+    let layers = spec.per_layer.iter().map(|l| &l.name);
+    for name in layers.filter(|n| n.ends_with("p99_us") && !new_metrics.contains(n)) {
         let (base, head) = (traced_base.get(name), traced_head.get(name));
         if head > P99_CEILING * base {
             failures
@@ -193,12 +227,12 @@ fn decide(spec: &Spec, pairs: &[Pair], traced: &Pair) -> Verdict {
     }
     let verdict = if failures.is_empty() { "pass" } else { "fail" };
     let summary = json!({ "verdict": verdict, "failures": failures, "failed_share": shares,
-        "metrics": metrics });
+        "metrics": metrics, "new_metrics": new_metrics });
     Verdict { failures, report, summary }
 }
 
 /// Run one perfbench binary in a working directory of its own.
-fn run(binary: &Path, workload: &str, seed: u64, trace: u8, required: &[&str]) -> Outcome {
+fn run(binary: &Path, workload: &str, seed: u64, trace: u8) -> Outcome {
     let dir = std::env::temp_dir()
         .join(format!("bench-gate-{}-{workload}-{seed}-{trace}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
@@ -210,7 +244,7 @@ fn run(binary: &Path, workload: &str, seed: u64, trace: u8, required: &[&str]) -
     let _ = std::fs::remove_dir_all(&dir);
     let output = output.map_err(|e| format!("cannot start {}: {e}", binary.display()))?;
     let stderr = String::from_utf8_lossy(&output.stderr);
-    parse_run(output.status.success(), &String::from_utf8_lossy(&output.stdout), required)
+    parse_run(output.status.success(), &String::from_utf8_lossy(&output.stdout))
         .map_err(|e| format!("{e} (stderr: {})", stderr.lines().last().unwrap_or_default()))
 }
 
@@ -225,15 +259,13 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let bins = [base, head];
-    let untraced: Vec<&str> = spec.end_to_end.iter().map(|m| m.name.as_str()).collect();
-    let traced: Vec<&str> = spec.per_layer.iter().map(|l| l.name.as_str()).collect();
     println!("bench gate: base {}, head {}", bins[0].display(), bins[1].display());
     let (mut summary, mut passed) = (BTreeMap::new(), true);
     for workload in spec.workloads.iter().map(|w| w.name.as_str()) {
-        let pair = |seed: u64, trace: u8, required: &[&str]| {
+        let pair = |seed: u64, trace: u8| {
             let mut runs = [Err(String::new()), Err(String::new())];
             for side in if seed % 2 == 1 { [0, 1] } else { [1, 0] } {
-                runs[side] = run(&bins[side], workload, seed, trace, required);
+                runs[side] = run(&bins[side], workload, seed, trace);
                 let shown = match &runs[side] {
                     Ok(r) => r.metrics.get(GATED).map_or("ok".to_owned(), |m| m.value.to_string()),
                     Err(e) => e.clone(),
@@ -242,8 +274,8 @@ fn main() -> ExitCode {
             }
             runs
         };
-        let pairs: Vec<Pair> = (1..=PAIRS).map(|seed| pair(seed, 0, &untraced)).collect();
-        let verdict = decide(&spec, &pairs, &pair(1, 1, &traced));
+        let pairs: Vec<Pair> = (1..=PAIRS).map(|seed| pair(seed, 0)).collect();
+        let verdict = decide(&spec, &pairs, &pair(1, 1));
         let fails = verdict.failures.iter().map(|f| format!("FAIL {f}"));
         let pass = verdict.failures.is_empty().then(|| "PASS".to_owned());
         for line in verdict.report.iter().cloned().chain(fails).chain(pass) {
@@ -315,23 +347,21 @@ mod tests {
     }
 
     #[test]
-    fn a_run_without_a_correct_complete_result_is_a_gate_error() {
+    fn a_run_without_a_correct_result_is_a_gate_error() {
         let names: Vec<String> = spec().end_to_end.into_iter().map(|m| m.name).collect();
-        let required: Vec<&str> = names.iter().map(String::as_str).collect();
-        let line = |correct: bool, skip: usize| {
+        let line = |correct: bool| {
             let metrics: BTreeMap<_, _> =
-                names[skip..].iter().map(|n| (n, json!({ "value": 100 }))).collect();
+                names.iter().map(|n| (n, json!({ "value": 100 }))).collect();
             json!({ "correct": correct, "attempted": 9, "failed": 0, "metrics": metrics })
                 .to_string()
         };
-        let good = parse_run(true, &format!("table\n{}\n", line(true, 0)), &required).unwrap();
+        let good = parse_run(true, &format!("table\n{}\n", line(true))).unwrap();
         assert_eq!((good.attempted, good.get(GATED)), (9, 100.0));
         let cases = [
-            (parse_run(false, &line(true, 0), &required), "exited non-zero"),
-            (parse_run(true, "gate: 9 attempted\n", &required), "not a result"),
-            (parse_run(true, "{\"correct\": true}", &required), "not a result"),
-            (parse_run(true, &line(false, 0), &required), "\"correct\": false"),
-            (parse_run(true, &line(true, 1), &required), "has no metric traces_per_s"),
+            (parse_run(false, &line(true)), "exited non-zero"),
+            (parse_run(true, "gate: 9 attempted\n"), "not a result"),
+            (parse_run(true, "{\"correct\": true}"), "not a result"),
+            (parse_run(true, &line(false)), "\"correct\": false"),
         ];
         for (outcome, want) in cases {
             let err = outcome.err().unwrap();
@@ -343,6 +373,72 @@ mod tests {
                 failures(&pairs(&BASE, &BASE), Err(err)).contains("head run at seed 1 (trace 1)")
             );
         }
+    }
+
+    /// `runs` with `metric` dropped from the runs of `side` that `at` picks
+    /// by pair index.
+    fn without(
+        mut runs: Vec<Pair>,
+        side: usize,
+        metric: &str,
+        at: impl Fn(usize) -> bool,
+    ) -> Vec<Pair> {
+        for (_, pair) in runs.iter_mut().enumerate().filter(|(i, _)| at(*i)) {
+            pair[side].as_mut().unwrap().metrics.remove(metric);
+        }
+        runs
+    }
+
+    #[test]
+    fn a_metric_no_base_run_prints_is_new_and_not_compared() {
+        // Head is 10 % slower in every pair, but base never printed the
+        // gated metric, so there is nothing to compare it with.
+        let runs = without(pairs(&BASE, &BASE.map(|b| b * 0.9)), 0, GATED, |_| true);
+        let mut base = run(1.0);
+        base.metrics.remove("core.categorize.p99_us");
+        let mut head = run(1.0);
+        head.metrics.insert("core.categorize.p99_us".to_owned(), Measured { value: 100.0 });
+        let verdict = decide(&spec(), &runs, &[Ok(base), Ok(head)]);
+        assert_eq!(verdict.failures, Vec::<String>::new());
+        assert_eq!(verdict.summary["new_metrics"], json!([GATED, "core.categorize.p99_us"]));
+        assert!(verdict.summary["metrics"].get(GATED).is_none());
+        assert!(!verdict.report.iter().any(|line| line.starts_with(GATED)));
+        // Metrics both sides print are still compared.
+        assert!(verdict.summary["metrics"].get(ACCURACY).is_some());
+        // A new accuracy_pct is not compared within the pairs either.
+        let runs = without(pairs(&BASE, &BASE), 0, ACCURACY, |_| true);
+        assert_eq!(failures(&runs, Ok(run(1.0))), "");
+    }
+
+    #[test]
+    fn a_metric_some_base_runs_omit_fails() {
+        let runs = without(pairs(&BASE, &BASE), 0, "setup_s", |i| i == 2);
+        let failed = failures(&runs, Ok(run(1.0)));
+        assert_eq!(failed, "base run at seed 3 (trace 0): result has no metric setup_s");
+    }
+
+    #[test]
+    fn head_omitting_a_metric_fails_whether_or_not_it_is_new() {
+        let runs = without(pairs(&BASE, &BASE), 1, "setup_s", |i| i == 1);
+        let failed = failures(&runs, Ok(run(1.0)));
+        assert_eq!(failed, "head run at seed 2 (trace 0): result has no metric setup_s");
+        // New on base, and missing from one head run.
+        let runs =
+            without(without(pairs(&BASE, &BASE), 0, "setup_s", |_| true), 1, "setup_s", |i| i == 4);
+        let verdict = decide(&spec(), &runs, &[Ok(run(1.0)), Ok(run(1.0))]);
+        assert_eq!(
+            verdict.failures,
+            ["head run at seed 5 (trace 0): result has no metric setup_s"]
+        );
+        assert_eq!(verdict.summary["new_metrics"], json!(["setup_s"]));
+        // A per-layer metric the traced head run omits.
+        let mut head = run(1.0);
+        head.metrics.remove("core.categorize.p99_us");
+        let failed = failures(&pairs(&BASE, &BASE), Ok(head));
+        assert_eq!(
+            failed,
+            "head run at seed 1 (trace 1): result has no metric core.categorize.p99_us"
+        );
     }
 
     #[test]

@@ -128,7 +128,8 @@ OPTIONS:
                    exposition format for --metrics-out: `prom`
                    (Prometheus/OpenMetrics text, the default) or `json`
   --all            verify: run every suite (the default when none is named)
-  --differential   verify: batch/incremental, serial/parallel, MDF roundtrip
+  --differential   verify: serial/parallel, MDF roundtrip, traced/untraced,
+                   and columnar, Mean Shift and metadata vs their references
   --metamorphic    verify: time-shift/scale, permutation, corrupt-monotone
   --golden         verify: compare against committed tests/golden snapshots
   --bless          verify: regenerate the golden snapshots instead of checking

@@ -22,10 +22,11 @@
 //! a single stable sort of extraction order by `(start, end)` — which is
 //! what [`merge_concurrent_columnar`] does with one index sort.
 //!
-//! **Extraction contract:** [`ColumnarTrace::load_checked`] is the byte
-//! path's whole pre-processing step ① in one walk over the wire records. It
+//! **Extraction contract:** [`ColumnarTrace::load_checked`] is the whole
+//! pre-processing step ① in one walk over the records of any
+//! [`TraceFields`] input: wire bytes ([`TraceView`]) or a decoded log. It
 //! returns the report [`mosaic_darshan::validate::validate`] gives the
-//! materialized log, and its columns, metadata events and weight are what
+//! log, and its columns, metadata events and weight are what
 //! `delete_invalid` + [`OperationView::from_log`] extract from that log
 //! (reads and writes in extraction order rather than start-sorted, see
 //! above). [`ColumnarTrace::load`] is the same extraction behind a report
@@ -41,8 +42,8 @@ use mosaic_darshan::convert::{nonneg_u64, usize_to_u64};
 use mosaic_darshan::counter::{PosixCounter as C, PosixFCounter as F};
 use mosaic_darshan::ops::{MetaEvent, MetaKind, OpKind, Operation, OperationView};
 use mosaic_darshan::validate::{check_trace, ValidityReport};
-use mosaic_darshan::view::{RecordView, TraceView};
-use mosaic_darshan::RecordFields;
+use mosaic_darshan::view::TraceView;
+use mosaic_darshan::{RecordFields, TraceFields};
 
 /// One direction's intervals in struct-of-arrays layout. The four vectors
 /// always have equal length; element `i` of each describes one operation.
@@ -196,7 +197,7 @@ impl OpColumns {
 
 /// One trace's extracted operation view in columnar form — what the
 /// categorizer runs on.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnarTrace {
     /// Job wallclock runtime in seconds.
     pub runtime: f64,
@@ -224,20 +225,20 @@ struct ByteSums {
 }
 
 impl ColumnarTrace {
-    /// Check and extract a borrowed trace in one walk over its records.
+    /// Check and extract a trace in one walk over its records.
     ///
-    /// Each record is read straight from the wire and checked against every
-    /// validity rule and the name table
-    /// ([`mosaic_darshan::validate::check_trace`]). A broken record lands in
-    /// the returned report as `(index, errors)` and is skipped; a valid one
-    /// is extracted into the columns. The report equals
-    /// [`mosaic_darshan::view::validate_view`]'s, and the columns equal what
-    /// [`ColumnarTrace::load`] extracts with that report.
-    pub fn load_checked(&mut self, view: &TraceView<'_>) -> ValidityReport {
-        let mut sums = self.begin(view);
-        let report = check_trace(view.runtime(), view.nprocs, view.named_records(), |rec| {
-            self.push_record(rec, &mut sums);
-        });
+    /// Each record is read where it lies — on the wire for a
+    /// [`TraceView`], in the decoded log for a
+    /// [`mosaic_darshan::TraceLog`] — and checked against every validity
+    /// rule and the name table ([`mosaic_darshan::validate::check_trace`]).
+    /// A broken record lands in the returned report as `(index, errors)`
+    /// and is skipped; a valid one is extracted into the columns. The
+    /// report equals [`mosaic_darshan::validate::validate`]'s on the log,
+    /// and the columns equal what [`ColumnarTrace::load`] extracts from the
+    /// wire with that report.
+    pub fn load_checked<T: TraceFields>(&mut self, trace: &T) -> ValidityReport {
+        let mut sums = self.begin(trace);
+        let report = check_trace(trace, |rec| self.push_record(rec, &mut sums));
         self.finish(sums);
         report
     }
@@ -261,9 +262,9 @@ impl ColumnarTrace {
     }
 
     /// Reset the columns for a new trace.
-    fn begin(&mut self, view: &TraceView<'_>) -> ByteSums {
-        self.runtime = view.runtime();
-        self.nprocs = view.nprocs;
+    fn begin(&mut self, trace: &impl TraceFields) -> ByteSums {
+        self.runtime = trace.runtime();
+        self.nprocs = trace.nprocs();
         self.reads.clear();
         self.writes.clear();
         self.meta.clear();
@@ -274,7 +275,7 @@ impl ColumnarTrace {
     /// events and its byte volumes. The op/meta conditions and their order
     /// mirror `from_log`'s `push_record` exactly.
     #[inline]
-    fn push_record(&mut self, rec: RecordView<'_>, sums: &mut ByteSums) {
+    fn push_record(&mut self, rec: impl RecordFields, sums: &mut ByteSums) {
         let ranks = rec.rank_count(self.nprocs);
         if let Some((start, end)) = rec.read_interval() {
             self.reads.push(start, end, nonneg_u64(rec.bytes_read()), ranks);
@@ -305,10 +306,9 @@ impl ColumnarTrace {
         self.weight = sums.read.saturating_add(sums.written);
     }
 
-    /// Load an already-extracted [`OperationView`] — how log inputs join
-    /// the byte path. A view carries no record counters, so `weight` is
-    /// reset to 0; log callers set it from
-    /// [`mosaic_darshan::TraceLog::io_weight`].
+    /// Load an already-extracted [`OperationView`] (what
+    /// [`crate::Categorizer::categorize`] runs on). A view carries no
+    /// record counters, so `weight` is reset to 0.
     pub fn load_view(&mut self, view: &OperationView) {
         self.runtime = view.runtime;
         self.nprocs = view.nprocs;

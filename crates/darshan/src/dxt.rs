@@ -23,7 +23,8 @@ use crate::error::FormatError;
 use crate::job::JobHeader;
 use crate::log::{TraceLog, TraceLogBuilder};
 use crate::ops::{MetaEvent, MetaKind, OpKind, Operation, OperationView};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::Cursor;
+use bytes::{BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -328,92 +329,63 @@ pub fn from_bytes(data: &[u8]) -> Result<DxtTrace, FormatError> {
     if expected != actual {
         return Err(FormatError::ChecksumMismatch { expected, actual });
     }
-    let mut buf = Bytes::copy_from_slice(body);
+    let mut cur = Cursor { buf: body };
 
-    let version = need(&mut buf, 2, "version")?.get_u16_le();
+    let version = cur.u16("version")?;
     if version > DXT_VERSION {
         return Err(FormatError::UnsupportedVersion(version));
     }
-    let _flags = need(&mut buf, 2, "flags")?.get_u16_le();
-    let job_id = need(&mut buf, 8, "job_id")?.get_u64_le();
-    let uid = need(&mut buf, 4, "uid")?.get_u32_le();
-    let nprocs = need(&mut buf, 4, "nprocs")?.get_u32_le();
-    let start = need(&mut buf, 8, "start")?.get_i64_le();
-    let end = need(&mut buf, 8, "end")?.get_i64_le();
-    let exe_len = u32_to_usize(need(&mut buf, 4, "exe len")?.get_u32_le());
-    if buf.remaining() < exe_len {
-        return Err(FormatError::Truncated { context: "exe" });
-    }
-    let exe = String::from_utf8(buf.copy_to_bytes(exe_len).to_vec())
-        .map_err(|_| FormatError::InvalidUtf8 { context: "exe" })?;
+    let _flags = cur.u16("flags")?;
+    let job_id = cur.u64("job_id")?;
+    let uid = cur.u32("uid")?;
+    let nprocs = cur.u32("nprocs")?;
+    let start = cur.i64("start")?;
+    let end = cur.i64("end")?;
+    let exe_len = u32_to_usize(cur.u32("exe len")?);
+    let exe = cur.str(exe_len, "exe")?;
     let header = JobHeader::new(job_id, uid, nprocs, start, end).with_exe(exe);
 
-    let n_records = count(&mut buf, MAX_RECORDS, "record count")?;
+    let n_records = cur.count(MAX_RECORDS, "record count")?;
     // A count only bounded by `MAX_*` can still ask for gigabytes from a
     // tiny file, so each capacity is also capped at what the remaining
     // bytes could hold at the entry's minimum wire size.
     let mut records =
-        Vec::with_capacity(u32_to_usize(n_records).min(buf.remaining() / RECORD_WIRE_MIN_BYTES));
+        Vec::with_capacity(u32_to_usize(n_records).min(cur.remaining() / RECORD_WIRE_MIN_BYTES));
     for _ in 0..n_records {
-        let record_id = need(&mut buf, 8, "record id")?.get_u64_le();
-        let rank = need(&mut buf, 4, "rank")?.get_i32_le();
-        let n_acc = count(&mut buf, MAX_ACCESSES, "access count")?;
+        let record_id = cur.u64("record id")?;
+        let rank = cur.i32("rank")?;
+        let n_acc = cur.count(MAX_ACCESSES, "access count")?;
         let mut accesses =
-            Vec::with_capacity(u32_to_usize(n_acc).min(buf.remaining() / ACCESS_WIRE_BYTES));
+            Vec::with_capacity(u32_to_usize(n_acc).min(cur.remaining() / ACCESS_WIRE_BYTES));
         for _ in 0..n_acc {
-            let kind = match need(&mut buf, 1, "access kind")?.get_u8() {
+            let kind = match cur.u8("access kind")? {
                 0 => OpKind::Read,
                 1 => OpKind::Write,
                 other => return Err(FormatError::UnknownModule(other)),
             };
-            let offset = need(&mut buf, 8, "offset")?.get_u64_le();
-            let length = need(&mut buf, 8, "length")?.get_u64_le();
-            let start = need(&mut buf, 8, "access start")?.get_f64_le();
-            let end = need(&mut buf, 8, "access end")?.get_f64_le();
+            let offset = cur.u64("offset")?;
+            let length = cur.u64("length")?;
+            let start = cur.f64("access start")?;
+            let end = cur.f64("access end")?;
             accesses.push(DxtAccess { kind, offset, length, start, end });
         }
         let mut opens = Vec::new();
-        for _ in 0..count(&mut buf, MAX_ACCESSES, "open count")? {
-            opens.push(need(&mut buf, 8, "open ts")?.get_f64_le());
+        for _ in 0..cur.count(MAX_ACCESSES, "open count")? {
+            opens.push(cur.f64("open ts")?);
         }
         let mut closes = Vec::new();
-        for _ in 0..count(&mut buf, MAX_ACCESSES, "close count")? {
-            closes.push(need(&mut buf, 8, "close ts")?.get_f64_le());
+        for _ in 0..cur.count(MAX_ACCESSES, "close count")? {
+            closes.push(cur.f64("close ts")?);
         }
         records.push(DxtRecord { record_id, rank, accesses, opens, closes });
     }
     let mut names = BTreeMap::new();
-    for _ in 0..count(&mut buf, MAX_RECORDS, "name count")? {
-        let id = need(&mut buf, 8, "name id")?.get_u64_le();
-        let len = usize::from(need(&mut buf, 2, "name len")?.get_u16_le());
-        if buf.remaining() < len {
-            return Err(FormatError::Truncated { context: "name" });
-        }
-        let name = String::from_utf8(buf.copy_to_bytes(len).to_vec())
-            .map_err(|_| FormatError::InvalidUtf8 { context: "name" })?;
-        names.insert(id, name);
+    for _ in 0..cur.count(MAX_RECORDS, "name count")? {
+        let id = cur.u64("name id")?;
+        let len = usize::from(cur.u16("name len")?);
+        names.insert(id, cur.str(len, "name")?.to_owned());
     }
     Ok(DxtTrace::from_parts(header, records, names))
-}
-
-/// Read a `u32` entry count, rejecting one above `max` as implausible.
-fn count(buf: &mut Bytes, max: u32, context: &'static str) -> Result<u32, FormatError> {
-    let n = need(buf, 4, context)?.get_u32_le();
-    if n > max {
-        return Err(FormatError::ImplausibleLength { context, len: u64::from(n) });
-    }
-    Ok(n)
-}
-
-fn need<'b>(
-    buf: &'b mut Bytes,
-    n: usize,
-    context: &'static str,
-) -> Result<&'b mut Bytes, FormatError> {
-    if buf.remaining() < n {
-        return Err(FormatError::Truncated { context });
-    }
-    Ok(buf)
 }
 
 #[cfg(test)]
@@ -465,20 +437,6 @@ mod tests {
         // One smeared interval — the information DXT preserves is gone.
         assert_eq!(r.write_interval(), Some((100.0, 905.0)));
         assert!(crate::validate::validate(&log).is_clean());
-    }
-
-    #[test]
-    fn count_accepts_its_max_and_rejects_one_more() {
-        let read = |n: u32| count(&mut Bytes::copy_from_slice(&n.to_le_bytes()), 7, "widgets");
-        assert_eq!(read(0), Ok(0));
-        assert_eq!(read(7), Ok(7));
-        assert_eq!(read(8), Err(FormatError::ImplausibleLength { context: "widgets", len: 8 }));
-        assert_eq!(
-            read(u32::MAX),
-            Err(FormatError::ImplausibleLength { context: "widgets", len: u64::from(u32::MAX) })
-        );
-        let short = count(&mut Bytes::copy_from_slice(&[1, 0, 0]), 7, "widgets");
-        assert_eq!(short, Err(FormatError::Truncated { context: "widgets" }));
     }
 
     #[test]

@@ -98,10 +98,12 @@ pub mod text;
 pub mod transform;
 pub mod validate;
 pub mod view;
+mod wire;
 
 pub use error::{EvictClass, EvictReason, FormatError, ValidityError};
 pub use job::JobHeader;
 pub use log::{TraceLog, TraceLogBuilder};
 pub use ops::{MetaEvent, MetaKind, OpKind, Operation, OperationView};
 pub use record::{PosixRecord, RecordFields};
+pub use validate::TraceFields;
 pub use view::{RecordView, TraceView};

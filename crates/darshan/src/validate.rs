@@ -98,6 +98,59 @@ pub fn check_record<R: RecordFields>(
     errs
 }
 
+/// Read access to one whole trace: its job fields and its records, each
+/// paired with whether the name table has an entry for it.
+///
+/// A decoded [`TraceLog`] and a borrowed [`crate::view::TraceView`] over
+/// the wire bytes both implement it, so [`check_trace`] and the columnar
+/// record walk run on either input without converting one into the other.
+pub trait TraceFields {
+    /// One record as the walk reads it.
+    type Record<'r>: RecordFields
+    where
+        Self: 'r;
+
+    /// Number of MPI processes (ranks).
+    fn nprocs(&self) -> u32;
+
+    /// Job start and end, Unix seconds.
+    fn span(&self) -> (i64, i64);
+
+    /// The `(uid, application name)` dedup key.
+    fn app_key(&self) -> (u32, String);
+
+    /// Every record, in record order, with whether the name table has an
+    /// entry for it.
+    fn named_records(&self) -> impl ExactSizeIterator<Item = (Self::Record<'_>, bool)>;
+
+    /// Wallclock runtime in seconds (mirrors [`crate::JobHeader::runtime`]).
+    #[inline]
+    fn runtime(&self) -> f64 {
+        let (start, end) = self.span();
+        crate::job::runtime_of(start, end)
+    }
+}
+
+impl TraceFields for TraceLog {
+    type Record<'r> = &'r PosixRecord;
+
+    fn nprocs(&self) -> u32 {
+        self.header().nprocs
+    }
+
+    fn span(&self) -> (i64, i64) {
+        (self.header().start_time, self.header().end_time)
+    }
+
+    fn app_key(&self) -> (u32, String) {
+        self.header().app_key()
+    }
+
+    fn named_records(&self) -> impl ExactSizeIterator<Item = (&PosixRecord, bool)> {
+        self.records().iter().map(|rec| (rec, self.names().contains_key(&rec.record_id)))
+    }
+}
+
 /// Check a whole trace: the header rules, then [`check_record`] on every
 /// `(record, named)` pair in record order. A record that breaks no rule is
 /// handed to `keep`; a broken one lands in the report as
@@ -105,14 +158,14 @@ pub fn check_record<R: RecordFields>(
 ///
 /// The one record loop of validation: [`validate`] runs it over a log,
 /// [`crate::view::validate_view`] over wire bytes, and the columnar load
-/// over wire bytes with `keep` extracting each valid record.
-pub fn check_trace<R: RecordFields>(
-    runtime: f64,
-    nprocs: u32,
-    records: impl ExactSizeIterator<Item = (R, bool)>,
-    mut keep: impl FnMut(R),
+/// over either with `keep` extracting each valid record.
+pub fn check_trace<'t, T: TraceFields>(
+    trace: &'t T,
+    mut keep: impl FnMut(T::Record<'t>),
 ) -> ValidityReport {
+    let (runtime, nprocs) = (trace.runtime(), trace.nprocs());
     let header_errors = check_header_fields(runtime, nprocs);
+    let records = trace.named_records();
     let records_checked = records.len();
     let mut record_errors = Vec::new();
     for (i, (rec, named)) in records.enumerate() {
@@ -177,13 +230,7 @@ impl ValidityReport {
 
 /// Validate a decoded trace.
 pub fn validate(log: &TraceLog) -> ValidityReport {
-    let named = |rec: &PosixRecord| log.names().contains_key(&rec.record_id);
-    check_trace(
-        log.header().runtime(),
-        log.header().nprocs,
-        log.records().iter().map(|rec| (rec, named(rec))),
-        |_| {},
-    )
+    check_trace(log, |_| {})
 }
 
 /// Delete the records `report` flagged invalid, in place. Returns the number

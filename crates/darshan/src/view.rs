@@ -20,9 +20,10 @@
 //!   membership) plus the raw region for the rare full materialization
 //!   ([`TraceView::to_log`], which is all [`crate::mdf::from_bytes`] adds).
 //!
-//! [`validate_view`] applies the validation loop of
-//! [`crate::validate::validate`] ([`crate::validate::check_trace`]) to the
-//! wire records, so both produce the same report by construction.
+//! [`TraceView`] implements [`TraceFields`], so [`validate_view`] runs the
+//! validation loop of [`crate::validate::validate`]
+//! ([`crate::validate::check_trace`]) on the wire records, and both produce
+//! the same report by construction.
 //!
 //! The ownership rule for everything downstream: a `TraceView` borrows the
 //! wire buffer and must not outlive it; anything that survives the trace
@@ -37,105 +38,14 @@ use crate::log::TraceLog;
 use crate::mdf::{MAGIC, NAME_WIRE_MIN_BYTES, RECORD_WIRE_BYTES, VERSION};
 use crate::record::{PosixRecord, RecordFields};
 use crate::synthutil::Crc32;
-use crate::validate::{check_trace, ValidityReport};
+use crate::validate::{check_trace, TraceFields, ValidityReport};
+use crate::wire::{le_f64, le_i32, le_i64, le_u32, le_u64, le_u8, Cursor};
 use std::collections::BTreeMap;
 
 /// Byte offset of the counter array inside one wire record.
 const COUNTERS_OFF: usize = 8 + 4 + 1;
 /// Byte offset of the fcounter array inside one wire record.
 const FCOUNTERS_OFF: usize = COUNTERS_OFF + N_POSIX_COUNTERS * 8;
-
-/// A borrowing cursor over the payload: every read names the field it was
-/// after, so truncation errors say which field ran out.
-struct Cursor<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], FormatError> {
-        if self.buf.len() < n {
-            return Err(FormatError::Truncated { context });
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn u16(&mut self, context: &'static str) -> Result<u16, FormatError> {
-        Ok(le_u16(self.take(2, context)?, 0))
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, FormatError> {
-        Ok(le_u32(self.take(4, context)?, 0))
-    }
-
-    fn i64(&mut self, context: &'static str) -> Result<i64, FormatError> {
-        Ok(le_i64(self.take(8, context)?, 0))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, FormatError> {
-        Ok(le_u64(self.take(8, context)?, 0))
-    }
-
-    fn str(&mut self, len: usize, context: &'static str) -> Result<&'a str, FormatError> {
-        let raw = self.take(len, context)?;
-        std::str::from_utf8(raw).map_err(|_| FormatError::InvalidUtf8 { context })
-    }
-}
-
-// Fixed-width little-endian readers. Callers guarantee `off + size` is in
-// bounds (cursor takes and record strides are length-checked structurally),
-// so the one slice below cannot fire on any input that reached them.
-
-#[inline]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "callers pass offsets inside a length-checked take/stride"
-)]
-fn le_bytes<const N: usize>(b: &[u8], off: usize) -> [u8; N] {
-    let mut a = [0u8; N];
-    a.copy_from_slice(&b[off..off + N]);
-    a
-}
-
-#[inline]
-fn le_u8(b: &[u8], off: usize) -> u8 {
-    u8::from_le_bytes(le_bytes(b, off))
-}
-
-#[inline]
-fn le_u16(b: &[u8], off: usize) -> u16 {
-    u16::from_le_bytes(le_bytes(b, off))
-}
-
-#[inline]
-fn le_u32(b: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(le_bytes(b, off))
-}
-
-#[inline]
-fn le_i32(b: &[u8], off: usize) -> i32 {
-    i32::from_le_bytes(le_bytes(b, off))
-}
-
-#[inline]
-fn le_u64(b: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(le_bytes(b, off))
-}
-
-#[inline]
-fn le_i64(b: &[u8], off: usize) -> i64 {
-    i64::from_le_bytes(le_bytes(b, off))
-}
-
-#[inline]
-fn le_f64(b: &[u8], off: usize) -> f64 {
-    f64::from_le_bytes(le_bytes(b, off))
-}
 
 /// One wire record, viewed in place.
 ///
@@ -264,13 +174,7 @@ impl<'a> TraceView<'a> {
         }
         let exe = cur.str(u32_to_usize(exe_len), "exe")?;
 
-        let n_records = cur.u32("record count")?;
-        if n_records > MAX_RECORDS {
-            return Err(FormatError::ImplausibleLength {
-                context: "record count",
-                len: u64::from(n_records),
-            });
-        }
+        let n_records = cur.count(MAX_RECORDS, "record count")?;
         // Pre-allocation bomb guard: a crafted header claiming millions of
         // records is rejected before any allocation when the remaining
         // payload cannot possibly hold them.
@@ -291,13 +195,7 @@ impl<'a> TraceView<'a> {
             }
         }
 
-        let n_names = cur.u32("name count")?;
-        if n_names > MAX_NAMES {
-            return Err(FormatError::ImplausibleLength {
-                context: "name count",
-                len: u64::from(n_names),
-            });
-        }
+        let n_names = cur.count(MAX_NAMES, "name count")?;
         // Same guard for the name table: each entry needs at least its id
         // and length prefix on the wire.
         if u64::from(n_names) * usize_to_u64(NAME_WIRE_MIN_BYTES) > usize_to_u64(cur.remaining()) {
@@ -356,12 +254,6 @@ impl<'a> TraceView<'a> {
         self.records.iter().map(|data| RecordView { data })
     }
 
-    /// Every record view with whether the name table has an entry for it:
-    /// the `(record, named)` pairs [`check_trace`] walks.
-    pub fn named_records(&self) -> impl ExactSizeIterator<Item = (RecordView<'a>, bool)> + '_ {
-        self.records().map(|rec| (rec, self.has_name(rec.record_id())))
-    }
-
     /// `true` when the name table has an entry for `record_id`.
     #[inline]
     pub fn has_name(&self, record_id: u64) -> bool {
@@ -372,12 +264,6 @@ impl<'a> TraceView<'a> {
     #[inline]
     pub fn n_names(&self) -> usize {
         self.n_names
-    }
-
-    /// Wallclock runtime in seconds (mirrors [`JobHeader::runtime`]).
-    #[inline]
-    pub fn runtime(&self) -> f64 {
-        crate::job::runtime_of(self.start_time, self.end_time)
     }
 
     /// Application name (mirrors [`JobHeader::app_name`]), borrowed.
@@ -413,12 +299,37 @@ impl<'a> TraceView<'a> {
     }
 }
 
+impl TraceFields for TraceView<'_> {
+    type Record<'r>
+        = RecordView<'r>
+    where
+        Self: 'r;
+
+    #[inline]
+    fn nprocs(&self) -> u32 {
+        self.nprocs
+    }
+
+    #[inline]
+    fn span(&self) -> (i64, i64) {
+        (self.start_time, self.end_time)
+    }
+
+    fn app_key(&self) -> (u32, String) {
+        TraceView::app_key(self)
+    }
+
+    fn named_records(&self) -> impl ExactSizeIterator<Item = (RecordView<'_>, bool)> {
+        self.records().map(|rec| (rec, self.has_name(rec.record_id())))
+    }
+}
+
 /// Validate a borrowed trace: the validation loop of
 /// [`crate::validate::validate`] over the wire records, so the report is
 /// the one the materialized log gets — header rules, per-record rules in
 /// record order, the name-table check last.
 pub fn validate_view(view: &TraceView<'_>) -> ValidityReport {
-    check_trace(view.runtime(), view.nprocs, view.named_records(), |_| {})
+    check_trace(view, |_| {})
 }
 
 #[cfg(test)]
@@ -446,22 +357,6 @@ mod tests {
                 .setf(F::ReadEndTimestamp, i as f64 + 0.5);
         }
         b.finish()
-    }
-
-    #[test]
-    fn fixed_width_readers_decode_little_endian_at_any_offset() {
-        let bytes: Vec<u8> = (0..32u8).map(|b| b.wrapping_mul(37) ^ 0xa5).collect();
-        for off in 0..=bytes.len() - 8 {
-            let at = |n: usize| &bytes[off..off + n];
-            assert_eq!(le_u8(&bytes, off), bytes[off]);
-            assert_eq!(le_u16(&bytes, off), u16::from_le_bytes(at(2).try_into().unwrap()));
-            assert_eq!(le_u32(&bytes, off), u32::from_le_bytes(at(4).try_into().unwrap()));
-            assert_eq!(le_i32(&bytes, off), i32::from_le_bytes(at(4).try_into().unwrap()));
-            assert_eq!(le_u64(&bytes, off), u64::from_le_bytes(at(8).try_into().unwrap()));
-            assert_eq!(le_i64(&bytes, off), i64::from_le_bytes(at(8).try_into().unwrap()));
-            let f = f64::from_le_bytes(at(8).try_into().unwrap());
-            assert_eq!(le_f64(&bytes, off).to_bits(), f.to_bits());
-        }
     }
 
     #[test]

@@ -10,6 +10,80 @@ use std::collections::BTreeMap;
 /// The `(uid, application basename)` grouping key.
 pub type AppKey = (u32, String);
 
+/// One application's runs, folded in order: the run count, the heaviest
+/// run and the number of runs per category set.
+///
+/// The one per-application state of both drivers. The batch side folds
+/// borrowed sets (`S = &BTreeSet<Category>`, or `()` when only the heaviest
+/// run matters), the streaming [`crate::IncrementalAnalyzer`] owned ones.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AppFold<S> {
+    /// Runs folded.
+    pub runs: usize,
+    /// Fold position of the heaviest run: the first of the maximal weight.
+    pub heaviest: usize,
+    /// Weight of the heaviest run.
+    pub weight: i64,
+    /// Category set of the heaviest run (the single-run representative).
+    pub representative: S,
+    /// Runs per distinct category set.
+    pub sets: BTreeMap<S, usize>,
+}
+
+impl<S: Ord + Clone> AppFold<S> {
+    /// Fold in the application's next run. Only a strictly heavier run
+    /// replaces the heaviest, so ties stay with the earliest.
+    fn add(&mut self, pos: usize, weight: i64, set: S) {
+        self.runs += 1;
+        if weight > self.weight {
+            self.heaviest = pos;
+            self.weight = weight;
+            self.representative = set.clone();
+        }
+        *self.sets.entry(set).or_insert(0) += 1;
+    }
+
+    /// The modal (most common) category set and its run count. Ties go to
+    /// the greatest set: `max_by` keeps the last maximum.
+    pub fn modal(&self) -> Option<(&S, usize)> {
+        self.sets.iter().max_by(|a, b| a.1.cmp(b.1)).map(|(set, &runs)| (set, runs))
+    }
+}
+
+/// Fold one run, at fold position `pos`, into its application's state.
+pub(crate) fn fold_run<K: Ord, S: Ord + Clone>(
+    apps: &mut BTreeMap<K, AppFold<S>>,
+    pos: usize,
+    key: K,
+    weight: i64,
+    set: S,
+) {
+    // A new application starts as its first run with none counted yet.
+    let new = || AppFold {
+        runs: 0,
+        heaviest: pos,
+        weight,
+        representative: set.clone(),
+        sets: BTreeMap::new(),
+    };
+    apps.entry(key).or_insert_with(new).add(pos, weight, set);
+}
+
+/// Fold `(app key, I/O weight, category set)` per run, in order. Keys and
+/// sets may be borrowed, so the batch side clones nothing per run.
+pub(crate) fn fold_apps<K, S, I>(runs: I) -> BTreeMap<K, AppFold<S>>
+where
+    K: Ord,
+    S: Ord + Clone,
+    I: IntoIterator<Item = (K, i64, S)>,
+{
+    let mut apps = BTreeMap::new();
+    for (pos, (key, weight, set)) in runs.into_iter().enumerate() {
+        fold_run(&mut apps, pos, key, weight, set);
+    }
+    apps
+}
+
 /// Pick, for every application group, the position of its heaviest trace.
 ///
 /// `items` provides `(app key, I/O weight)` per trace; ties break toward the
@@ -20,37 +94,10 @@ where
     K: Ord,
     I: IntoIterator<Item = (K, i64)>,
 {
-    let mut best: BTreeMap<K, (usize, i64)> = BTreeMap::new();
-    for (pos, (key, weight)) in items.into_iter().enumerate() {
-        match best.get_mut(&key) {
-            Some(entry) => {
-                if weight > entry.1 {
-                    *entry = (pos, weight);
-                }
-            }
-            None => {
-                best.insert(key, (pos, weight));
-            }
-        }
-    }
-    let mut positions: Vec<usize> = best.into_values().map(|(pos, _)| pos).collect();
+    let apps = fold_apps(items.into_iter().map(|(key, weight)| (key, weight, ())));
+    let mut positions: Vec<usize> = apps.into_values().map(|app| app.heaviest).collect();
     positions.sort_unstable();
     positions
-}
-
-/// Group trace positions by application key (used by the stability
-/// analysis, which needs *all* runs of each app). Generic over the key like
-/// [`heaviest_per_app`].
-pub fn group_by_app<K, I>(items: I) -> BTreeMap<K, Vec<usize>>
-where
-    K: Ord,
-    I: IntoIterator<Item = K>,
-{
-    let mut groups: BTreeMap<K, Vec<usize>> = BTreeMap::new();
-    for (pos, key) in items.into_iter().enumerate() {
-        groups.entry(key).or_default().push(pos);
-    }
-    groups
 }
 
 #[cfg(test)]
@@ -87,7 +134,7 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(heaviest_per_app(Vec::<(AppKey, i64)>::new()).is_empty());
-        assert!(group_by_app(Vec::<AppKey>::new()).is_empty());
+        assert!(fold_apps(Vec::<(AppKey, i64, ())>::new()).is_empty());
     }
 
     #[test]
@@ -107,20 +154,48 @@ mod tests {
             let owned = heaviest_per_app(items.iter().cloned());
             let borrowed = heaviest_per_app(items.iter().map(|(k, w)| (k, *w)));
             assert_eq!(borrowed, owned, "seed {seed}");
-            let owned = group_by_app(items.iter().map(|(k, _)| k.clone()));
-            let borrowed = group_by_app(items.iter().map(|(k, _)| k));
+            // The same runs with a category set each (here a small
+            // integer): owned and borrowed folds keep the same state.
+            let runs: Vec<(AppKey, i64, u8)> =
+                items.iter().map(|(k, w)| (k.clone(), *w, rng.gen_range(0..3u8))).collect();
+            let owned = fold_apps(runs.iter().cloned());
+            let borrowed = fold_apps(runs.iter().map(|(k, w, s)| (k, *w, s)));
             assert!(
-                borrowed.into_iter().eq(owned.iter().map(|(k, v)| (k, v.clone()))),
+                borrowed
+                    .iter()
+                    .map(|(k, f)| (*k, f.runs, f.heaviest, f.weight, *f.representative))
+                    .eq(owned.iter().map(|(k, f)| (
+                        k,
+                        f.runs,
+                        f.heaviest,
+                        f.weight,
+                        f.representative
+                    ))),
                 "seed {seed}"
             );
+            for (key, fold) in &owned {
+                let modal = fold.modal().map(|(s, n)| (*s, n));
+                assert_eq!(borrowed[&key].modal().map(|(s, n)| (**s, n)), modal, "seed {seed}");
+            }
         }
     }
 
     #[test]
-    fn grouping_collects_all_positions() {
-        let keys = vec![key(1, "a"), key(2, "b"), key(1, "a"), key(1, "a")];
-        let groups = group_by_app(keys);
-        assert_eq!(groups[&key(1, "a")], vec![0, 2, 3]);
-        assert_eq!(groups[&key(2, "b")], vec![1]);
+    fn fold_counts_runs_and_sets_and_keeps_the_first_heaviest() {
+        let runs = vec![
+            (key(1, "a"), 5, "x"),
+            (key(2, "b"), 1, "y"),
+            (key(1, "a"), 9, "y"),
+            (key(1, "a"), 9, "x"),
+            (key(1, "a"), 2, "y"),
+        ];
+        let apps = fold_apps(runs);
+        let a = &apps[&key(1, "a")];
+        assert_eq!((a.runs, a.heaviest, a.weight, a.representative), (4, 2, 9, "y"));
+        assert_eq!(a.sets, BTreeMap::from([("x", 2), ("y", 2)]));
+        // Two sets with two runs each: the tie goes to the greatest set.
+        assert_eq!(a.modal(), Some((&"y", 2)));
+        let b = &apps[&key(2, "b")];
+        assert_eq!((b.runs, b.heaviest, b.modal()), (1, 1, Some((&"y", 1))));
     }
 }

@@ -8,7 +8,7 @@ use mosaic_core::columnar::TraceArena;
 use mosaic_core::report::CategoryCounts;
 use mosaic_core::{Categorizer, CategorizerConfig, JaccardMatrix, TraceReport};
 use mosaic_darshan::convert::usize_to_u64;
-use mosaic_darshan::{validate, EvictClass, EvictReason, OperationView, TraceLog, TraceView};
+use mosaic_darshan::{EvictClass, EvictReason, TraceFields, TraceView};
 use mosaic_obs::lock::{self, with_lock};
 use mosaic_obs::{
     MetricsReport, MetricsSnapshot, Recorder, Span, SpanOutcome, Stage, TraceTimeline,
@@ -229,80 +229,50 @@ struct Extracted {
     end_time: i64,
 }
 
-/// Byte input: borrowed parse, then one walk over the wire records that
-/// validates each one and extracts the valid ones into the arena. Skipping
-/// the flagged records is what `delete_invalid` does for log inputs.
-fn extract_bytes(
-    bytes: &[u8],
-    arena: &mut TraceArena,
+/// Parse step of a byte input: the borrowed MDF parse, timed as its own
+/// stage. A decoded log has none.
+fn parse<'b>(
+    bytes: &'b [u8],
     recorder: &Recorder,
     scope: SpanScope<'_>,
-) -> Result<Extracted, Ingested> {
+) -> Result<TraceView<'b>, Ingested> {
     let wire = usize_to_u64(bytes.len());
     let t0 = recorder.now_ns();
     let parsed = TraceView::parse(bytes);
     let dur = recorder.now_ns().saturating_sub(t0);
-    let view = match parsed {
+    match parsed {
         Ok(view) => {
             scope.emit(Stage::Parse, t0, dur, wire, SpanOutcome::Ok, None);
-            view
+            Ok(view)
         }
-        Err(err) => return Err(scope.evict(Stage::Parse, t0, dur, wire, EvictReason::from(&err))),
-    };
+        Err(err) => Err(scope.evict(Stage::Parse, t0, dur, wire, EvictReason::from(&err))),
+    }
+}
 
-    // One walk checks and extracts every record, so the validate span
-    // covers the extraction too.
+/// One walk over a parsed trace's records, wire bytes or decoded log alike:
+/// it validates each record and extracts the valid ones into the arena,
+/// skipping the flagged ones (what `delete_invalid` does to a log). The
+/// validate span covers the extraction too.
+fn extract(
+    trace: &impl TraceFields,
+    arena: &mut TraceArena,
+    recorder: &Recorder,
+    scope: SpanScope<'_>,
+) -> Result<Extracted, Ingested> {
     let t0 = recorder.now_ns();
-    let report = arena.trace.load_checked(&view);
+    let report = arena.trace.load_checked(trace);
     let dur = recorder.now_ns().saturating_sub(t0);
     if report.is_fatal() {
         return Err(scope.evict(Stage::Validate, t0, dur, 0, report.evict_reason()));
     }
     scope.emit(Stage::Validate, t0, dur, 0, SpanOutcome::Ok, None);
 
+    let (start_time, end_time) = trace.span();
     Ok(Extracted {
-        app_key: view.app_key(),
+        app_key: trace.app_key(),
         sanitized_records: report.record_errors.len(),
-        start_time: view.start_time,
-        end_time: view.end_time,
-    })
-}
-
-/// Log input: validate copy-on-write — the read-only pass decides the fate,
-/// and the log is cloned out of its `Arc` only when records actually need
-/// deleting — then extract its operation view into the arena.
-fn extract_log(
-    log: Arc<TraceLog>,
-    arena: &mut TraceArena,
-    recorder: &Recorder,
-    scope: SpanScope<'_>,
-) -> Result<Extracted, Ingested> {
-    let t0 = recorder.now_ns();
-    let report = validate::validate(&log);
-    let fate = if report.is_fatal() {
-        Err(report.evict_reason())
-    } else if report.record_errors.is_empty() {
-        Ok((log, 0))
-    } else {
-        let mut owned = Arc::unwrap_or_clone(log);
-        let deleted = validate::delete_invalid(&mut owned, &report);
-        Ok((Arc::new(owned), deleted))
-    };
-    let dur = recorder.now_ns().saturating_sub(t0);
-    let (log, sanitized_records) = match fate {
-        Ok(pair) => pair,
-        Err(reason) => return Err(scope.evict(Stage::Validate, t0, dur, 0, reason)),
-    };
-    scope.emit(Stage::Validate, t0, dur, 0, SpanOutcome::Ok, None);
-
-    arena.trace.load_view(&OperationView::from_log(&log));
-    arena.trace.weight = log.io_weight();
-    let header = log.header();
-    Ok(Extracted {
-        app_key: header.app_key(),
-        sanitized_records,
-        start_time: header.start_time,
-        end_time: header.end_time,
+        start_time,
+        end_time,
     })
 }
 
@@ -311,8 +281,8 @@ fn extract_log(
 /// business; the `Err` fate of a fetch is still accounted here so batch and
 /// streaming funnels agree.
 ///
-/// Byte and log inputs differ only in how they are extracted into the
-/// worker's arena; from there they share one categorize tail.
+/// Byte and log inputs differ only in the parse step; from there they share
+/// one record walk and one categorize tail.
 pub(crate) fn ingest_one(
     fetched: std::io::Result<TraceInput>,
     index: usize,
@@ -329,9 +299,12 @@ pub(crate) fn ingest_one(
     };
     ARENA.with(|cell| {
         let mut arena = cell.borrow_mut();
+        // Each arm consumes its input, so the wire bytes or the log are
+        // freed before categorization, as soon as the arena holds the trace.
         let extracted = match input {
-            TraceInput::Bytes(bytes) => extract_bytes(&bytes, &mut arena, recorder, scope),
-            TraceInput::Log(log) => extract_log(log, &mut arena, recorder, scope),
+            TraceInput::Bytes(bytes) => parse(&bytes, recorder, scope)
+                .and_then(|view| extract(&view, &mut arena, recorder, scope)),
+            TraceInput::Log(log) => extract(&*log, &mut arena, recorder, scope),
         };
         let extracted = match extracted {
             Ok(extracted) => extracted,
@@ -470,7 +443,7 @@ mod tests {
     use mosaic_darshan::counter::PosixFCounter as F;
     use mosaic_darshan::job::JobHeader;
     use mosaic_darshan::log::TraceLogBuilder;
-    use mosaic_darshan::{mdf, ValidityError};
+    use mosaic_darshan::{mdf, TraceLog, ValidityError};
 
     fn log_for(uid: u32, exe: &str, bytes: i64) -> TraceLog {
         let mut b = TraceLogBuilder::new(JobHeader::new(1, uid, 4, 0, 1000).with_exe(exe));

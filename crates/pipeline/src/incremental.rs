@@ -11,10 +11,13 @@
 //!   swapping a group's representative when a heavier run arrives,
 //! * per-application run counts and modal categories for stability.
 //!
-//! Ingestion cost per trace is the categorization itself plus `O(log apps)`
-//! bookkeeping; memory is `O(applications)`, not `O(traces)`.
+//! Each trace goes through the batch executor's own per-trace step, and its
+//! application state is the batch side's fold ([`crate::dedup::AppFold`]),
+//! over owned category sets instead of borrowed ones. Ingestion cost per
+//! trace is the categorization itself plus `O(log apps)` bookkeeping;
+//! memory is `O(applications)`, not `O(traces)`.
 
-use crate::dedup::AppKey;
+use crate::dedup::{fold_run, AppFold, AppKey};
 use crate::executor::{ingest_one, Ingested};
 use crate::funnel::FunnelStats;
 use crate::source::TraceInput;
@@ -24,37 +27,12 @@ use mosaic_core::{Categorizer, CategorizerConfig, TraceReport};
 use mosaic_obs::{MetricsReport, MetricsSnapshot, Recorder, TraceTimeline};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Per-application incremental state.
-#[derive(Debug, Clone)]
-pub struct AppState {
-    /// Valid runs seen.
-    pub runs: usize,
-    /// I/O weight of the heaviest run so far.
-    pub best_weight: i64,
-    /// Category set of the heaviest run (the group's representative).
-    pub representative: BTreeSet<Category>,
-    /// Frequency of each distinct category set (for modal stability).
-    pub set_counts: BTreeMap<BTreeSet<Category>, usize>,
-}
-
-impl AppState {
-    /// Fraction of runs sharing the modal category set.
-    pub fn stability(&self) -> f64 {
-        let modal = self.set_counts.values().copied().max().unwrap_or(0);
-        if self.runs == 0 {
-            1.0
-        } else {
-            modal as f64 / self.runs as f64
-        }
-    }
-}
-
 /// Streaming MOSAIC analyzer.
 pub struct IncrementalAnalyzer {
     categorizer: Categorizer,
     funnel: FunnelStats,
     all_runs: CategoryCounts,
-    apps: BTreeMap<AppKey, AppState>,
+    apps: BTreeMap<AppKey, AppFold<BTreeSet<Category>>>,
     recorder: Recorder,
 }
 
@@ -114,18 +92,8 @@ impl IncrementalAnalyzer {
         let report = outcome.report;
         self.all_runs.add(&report.categories);
 
-        let state = self.apps.entry(outcome.app_key).or_insert_with(|| AppState {
-            runs: 0,
-            best_weight: i64::MIN,
-            representative: BTreeSet::new(),
-            set_counts: BTreeMap::new(),
-        });
-        state.runs += 1;
-        *state.set_counts.entry(report.categories.clone()).or_insert(0) += 1;
-        if outcome.weight > state.best_weight {
-            state.best_weight = outcome.weight;
-            state.representative = report.categories.clone();
-        }
+        let set = report.categories.clone();
+        fold_run(&mut self.apps, index, outcome.app_key, outcome.weight, set);
         self.funnel.unique_apps = self.apps.len();
         let apps = mosaic_darshan::convert::usize_to_u64(self.apps.len());
         self.recorder.pipeline_metrics().dedup_apps().set(apps);
@@ -154,8 +122,9 @@ impl IncrementalAnalyzer {
         CategoryCounts::from_sets(self.apps.values().map(|s| &s.representative))
     }
 
-    /// Per-application state, keyed by `(uid, app)`.
-    pub fn apps(&self) -> &BTreeMap<AppKey, AppState> {
+    /// Per-application state, keyed by `(uid, app)`: the batch side's
+    /// fold, over owned category sets.
+    pub fn apps(&self) -> &BTreeMap<AppKey, AppFold<BTreeSet<Category>>> {
         &self.apps
     }
 }
@@ -184,20 +153,34 @@ mod tests {
         b.finish()
     }
 
+    /// `log` with one more record, out of rank range, which sanitization
+    /// deletes.
+    fn with_bad_record(log: TraceLog) -> TraceLog {
+        let mut records = log.records().to_vec();
+        let mut bad = records[0].clone();
+        bad.rank = 99;
+        records.push(bad);
+        TraceLog::from_parts(log.header().clone(), records, log.names().clone())
+    }
+
     #[test]
     fn streaming_matches_batch_processing() {
         // The incremental analyzer must agree with the batch pipeline on
         // every aggregate, for the same inputs in any order.
+        // Every fate: corrupt bytes, fatally invalid logs, logs and bytes
+        // that lose a record to sanitization, and equal weights within an
+        // app, so the earliest-heaviest tie-break is exercised too.
         let inputs: Vec<TraceInput> = (0..40)
             .map(|i| {
-                if i % 7 == 0 {
-                    TraceInput::bytes(vec![9u8; 16]) // corrupt
-                } else {
-                    TraceInput::log(log_for(
-                        i % 4,
-                        &format!("/bin/app{}", i % 4),
-                        (i as i64 + 1) << 20,
-                    ))
+                let log = log_for(i % 4, &format!("/bin/app{}", i % 4), (i as i64 % 5 + 1) << 20);
+                match i % 7 {
+                    0 => TraceInput::bytes(vec![9u8; 16]), // corrupt
+                    1 => TraceInput::log(
+                        TraceLogBuilder::new(JobHeader::new(1, i, 4, 5, 5)).finish(),
+                    ),
+                    2 => TraceInput::log(with_bad_record(log)),
+                    3 => TraceInput::bytes(mdf::to_bytes(&with_bad_record(log))),
+                    _ => TraceInput::log(log),
                 }
             })
             .collect();
@@ -210,6 +193,8 @@ mod tests {
         }
 
         assert_eq!(inc.funnel(), &batch.funnel);
+        assert!(batch.funnel.invalid > 0 && batch.funnel.format_corrupt > 0);
+        assert!(batch.outcomes.iter().any(|o| o.sanitized_records == 1));
         assert_eq!(inc.all_runs_counts(), &batch.all_runs_counts());
         assert_eq!(inc.single_run_counts(), batch.single_run_counts());
         // The streaming recorder saw the same per-trace stages.
@@ -324,9 +309,10 @@ mod tests {
         for _ in 0..3 {
             inc.ingest(TraceInput::log(log_for(1, "/bin/a", 1 << 20)));
         }
-        let state = inc.apps().values().next().unwrap();
+        let (app, state) = inc.apps().iter().next().unwrap();
         assert_eq!(state.runs, 10);
-        assert!((state.stability() - 0.7).abs() < 1e-12);
+        let stability = crate::stability::AppStability::of(app.clone(), state);
+        assert!((stability.stability() - 0.7).abs() < 1e-12);
     }
 
     #[test]

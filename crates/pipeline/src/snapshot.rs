@@ -1,7 +1,7 @@
 //! Canonical, comparable snapshots of a pipeline run.
 //!
 //! The verification harness needs to ask "did these two runs produce the
-//! same answer?" across executors (batch vs incremental), thread counts and
+//! same answer?" across thread counts, tracing on and off, and
 //! serialization roundtrips — and to pin answers down in committed golden
 //! files. [`ResultSnapshot`] is the comparison currency: a deterministic
 //! projection of a [`PipelineResult`] that keeps everything categorization

@@ -6,11 +6,12 @@
 //! statistic: for each application, the fraction of its runs whose category
 //! set equals the application's *modal* (most common) category set.
 
-use crate::dedup::{group_by_app, AppKey};
+use crate::dedup::{fold_apps, AppFold, AppKey};
 use crate::executor::RunOutcome;
 use mosaic_core::category::Category;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Borrow;
+use std::collections::BTreeSet;
 
 /// Stability of one application.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -26,6 +27,14 @@ pub struct AppStability {
 }
 
 impl AppStability {
+    /// The stability of one application's folded runs: its modal category
+    /// set (ties go to the greatest set) and how many runs share it.
+    pub fn of<S: Borrow<BTreeSet<Category>> + Ord + Clone>(app: AppKey, fold: &AppFold<S>) -> Self {
+        let (modal_categories, modal_runs) =
+            fold.modal().map_or_else(Default::default, |(set, n)| (set.borrow().clone(), n));
+        AppStability { app, runs: fold.runs, modal_runs, modal_categories }
+    }
+
     /// Fraction of runs in the modal set.
     pub fn stability(&self) -> f64 {
         if self.runs == 0 {
@@ -40,27 +49,12 @@ impl AppStability {
 /// at least `min_runs` runs are reported (stability of a single run is
 /// vacuous).
 pub fn app_stability(outcomes: &[RunOutcome], min_runs: usize) -> Vec<AppStability> {
-    let groups = group_by_app(outcomes.iter().map(|o| &o.app_key));
-    let mut out = Vec::new();
-    for (app, positions) in groups {
-        if positions.len() < min_runs {
-            continue;
-        }
-        let mut freq: BTreeMap<&BTreeSet<Category>, usize> = BTreeMap::new();
-        for o in positions.iter().filter_map(|&p| outcomes.get(p)) {
-            *freq.entry(&o.report.categories).or_insert(0) += 1;
-        }
-        // Ties go to the greatest set: `max_by` keeps the last maximum.
-        let Some((modal_set, modal_runs)) = freq.into_iter().max_by(|a, b| a.1.cmp(&b.1)) else {
-            continue;
-        };
-        out.push(AppStability {
-            app: app.clone(),
-            runs: positions.len(),
-            modal_runs,
-            modal_categories: modal_set.clone(),
-        });
-    }
+    let apps = fold_apps(outcomes.iter().map(|o| (&o.app_key, o.weight, &o.report.categories)));
+    let mut out: Vec<AppStability> = apps
+        .iter()
+        .filter(|(_, fold)| fold.runs >= min_runs)
+        .map(|(&app, fold)| AppStability::of(app.clone(), fold))
+        .collect();
     // Most-run apps first, like the paper's LAMMPS/NEK5000 discussion.
     out.sort_by_key(|s| std::cmp::Reverse(s.runs));
     out
@@ -80,6 +74,7 @@ mod tests {
     use super::*;
     use mosaic_core::{Categorizer, CategorizerConfig};
     use mosaic_darshan::ops::{OpKind, Operation, OperationView};
+    use std::collections::BTreeMap;
 
     fn outcome(index: usize, uid: u32, app: &str, read_bytes: u64) -> RunOutcome {
         let view = OperationView {
@@ -107,10 +102,13 @@ mod tests {
         }
     }
 
-    /// The owned-key form [`app_stability`] replaced: every key cloned into
-    /// the grouping map, runs looked up by index.
+    /// A grouping reference for [`app_stability`]'s fold: every key cloned
+    /// into a map of run positions, runs looked up by index.
     fn reference_app_stability(outcomes: &[RunOutcome], min_runs: usize) -> Vec<AppStability> {
-        let groups = group_by_app(outcomes.iter().map(|o| o.app_key.clone()));
+        let mut groups: BTreeMap<AppKey, Vec<usize>> = BTreeMap::new();
+        for (pos, o) in outcomes.iter().enumerate() {
+            groups.entry(o.app_key.clone()).or_default().push(pos);
+        }
         let mut out = Vec::new();
         for (app, positions) in groups {
             if positions.len() < min_runs {

@@ -7,30 +7,26 @@
 //!   2- and 4-thread pools vs Rayon's global default. Categorization is a
 //!   pure per-trace function and aggregation is order-normalized, so the
 //!   [`ResultSnapshot`]s must match byte-for-byte;
-//! * **batch vs incremental** — the one-shot executor vs the streaming
-//!   [`IncrementalAnalyzer`] fed the same traces one at a time. Both route
-//!   through the same `ingest_one`, so funnel and both category
-//!   distributions must agree exactly;
 //! * **MDF roundtrip** — `write → parse → re-write` must be byte-stable for
 //!   every parseable trace;
-//! * **log source vs bytes source** — a pipeline fed serialized bytes must
-//!   answer exactly like one fed the decoded logs. The two input kinds
-//!   differ only in how they are extracted into the categorizer's arena,
-//!   so this pins that one remaining fork;
 //! * **traced vs untraced** — a run with structured span tracing enabled
 //!   must snapshot byte-identically to one without: the timeline is
 //!   observability, never part of the answer;
 //! * **columnar vs reference** — every trace that parses is checked and
 //!   extracted by the executor's one record walk
-//!   ([`mosaic_core::columnar::ColumnarTrace::load_checked`]), whose validity report must equal
-//!   [`validate::validate`] on the materialized log. For every valid trace,
-//!   its metadata events and dedup weight must equal the sanitized log's
+//!   ([`ColumnarTrace::load_checked`]), whose validity report must equal
+//!   [`validate::validate`] on the materialized log. The same walk over
+//!   that decoded log — a log input's whole extraction — must give the
+//!   wire walk's report, columns, weight, app key and job span. For every
+//!   valid trace, its metadata events and dedup weight must equal the
+//!   sanitized log's
 //!   ([`validate::delete_invalid`], [`OperationView::from_log`]), the
 //!   columnar merge ([`merge_all_columnar`], materialized) must equal the
 //!   row reference [`merge::merge_all`] over the log's operation view, and
 //!   [`chunk_volumes_columnar`] must equal [`chunk_volumes`] on the merged
 //!   operations: per corpus, and once over a 2 000-trace mixed-corruption
-//!   synthetic sweep;
+//!   synthetic sweep. Log and byte inputs differ only in their parse
+//!   step, which the MDF roundtrip covers;
 //! * **Mean Shift vs reference** — for every significant direction of every
 //!   valid trace, the grid-indexed [`MeanShift::fit`] on the segments'
 //!   [`op_feature`]s must return the labels and center bits of the
@@ -44,10 +40,17 @@
 //!   the dense traces, [`metadata::characterize`]'s occupied-seconds scan
 //!   must return the peak, spike count and labels of the dense per-second
 //!   histogram in [`metadata::reference`].
+//!
+//! The streaming [`mosaic_pipeline::IncrementalAnalyzer`] runs the batch
+//! executor's per-trace step and its per-application fold
+//! ([`mosaic_pipeline::dedup::AppFold`]), so no oracle here keeps the two
+//! drivers in step; the pipeline's unit tests compare their aggregates.
 
 use crate::VerifyReport;
 use mosaic_clustering::meanshift::{reference, MeanShift, GRID_MIN_POINTS};
-use mosaic_core::columnar::{chunk_volumes_columnar, merge_all_columnar, TraceArena};
+use mosaic_core::columnar::{
+    chunk_volumes_columnar, merge_all_columnar, ColumnarTrace, TraceArena,
+};
 use mosaic_core::periodicity::op_feature;
 use mosaic_core::segment::segment;
 use mosaic_core::temporality::{characterize_columnar, chunk_volumes};
@@ -55,10 +58,12 @@ use mosaic_core::{merge, metadata, CategorizerConfig, TemporalityLabel};
 use mosaic_darshan::counter::PosixCounter as C;
 use mosaic_darshan::counter::PosixFCounter as F;
 use mosaic_darshan::record::SHARED_RANK;
-use mosaic_darshan::{mdf, validate, JobHeader, OpKind, OperationView, TraceLogBuilder, TraceView};
+use mosaic_darshan::{
+    mdf, validate, JobHeader, OpKind, OperationView, TraceFields, TraceLogBuilder, TraceView,
+};
 use mosaic_pipeline::executor::{process, PipelineConfig};
 use mosaic_pipeline::source::{TraceInput, VecSource};
-use mosaic_pipeline::{IncrementalAnalyzer, ResultSnapshot};
+use mosaic_pipeline::ResultSnapshot;
 use mosaic_synth::{Dataset, DatasetConfig, MiniCorpus, Payload};
 
 /// A corpus as pipeline inputs, decoded logs passed as logs and corrupt
@@ -113,6 +118,7 @@ fn columnar_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<u
     let mut merged = Vec::new();
     let (mut checked, mut valid) = (0usize, 0usize);
     let mut diverged = Vec::new();
+    let mut log_walk = ColumnarTrace::default();
     for (i, view) in parsed(wires) {
         checked += 1;
         let validity = arena.trace.load_checked(&view);
@@ -120,6 +126,15 @@ fn columnar_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<u
         let log_validity = validate::validate(&log);
         if validity != log_validity {
             diverged.push(format!("trace {i}: validity {validity:?}, reference {log_validity:?}"));
+        }
+        // The same walk over the decoded log: a log input's whole extraction.
+        let walked_log = log_walk.load_checked(&log);
+        if walked_log != validity
+            || log_walk != arena.trace
+            || (log.app_key(), log.span()) != (view.app_key(), view.span())
+        {
+            diverged
+                .push(format!("trace {i}: the walk over the decoded log differs from the wire's"));
         }
         if validity.is_fatal() {
             continue;
@@ -166,7 +181,8 @@ fn columnar_vs_reference(report: &mut VerifyReport, name: String, wires: &[Vec<u
         if diverged.is_empty() {
             format!(
                 "{checked} parsed traces: validity reports equal the reference; {valid} valid \
-                 traces: metadata, weight, columnar merge and chunk volumes equal the reference"
+                 traces: metadata, weight, columnar merge and chunk volumes equal the reference; \
+                 the walk over each decoded log equals the walk over its wire bytes"
             )
         } else {
             diverged.join("\n")
@@ -388,28 +404,6 @@ pub fn run(report: &mut VerifyReport) {
             );
         }
 
-        // Batch vs incremental: same traces, one at a time.
-        let mut inc = IncrementalAnalyzer::new(Default::default());
-        for input in inputs.clone() {
-            inc.ingest(input);
-        }
-        let agrees = inc.funnel() == &serial.funnel
-            && inc.all_runs_counts() == &serial.all_runs
-            && inc.single_run_counts() == serial.single_run;
-        report.check(
-            format!("differential/batch-vs-incremental/{}", corpus.name()),
-            agrees,
-            if agrees {
-                format!("funnel + both distributions agree over {} traces", corpus.len())
-            } else {
-                format!(
-                    "streaming diverges from batch\nbatch funnel {:?}\nstream funnel {:?}",
-                    serial.funnel,
-                    inc.funnel()
-                )
-            },
-        );
-
         // MDF write → parse → re-write byte stability.
         let mut unstable = Vec::new();
         for (i, log) in corpus.logs() {
@@ -458,18 +452,7 @@ pub fn run(report: &mut VerifyReport) {
             },
         );
 
-        // A pipeline fed wire bytes answers exactly like one fed logs.
         let wires: Vec<Vec<u8>> = (0..corpus.len()).map(|i| corpus.mdf_bytes(i)).collect();
-        let byte_inputs: Vec<TraceInput> = wires.iter().cloned().map(TraceInput::bytes).collect();
-        let from_bytes =
-            ResultSnapshot::of(&process(&VecSource::new(byte_inputs), &config(Some(2))));
-        compare(
-            report,
-            format!("differential/log-source-vs-bytes-source/{}", corpus.name()),
-            &serial,
-            &from_bytes,
-        );
-
         columnar_vs_reference(
             report,
             format!("differential/columnar-vs-reference/{}", corpus.name()),
@@ -532,13 +515,13 @@ mod tests {
         let mut report = VerifyReport::default();
         run(&mut report);
         assert!(report.passed(), "{}", report.render());
-        // 9 checks per corpus (3 pool comparisons, incremental, roundtrip,
-        // traced-vs-untraced, bytes-source, columnar-vs-reference,
+        // 7 checks per corpus (3 pool comparisons, roundtrip,
+        // traced-vs-untraced, columnar-vs-reference,
         // meanshift-vs-reference) × 3 corpora, plus the 2k-sweep
         // columnar-vs-reference, meanshift-vs-reference and
         // metadata-vs-reference checks and the dense-periodic
         // meanshift-vs-reference and metadata-vs-reference checks.
-        assert_eq!(report.checks.len(), 32);
+        assert_eq!(report.checks.len(), 26);
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! crate implementing exactly the API surface the workspace uses (see
 //! `shims/README.md`). This one covers:
 //!
-//! * [`Bytes`] — cheaply clonable immutable buffer (`Arc<Vec<u8>>` plus a
-//!   window), used by `mosaic_pipeline::source::TraceInput` so cloning an
-//!   input never copies megabytes of records.
+//! * [`Bytes`] — cheaply clonable immutable buffer (`Arc<Vec<u8>>`), used
+//!   by `mosaic_pipeline::source::TraceInput` so cloning an input never
+//!   copies megabytes of records.
 //! * [`BytesMut`] — growable write buffer used by the MDF/MDX encoders.
-//! * [`Buf`] / [`BufMut`] — little-endian cursor reads and appends.
+//! * [`BufMut`] — little-endian appends. The wire formats are read by
+//!   `mosaic_darshan`'s own borrowing cursor, so no `Buf` is provided.
 //!
 //! Semantics follow the real crate for the methods present; anything the
 //! workspace does not call is deliberately absent.
@@ -23,62 +24,38 @@ use std::sync::Arc;
 #[derive(Clone, Default)]
 pub struct Bytes {
     data: Arc<Vec<u8>>,
-    start: usize,
-    end: usize,
 }
 
 impl Bytes {
-    /// An empty buffer.
-    pub fn new() -> Bytes {
-        Bytes::default()
-    }
-
     /// Copy `data` into a new reference-counted buffer.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
         Bytes::from(data.to_vec())
     }
 
-    /// A static slice, copied (the real crate borrows; the workspace only
-    /// uses this for small literals).
-    pub fn from_static(data: &'static [u8]) -> Bytes {
-        Bytes::copy_from_slice(data)
-    }
-
-    /// Length of the visible window.
+    /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.data.len()
     }
 
-    /// Whether the visible window is empty.
+    /// Whether the buffer holds no bytes.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.data.is_empty()
     }
 
-    /// The window as a plain slice.
+    /// The bytes as a plain slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &self.data
     }
 
-    /// Copy the window out into an owned vector.
+    /// Copy the bytes out into an owned vector.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
-    }
-
-    /// A sub-window sharing the same backing allocation.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
-        assert!(range.start <= range.end && range.end <= self.len(), "slice out of bounds");
-        Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + range.start,
-            end: self.start + range.end,
-        }
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Bytes {
-        let end = data.len();
-        Bytes { data: Arc::new(data), start: 0, end }
+        Bytes { data: Arc::new(data) }
     }
 }
 
@@ -164,11 +141,6 @@ impl BytesMut {
     pub fn to_vec(&self) -> Vec<u8> {
         self.data.clone()
     }
-
-    /// Freeze into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
-    }
 }
 
 impl Deref for BytesMut {
@@ -187,98 +159,6 @@ impl DerefMut for BytesMut {
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
         &self.data
-    }
-}
-
-macro_rules! get_le {
-    ($name:ident, $ty:ty, $n:expr) => {
-        /// Read the next little-endian value, advancing the cursor.
-        ///
-        /// Panics when fewer than the needed bytes remain, matching the
-        /// real crate; callers must check [`Buf::remaining`] first.
-        fn $name(&mut self) -> $ty {
-            let mut raw = [0u8; $n];
-            self.copy_to_slice(&mut raw);
-            <$ty>::from_le_bytes(raw)
-        }
-    };
-}
-
-/// Sequential reads over a byte cursor.
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-
-    /// The unread bytes as a slice.
-    fn chunk(&self) -> &[u8];
-
-    /// Whether any bytes are left to read.
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// Skip `cnt` bytes. Panics when fewer remain.
-    fn advance(&mut self, cnt: usize);
-
-    /// Copy the next `dst.len()` bytes out, advancing. Panics when fewer
-    /// remain.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.remaining() >= dst.len(), "buffer underflow");
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-
-    /// Detach the next `len` bytes as an owned buffer, advancing.
-    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        assert!(self.remaining() >= len, "buffer underflow");
-        let out = Bytes::copy_from_slice(&self.chunk()[..len]);
-        self.advance(len);
-        out
-    }
-
-    /// Read one byte, advancing.
-    fn get_u8(&mut self) -> u8 {
-        let mut raw = [0u8; 1];
-        self.copy_to_slice(&mut raw);
-        raw[0]
-    }
-
-    get_le!(get_u16_le, u16, 2);
-    get_le!(get_u32_le, u32, 4);
-    get_le!(get_u64_le, u64, 8);
-    get_le!(get_i16_le, i16, 2);
-    get_le!(get_i32_le, i32, 4);
-    get_le!(get_i64_le, i64, 8);
-    get_le!(get_f64_le, f64, 8);
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self.as_slice()
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance past end");
-        self.start += cnt;
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance past end");
-        *self = &self[cnt..];
     }
 }
 
@@ -327,7 +207,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_le_accessors() {
+    fn le_appends_write_little_endian_bytes() {
         let mut w = BytesMut::with_capacity(64);
         w.put_u8(7);
         w.put_u16_le(0xBEEF);
@@ -336,16 +216,14 @@ mod tests {
         w.put_i64_le(-42);
         w.put_f64_le(1.5);
         w.put_slice(b"xyz");
-        let mut r = Bytes::from(w.to_vec());
-        assert_eq!(r.remaining(), 1 + 2 + 4 + 8 + 8 + 8 + 3);
-        assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.get_u16_le(), 0xBEEF);
-        assert_eq!(r.get_u32_le(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64_le(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(r.get_i64_le(), -42);
-        assert_eq!(r.get_f64_le(), 1.5);
-        assert_eq!(r.copy_to_bytes(3).as_slice(), b"xyz");
-        assert_eq!(r.remaining(), 0);
+        let mut want = vec![7u8];
+        want.extend_from_slice(&0xBEEFu16.to_le_bytes());
+        want.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        want.extend_from_slice(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
+        want.extend_from_slice(&(-42i64).to_le_bytes());
+        want.extend_from_slice(&1.5f64.to_le_bytes());
+        want.extend_from_slice(b"xyz");
+        assert_eq!(w.to_vec(), want);
     }
 
     #[test]
@@ -354,16 +232,5 @@ mod tests {
         let c = b.clone();
         assert_eq!(Arc::strong_count(&b.data), 2);
         assert_eq!(c.as_slice(), &[1, 2, 3, 4]);
-        let s = b.slice(1..3);
-        assert_eq!(s.as_slice(), &[2, 3]);
-        assert_eq!(Arc::strong_count(&b.data), 3);
-    }
-
-    #[test]
-    fn slice_buf_advances() {
-        let mut s: &[u8] = &[1, 0, 2, 0];
-        assert_eq!(s.get_u16_le(), 1);
-        assert_eq!(s.get_u16_le(), 2);
-        assert_eq!(s.remaining(), 0);
     }
 }

@@ -31,11 +31,11 @@ fn full_harness_is_green_on_fresh_checkout() {
     // invariant, and the committed golden snapshots.
     let report = run(&VerifyOptions::default());
     assert!(report.passed(), "{}", report.render());
-    // 9 differential + 5 metamorphic + 1 golden check per corpus × 3, plus
+    // 7 differential + 5 metamorphic + 1 golden check per corpus × 3, plus
     // the 2k-sweep columnar-, meanshift- and metadata-vs-reference
     // differential checks and the dense-periodic meanshift- and
     // metadata-vs-reference ones.
-    assert_eq!(report.checks.len(), 50, "{}", report.render());
+    assert_eq!(report.checks.len(), 44, "{}", report.render());
 }
 
 #[test]

@@ -12,10 +12,17 @@
 //!   [`OperationView::from_log`], whose reads and writes are start-sorted
 //!   (stably) where the columns keep extraction order.
 //!
+//! The same walk over a decoded [`TraceLog`] is a log input's whole
+//! extraction. Over the 2 000-trace mixed-corruption sweep and over
+//! adversarial logs, it must give the walk over the log's MDF bytes: the
+//! same report, columns, weight, sanitized count, app key and job span, and
+//! so the reference chain's too.
+//!
 //! Arbitrary `i64` counters are free to be absurd here; the contract under
 //! test is parsing, validation and extraction, not downstream arithmetic.
 
 use mosaic_core::columnar::{ColumnarTrace, OpColumns};
+use mosaic_darshan::counter::PosixCounter;
 use mosaic_darshan::error::FormatError;
 use mosaic_darshan::job::JobHeader;
 use mosaic_darshan::log::TraceLog;
@@ -23,7 +30,8 @@ use mosaic_darshan::record::PosixRecord;
 use mosaic_darshan::synthutil::Crc32;
 use mosaic_darshan::validate;
 use mosaic_darshan::view::{validate_view, TraceView};
-use mosaic_darshan::{mdf, MetaEvent, Operation, OperationView, TraceLogBuilder};
+use mosaic_darshan::{mdf, MetaEvent, Operation, OperationView, TraceFields, TraceLogBuilder};
+use mosaic_synth::{Dataset, DatasetConfig, Payload};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -77,20 +85,50 @@ fn assert_walk_agrees(bytes: &[u8]) -> TestCaseResult {
         prop_assert_eq!(&walked.reads, &staged.reads);
         prop_assert_eq!(&walked.writes, &staged.writes);
 
-        let mut sanitized = log.clone();
-        validate::delete_invalid(&mut sanitized, &report);
-        let rows = OperationView::from_log(&sanitized);
-        let reference = (
-            rows.runtime.to_bits(),
-            rows.nprocs,
-            op_bits(&rows.reads),
-            op_bits(&rows.writes),
-            meta_bits(&rows.meta),
-            sanitized.io_weight(),
-        );
-        prop_assert_eq!(walked_bits, reference, "walk vs row reference");
+        prop_assert_eq!(walked_bits, reference(&log).0, "walk vs row reference");
     }
     Ok(())
+}
+
+/// The row reference chain on a log: `validate` → `delete_invalid` →
+/// [`OperationView::from_log`] → `io_weight`. Returns what it extracts, by
+/// bits, and how many records it deleted.
+fn reference(log: &TraceLog) -> (LoadedBits, usize) {
+    let mut sanitized = log.clone();
+    let deleted = validate::delete_invalid(&mut sanitized, &validate::validate(log));
+    let rows = OperationView::from_log(&sanitized);
+    let bits = (
+        rows.runtime.to_bits(),
+        rows.nprocs,
+        op_bits(&rows.reads),
+        op_bits(&rows.writes),
+        meta_bits(&rows.meta),
+        sanitized.io_weight(),
+    );
+    (bits, deleted)
+}
+
+/// A log input's whole extraction — the walk over the decoded
+/// [`TraceLog`] — against the walk over its MDF bytes and the reference
+/// chain: equal validity reports, columns in extraction order, weights,
+/// sanitized counts, app keys and job spans.
+fn assert_log_walk_agrees(log: &TraceLog) -> TestCaseResult {
+    let bytes = mdf::to_bytes(log);
+    let view = TraceView::parse(&bytes);
+    prop_assert!(view.is_ok(), "a log's own serialization must parse");
+    let Ok(view) = view else { return Ok(()) };
+    let (mut from_log, mut from_wire) = (ColumnarTrace::default(), ColumnarTrace::default());
+    let report = from_log.load_checked(log);
+    prop_assert_eq!(&report, &from_wire.load_checked(&view), "log walk vs wire walk");
+    prop_assert_eq!(&from_log.reads, &from_wire.reads);
+    prop_assert_eq!(&from_log.writes, &from_wire.writes);
+    let walked_bits = loaded_bits(&from_log);
+    prop_assert_eq!(&walked_bits, &loaded_bits(&from_wire), "log walk vs wire walk");
+    prop_assert_eq!((log.app_key(), log.span()), (view.app_key(), TraceFields::span(&view)));
+    let (reference_bits, deleted) = reference(log);
+    prop_assert_eq!(walked_bits, reference_bits, "log walk vs row reference");
+    prop_assert_eq!(report.record_errors.len(), deleted, "sanitized records");
+    assert_walk_agrees(&bytes)
 }
 
 /// A small but real trace to mutate: mixed ranks, read activity, meta ops.
@@ -208,8 +246,44 @@ fn bit_flips_across_a_large_trace_fail_the_checksum() {
     }
 }
 
+#[test]
+fn log_walk_equals_wire_walk_over_the_mixed_corruption_sweep() {
+    let sweep =
+        Dataset::new(DatasetConfig { n_traces: 2000, corruption_rate: 0.32, seed: 0xC011A9E });
+    let (mut logs, mut sanitized, mut fatal) = (0, 0, 0);
+    for i in 0..sweep.len() {
+        let log = match sweep.generate(i).payload {
+            Payload::Log(log) => log,
+            Payload::Bytes(bytes) => match TraceView::parse(&bytes) {
+                Ok(view) => view.to_log(),
+                Err(_) => continue,
+            },
+        };
+        // Each log as generated, and with every third record's byte count
+        // made negative: a log that loses some records to sanitization.
+        let mut broken = log.clone();
+        for rec in broken.records_mut().iter_mut().step_by(3) {
+            rec.set(PosixCounter::BytesRead, -1);
+        }
+        for log in [log, broken] {
+            assert_log_walk_agrees(&log).unwrap_or_else(|e| panic!("trace {i}: {e:?}"));
+            let report = validate::validate(&log);
+            logs += 1;
+            sanitized += usize::from(!report.is_fatal() && !report.record_errors.is_empty());
+            fatal += usize::from(report.is_fatal());
+        }
+    }
+    // Not vacuous: valid, partly sanitized and fatal logs all occur.
+    assert!(logs > 2000 && sanitized > 500 && fatal > 0, "{logs} {sanitized} {fatal}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn adversarial_logs_walk_like_their_bytes(log in arb_log()) {
+        assert_log_walk_agrees(&log)?;
+    }
 
     #[test]
     fn arbitrary_bytes_never_panic_and_agree(
