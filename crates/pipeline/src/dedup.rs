@@ -26,8 +26,10 @@ pub struct AppFold<S> {
     pub weight: i64,
     /// Category set of the heaviest run (the single-run representative).
     pub representative: S,
-    /// Runs per distinct category set.
-    pub sets: BTreeMap<S, usize>,
+    /// Runs per distinct category set, sorted by set. A sorted `Vec`, not a
+    /// map: most applications see one or two sets, and a map's first node
+    /// costs ≈200 bytes per application where this costs one small entry.
+    pub sets: Vec<(S, usize)>,
 }
 
 impl<S: Ord + Clone> AppFold<S> {
@@ -40,13 +42,20 @@ impl<S: Ord + Clone> AppFold<S> {
             self.weight = weight;
             self.representative = set.clone();
         }
-        *self.sets.entry(set).or_insert(0) += 1;
+        match self.sets.binary_search_by(|(seen, _)| seen.cmp(&set)) {
+            Ok(i) => {
+                if let Some((_, runs)) = self.sets.get_mut(i) {
+                    *runs += 1;
+                }
+            }
+            Err(i) => self.sets.insert(i, (set, 1)),
+        }
     }
 
     /// The modal (most common) category set and its run count. Ties go to
     /// the greatest set: `max_by` keeps the last maximum.
     pub fn modal(&self) -> Option<(&S, usize)> {
-        self.sets.iter().max_by(|a, b| a.1.cmp(b.1)).map(|(set, &runs)| (set, runs))
+        self.sets.iter().max_by(|a, b| a.1.cmp(&b.1)).map(|(set, runs)| (set, *runs))
     }
 }
 
@@ -64,7 +73,7 @@ pub(crate) fn fold_run<K: Ord, S: Ord + Clone>(
         heaviest: pos,
         weight,
         representative: set.clone(),
-        sets: BTreeMap::new(),
+        sets: Vec::new(),
     };
     apps.entry(key).or_insert_with(new).add(pos, weight, set);
 }
@@ -192,7 +201,7 @@ mod tests {
         let apps = fold_apps(runs);
         let a = &apps[&key(1, "a")];
         assert_eq!((a.runs, a.heaviest, a.weight, a.representative), (4, 2, 9, "y"));
-        assert_eq!(a.sets, BTreeMap::from([("x", 2), ("y", 2)]));
+        assert_eq!(a.sets, [("x", 2), ("y", 2)]);
         // Two sets with two runs each: the tie goes to the greatest set.
         assert_eq!(a.modal(), Some((&"y", 2)));
         let b = &apps[&key(2, "b")];
