@@ -56,12 +56,8 @@ const PANIC_ROOTS: &[&str] = &[
 
 /// The crate roots that opt out of the determinism lints: their output
 /// never feeds a `ResultSnapshot` digest.
-const DETERMINISM_OPT_OUTS: &[&str] = &[
-    "crates/bench/src/bin/ablation_periodicity_method.rs",
-    "crates/bench/src/lib.rs",
-    "crates/cli/src/main.rs",
-    "shims/criterion/src/lib.rs",
-];
+const DETERMINISM_OPT_OUTS: &[&str] =
+    &["crates/bench/src/lib.rs", "crates/cli/src/main.rs", "shims/criterion/src/lib.rs"];
 
 /// The crate roots whose production code is under the cast lints (the
 /// parse → merge → categorize path).
@@ -302,7 +298,7 @@ fn determinism_opt_outs_are_exactly_the_documented_crate_roots() {
         .collect();
     assert_eq!(opted_out, DETERMINISM_OPT_OUTS);
     let contributing = squash(&read("CONTRIBUTING.md"));
-    for crate_ in ["`bench`", "`ablation_periodicity_method`", "`cli`", "`shims/criterion`"] {
+    for crate_ in ["`bench`", "`cli`", "`shims/criterion`"] {
         assert!(contributing.contains(crate_), "CONTRIBUTING does not name the opt-out {crate_}");
     }
 }

@@ -1,0 +1,76 @@
+//! The scorecard's row checks, one test per scorecard entry.
+//!
+//! Each test measures one entry of `mosaic_bench::FIGURES` at the canonical
+//! scale (`--n 20000 --seed 42`), fails naming the first row outside its
+//! check, and renders the entry so that a reading citing a missing row
+//! fails too. The canonical pipeline run is built once and shared.
+//!
+//! The checks are the paper's claims that a synthetic year must keep:
+//! §IV-D's three conditional shares and its metadata skew, the Fig 5 motif,
+//! Table II's minute and hour write periods, §III-A's axis labels on every
+//! valid trace, and §IV-E's accuracy floor.
+
+use mosaic_bench::scorecard::render_text;
+use mosaic_bench::{figure, Inputs, Scale, FIGURES};
+use std::sync::OnceLock;
+
+fn inputs() -> &'static Inputs {
+    static INPUTS: OnceLock<Inputs> = OnceLock::new();
+    INPUTS.get_or_init(|| Inputs::new(Scale::default()))
+}
+
+fn check(key: &str) {
+    let rows = figure(key, inputs());
+    assert!(!rows.is_empty(), "{key} has no rows");
+    if let Some(row) = rows.iter().find(|r| !r.passes()) {
+        panic!(
+            "{key}: row {:?} measures {}, outside its check {}",
+            row.quantity,
+            row.measured,
+            row.rule().unwrap_or_default()
+        );
+    }
+    assert!(render_text(&rows).contains(key));
+}
+
+macro_rules! entries {
+    ($($test:ident => $key:literal,)*) => {
+        $(
+            #[test]
+            fn $test() {
+                check($key);
+            }
+        )*
+
+        #[test]
+        fn every_scorecard_entry_has_a_test() {
+            let tested = [$($key),*];
+            for entry in FIGURES {
+                assert!(tested.contains(&entry.key), "no test for {}", entry.key);
+            }
+            assert_eq!(tested.len(), FIGURES.len());
+        }
+    };
+}
+
+entries! {
+    fig3_funnel => "Fig 3",
+    fig4_metadata => "Fig 4",
+    fig5_jaccard_motif => "Fig 5",
+    sec3b1_stability => "§III-B1",
+    table2_minute_and_hour_write_periods => "Table II",
+    table3_every_valid_trace_has_its_axis_labels => "Table III",
+    sec4d_correlations => "§IV-D",
+    sec4e_accuracy_floor => "§IV-E",
+    sec2b_mosaic_vs_fft => "§II-B",
+    sec4a_dxt_aggregation_gap => "§IV-A",
+    discovery => "§V discovery",
+    interference => "§V interference",
+    online_categorization => "online",
+    ost_striping => "OST striping",
+    ablation_chunks => "ablation: chunks",
+    ablation_clustering => "ablation: clustering",
+    ablation_merging => "ablation: merging",
+    ablation_periodicity_method => "ablation: periodicity method",
+    ablation_thresholds => "ablation: thresholds",
+}
