@@ -25,7 +25,7 @@ mod paper;
 pub mod scorecard;
 
 use ablations::{chunks, clustering, merging, periodicity_method, thresholds};
-use extensions::{baseline_fft as fft, discovery, dxt_gap, interference, online, ost_striping};
+use extensions::{baseline_fft as fft, discovery, dxt_gap, interference, online};
 use mosaic_core::CategorizerConfig;
 use mosaic_pipeline::executor::{process, PipelineConfig, PipelineResult};
 use mosaic_pipeline::source::{ClosureSource, TraceInput};
@@ -145,11 +145,6 @@ pub const FIGURES: &[Figure] = &[
     },
     Figure { key: "§V interference", title: "contention and staggering", rows: interference },
     Figure { key: "online", title: "when the online verdict settles", rows: online },
-    Figure {
-        key: "OST striping",
-        title: "64 OSTs × 0.5 GB/s striped vs a flat model",
-        rows: ost_striping,
-    },
     Figure { key: "ablation: chunks", title: "temporality chunk count", rows: chunks },
     Figure { key: "ablation: clustering", title: "segment grouping", rows: clustering },
     Figure {
@@ -174,7 +169,6 @@ pub(crate) const READINGS: &[(&str, Reading)] = &[
     ("§V discovery", extensions::discovery_reading),
     ("§V interference", extensions::interference_reading),
     ("online", extensions::online_reading),
-    ("OST striping", extensions::ost_striping_reading),
     ("ablation: chunks", ablations::chunks_reading),
     ("ablation: merging", ablations::merging_reading),
 ];

@@ -8,7 +8,7 @@ use mosaic_core::category::{
 };
 use mosaic_core::Categorizer;
 use mosaic_pipeline::stability::{app_stability, mean_stability};
-use mosaic_synth::truth::AccuracyReport;
+use mosaic_synth::truth::{AccuracyReport, AXES};
 use mosaic_synth::{Dataset, Payload};
 use std::collections::BTreeSet;
 use MetadataLabel::{HighDensity, HighSpike, MultipleSpikes};
@@ -25,10 +25,6 @@ const SAMPLE: usize = 512;
 /// The ten-seed sweep: seeds `0..SEEDS` at `SWEEP_N` traces each.
 const SEEDS: u64 = 10;
 const SWEEP_N: usize = 8000;
-
-/// The axes a ground-truth comparison can disagree on.
-const AXES: [&str; 5] =
-    ["read_temporality", "write_temporality", "read_periodicity", "write_periodicity", "metadata"];
 
 fn temporality(kind: OpKindTag, label: TemporalityLabel) -> Category {
     Category::Temporality { kind, label }

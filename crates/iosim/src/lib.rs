@@ -69,7 +69,6 @@ pub mod pfs;
 pub mod program;
 pub mod shim;
 pub mod sim;
-pub mod striping;
 
 pub use config::MachineConfig;
 pub use program::{FileSpec, Phase, Program};

@@ -675,7 +675,7 @@ fn every_library_and_main_root_forbids_unsafe_code() {
             }
         }
     }
-    assert!(roots.len() >= 24, "{roots:?}");
+    assert!(roots.len() >= 23, "{roots:?}");
     for rel in roots {
         assert!(
             read(&rel).lines().any(|l| l.trim() == "#![forbid(unsafe_code)]"),
