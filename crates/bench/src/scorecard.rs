@@ -281,6 +281,39 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_only_bound_admits_zero_and_nothing_more() {
+        // §II-B's "the FFT fails" row: Within(0, 1) on a count.
+        let mut rows = Rows::new("t");
+        for n in [0, 1, 6] {
+            rows.add(format!("{n}"), Measured::Count(n)).check(Check::Within(0.0, 1.0));
+        }
+        let pass: Vec<bool> = rows.rows.iter().map(Row::passes).collect();
+        assert_eq!(pass, [true, false, false]);
+        assert_eq!(rows.rows[0].rule().as_deref(), Some("in [0, 1)"));
+    }
+
+    #[test]
+    fn a_label_cannot_meet_a_check() {
+        let mut rows = Rows::new("t");
+        rows.add("unchecked", Measured::Text("yes".into()));
+        rows.add("checked", Measured::Text("yes".into())).check(Check::AtLeast(0.0));
+        assert!(rows.rows[0].passes() && rows.rows[0].rule().is_none());
+        assert!(!rows.rows[1].passes());
+    }
+
+    #[test]
+    fn a_deviation_keeps_its_check_and_the_text_shows_both() {
+        let mut rows = Rows::new("t");
+        rows.add("k = 4: purity", Measured::pct(0.78)).check(Check::Above(0.8)).deviation("why");
+        rows.add("k = 6: purity", Measured::pct(0.86)).check(Check::Above(0.8));
+        assert!(!rows.rows[0].passes(), "a deviation does not waive the bound");
+        let text = render_text(&rows.rows);
+        let lines: Vec<&str> = text.lines().filter(|l| l.contains("purity")).collect();
+        assert!(lines[0].contains("check > 80.0%: FAIL") && lines[0].contains("DEVIATION: why"));
+        assert!(lines[1].contains("check > 80.0%: pass") && !lines[1].contains("DEVIATION"));
+    }
+
+    #[test]
     fn json_rows_parse_and_carry_every_field() {
         let mut rows = Rows::new("t");
         rows.paper("a \"quoted\" name", "14%", Measured::pct(0.261)).deviation("why");

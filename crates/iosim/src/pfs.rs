@@ -199,4 +199,90 @@ mod tests {
         }
         assert!((pfs.bytes_moved() - (10.0 + 11.0 + 12.0)).abs() < 1e-6);
     }
+
+    #[test]
+    fn equal_flows_started_together_finish_together() {
+        // Two flows halve the aggregate: each runs at 5 B/s, both end at 20.
+        let mut pfs = Pfs::new(10.0, 1000.0);
+        pfs.start_flow(0.0, 100);
+        pfs.start_flow(0.0, 100);
+        let (first, t1) = pfs.next_completion().unwrap();
+        assert!((t1 - 20.0).abs() < 1e-9, "t1 = {t1}");
+        pfs.finish_flow(t1, first);
+        let (_, t2) = pfs.next_completion().unwrap();
+        assert!((t2 - 20.0).abs() < 1e-6, "t2 = {t2}");
+    }
+
+    #[test]
+    fn rate_is_client_bound_until_the_aggregate_is_shared() {
+        // Ceiling 30, aggregate 100: up to 3 flows each get the ceiling, a
+        // fourth makes the aggregate bind (100 / 4 = 25).
+        let mut pfs = Pfs::new(100.0, 30.0);
+        for (n, expect) in [(1, 30.0), (2, 30.0), (3, 30.0), (4, 25.0), (5, 20.0)] {
+            pfs.start_flow(0.0, 1000);
+            assert_eq!(pfs.active(), n);
+            assert!((pfs.current_rate() - expect).abs() < 1e-9, "{n} flows");
+        }
+    }
+
+    #[test]
+    fn solo_flow_time_is_bytes_over_the_smaller_bandwidth() {
+        for (aggregate, ceiling) in [(100.0, 10.0), (10.0, 100.0), (40.0, 40.0)] {
+            let mut pfs = Pfs::new(aggregate, ceiling);
+            pfs.start_flow(2.0, 400);
+            let (_, t) = pfs.next_completion().unwrap();
+            let expect = 2.0 + 400.0 / f64::min(aggregate, ceiling);
+            assert!((t - expect).abs() < 1e-9, "aggregate {aggregate}, ceiling {ceiling}: {t}");
+        }
+    }
+
+    #[test]
+    fn finishing_an_unknown_flow_changes_nothing() {
+        let mut pfs = Pfs::new(10.0, 10.0);
+        let id = pfs.start_flow(0.0, 100);
+        assert_eq!(pfs.finish_flow(1.0, id + 1), 0.0);
+        assert_eq!(pfs.active(), 1);
+        assert!(!pfs.is_done(id));
+        assert!(pfs.is_done(id + 1), "an unknown flow has nothing left");
+        let (cid, t) = pfs.next_completion().unwrap();
+        assert_eq!(cid, id);
+        assert!((t - 10.0).abs() < 1e-9, "t = {t}");
+    }
+
+    #[test]
+    fn flow_ids_are_never_reused() {
+        let mut pfs = Pfs::new(10.0, 10.0);
+        let a = pfs.start_flow(0.0, 10);
+        pfs.finish_flow(1.0, a);
+        let b = pfs.start_flow(1.0, 10);
+        let c = pfs.start_flow(1.0, 10);
+        assert!(a < b && b < c, "{a} {b} {c}");
+    }
+
+    #[test]
+    fn a_drained_pfs_is_idle_and_moved_every_byte() {
+        let mut pfs = Pfs::new(8.0, 5.0);
+        for i in 0..6u32 {
+            pfs.start_flow(f64::from(i) * 0.1, 100 + u64::from(i));
+        }
+        let mut guard = 0;
+        while let Some((id, t)) = pfs.next_completion() {
+            assert!(pfs.finish_flow(t, id).abs() < 1e-6, "flow {id} left bytes behind");
+            guard += 1;
+            assert!(guard <= 6, "did not drain");
+        }
+        assert_eq!(pfs.active(), 0);
+        assert_eq!(pfs.current_rate(), 0.0);
+        assert!((pfs.bytes_moved() - 615.0).abs() < 1e-6, "{}", pfs.bytes_moved());
+    }
+
+    #[test]
+    fn advancing_past_a_completion_moves_no_extra_bytes() {
+        let mut pfs = Pfs::new(10.0, 10.0);
+        let id = pfs.start_flow(0.0, 30);
+        pfs.advance_to(100.0);
+        assert!(pfs.is_done(id));
+        assert!((pfs.bytes_moved() - 30.0).abs() < 1e-9, "{}", pfs.bytes_moved());
+        assert_eq!(pfs.finish_flow(100.0, id), 0.0);
+    }
 }
