@@ -1,5 +1,5 @@
-//! Criterion: Mean Shift clustering cost vs segment count, plus the
-//! k-means/DBSCAN alternatives for context.
+//! Criterion: Mean Shift clustering cost vs segment count, plus k-means
+//! for context.
 //!
 //! `meanshift_flat` fits three far-apart clusters. The whole-input
 //! certificate settles none of their steps, so each one scans its grid
@@ -9,9 +9,8 @@
 //! `op_feature`'s (log duration, log volume) space.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mosaic_clustering::dbscan::Dbscan;
 use mosaic_clustering::kmeans::KMeans;
-use mosaic_clustering::{Kernel, MeanShift};
+use mosaic_clustering::MeanShift;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -42,15 +41,9 @@ fn bench_clustering(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("meanshift_flat", n), &pts, |b, pts| {
             b.iter(|| MeanShift::new(0.15).fit(black_box(pts)))
         });
-        group.bench_with_input(BenchmarkId::new("meanshift_gaussian", n), &pts, |b, pts| {
-            b.iter(|| MeanShift::new(0.15).kernel(Kernel::Gaussian).fit(black_box(pts)))
-        });
         group.bench_with_input(BenchmarkId::new("kmeans_k3", n), &pts, |b, pts| {
             let mut rng = ChaCha8Rng::seed_from_u64(2);
             b.iter(|| KMeans::new(3).fit(black_box(pts), &mut rng))
-        });
-        group.bench_with_input(BenchmarkId::new("dbscan", n), &pts, |b, pts| {
-            b.iter(|| Dbscan::new(0.15, 2).fit(black_box(pts)))
         });
     }
     for n in [300usize, 900] {

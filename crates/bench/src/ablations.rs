@@ -1,13 +1,14 @@
 //! Ablations of the design choices DESIGN.md lists: chunk count, clustering
 //! algorithm and scaling, the merge passes, the periodicity detector, and
-//! the §III-A thresholds.
+//! the §III-A thresholds. Each entry ends with derived margin rows, the
+//! chosen setting's value minus its best alternative's (or a sweep's
+//! smallest step), whose checks state the choice.
 
 use crate::scorecard::{shown, value};
-use crate::{dataset, run, Inputs, Measured, Row, Rows};
-use mosaic_clustering::dbscan::Dbscan;
+use crate::{dataset, run, Check, Inputs, Measured, Row, Rows};
 use mosaic_clustering::kmeans::KMeans;
 use mosaic_clustering::metrics::rand_index;
-use mosaic_clustering::{Kernel, MeanShift};
+use mosaic_clustering::MeanShift;
 use mosaic_core::category::{Category, MetadataLabel, OpKindTag, TemporalityLabel};
 use mosaic_core::merge::{merge_all, merge_concurrent};
 use mosaic_core::periodicity::detect_periodic;
@@ -22,6 +23,21 @@ use rand_chacha::ChaCha8Rng;
 
 fn pct0(fraction: f64) -> String {
     Measured::Pct(fraction, 0).to_string()
+}
+
+/// The row `a` minus the row `b`.
+fn gap(rows: &Rows, a: &str, b: &str) -> f64 {
+    value(&rows.rows, a) - value(&rows.rows, b)
+}
+
+fn smallest(values: impl IntoIterator<Item = f64>) -> f64 {
+    values.into_iter().fold(f64::INFINITY, f64::min)
+}
+
+/// The smallest step from one row to the next along `quantities`.
+fn smallest_step(rows: &Rows, quantities: impl IntoIterator<Item = String>) -> f64 {
+    let values: Vec<f64> = quantities.into_iter().map(|q| value(&rows.rows, &q)).collect();
+    smallest(values.iter().zip(values.iter().skip(1)).map(|(a, b)| b - a))
 }
 
 const CHUNK_COUNTS: [usize; 4] = [2, 4, 8, 16];
@@ -47,6 +63,12 @@ pub(crate) fn chunks(_: &Inputs) -> Rows {
         rows.add(format!("{chunks} chunks: temporality accuracy"), Measured::pct(accuracy));
         rows.add(format!("{chunks} chunks: unconfident fallbacks"), Measured::Count(fallbacks));
     }
+    let accuracy = |c: usize| value(&rows.rows, &format!("{c} chunks: temporality accuracy"));
+    let others = CHUNK_COUNTS.into_iter().filter(|&c| c != 4).map(accuracy);
+    let margin = accuracy(4) - others.fold(f64::NEG_INFINITY, f64::max);
+    rows.add("4 chunks − best other count, temporality accuracy", Measured::pct(margin))
+        .check(Check::AtLeast(0.0))
+        .deviation("2 chunks score higher at dataset seeds 4 and 6 of 0–9");
     rows
 }
 
@@ -78,14 +100,20 @@ pub(crate) fn chunks_reading(rows: &[Row]) -> Vec<String> {
     ]
 }
 
-const METHODS: [&str; 6] = [
+const METHODS: [&str; 4] = [
     "mean shift (log features)",
     "mean shift (linear features)",
-    "mean shift gaussian (log)",
     "k-means k=2 (log)",
     "k-means k=4 (log)",
-    "dbscan eps=0.15 minPts=2 (log)",
 ];
+
+fn behaviours(b: usize) -> String {
+    if b == 0 {
+        "1 behaviour".to_owned()
+    } else {
+        format!("{} behaviours", b + 1)
+    }
+}
 
 /// A labeled segment bank: (duration s, volume bytes) with ground-truth
 /// cluster ids, mimicking 1–3 periodic behaviours plus one-off noise.
@@ -121,10 +149,8 @@ pub(crate) fn clustering(_: &Inputs) -> Rows {
                 MeanShift::new(0.15).fit(&logp).labels,
                 // Linear features need a huge bandwidth.
                 MeanShift::new(0.15 * 1e7).fit(&points).labels,
-                MeanShift::new(0.15).kernel(Kernel::Gaussian).fit(&logp).labels,
                 KMeans::new(2).fit(&logp, &mut rng).labels,
                 KMeans::new(4).fit(&logp, &mut rng).labels,
-                Dbscan::new(0.15, 2).fit(&logp).labels,
             ];
             for (score, labels) in scores.iter_mut().zip(&labels) {
                 score[behaviours - 1] += rand_index(labels, &truth) / DRAWS as f64;
@@ -134,10 +160,22 @@ pub(crate) fn clustering(_: &Inputs) -> Rows {
     let mut rows = Rows::new("ablation: clustering");
     for (method, scores) in METHODS.iter().zip(scores) {
         for (b, score) in scores.into_iter().enumerate() {
-            let behaviours =
-                if b == 0 { "1 behaviour".to_owned() } else { format!("{} behaviours", b + 1) };
-            rows.add(format!("{method}: {behaviours}"), Measured::Num(score, 3, ""));
+            rows.add(format!("{method}: {}", behaviours(b)), Measured::Num(score, 3, ""));
         }
+    }
+    // With one behaviour every method scores about 1; the choice shows from
+    // two behaviours on.
+    for b in 1..3 {
+        let [log, linear, others @ ..] = scores.map(|s| s[b]);
+        let best_other = others.into_iter().fold(linear, f64::max);
+        let at = behaviours(b);
+        rows.add(
+            format!("mean shift (log) − best other method: {at}"),
+            Measured::Num(log - best_other, 3, ""),
+        )
+        .check(Check::AtLeast(0.0));
+        rows.add(format!("log − linear features: {at}"), Measured::Num(log - linear, 3, ""))
+            .check(Check::Above(0.0));
     }
     rows
 }
@@ -186,6 +224,15 @@ pub(crate) fn merging(_: &Inputs) -> Rows {
             rows.add(format!("desync {desync} s: {mode}"), Measured::Pct(share, 0));
         }
     }
+    for (other, check) in
+        [("no merge", Check::Above(0.5)), ("concurrent only", Check::AtLeast(0.0))]
+    {
+        let margins = DESYNCS.map(|d| {
+            gap(&rows, &format!("desync {d} s: both merges"), &format!("desync {d} s: {other}"))
+        });
+        let quantity = format!("both merges − {other}, smallest over desyncs");
+        rows.add(quantity, Measured::Pct(smallest(margins), 0)).check(check);
+    }
     rows
 }
 
@@ -214,11 +261,8 @@ pub(crate) fn merging_reading(rows: &[Row]) -> Vec<String> {
     )]
 }
 
-const DETECTORS: [(&str, PeriodicityMethod); 3] = [
-    ("meanshift", PeriodicityMethod::MeanShift),
-    ("spectral", PeriodicityMethod::Spectral),
-    ("hybrid", PeriodicityMethod::Hybrid),
-];
+const DETECTORS: [(&str, PeriodicityMethod); 2] =
+    [("meanshift", PeriodicityMethod::MeanShift), ("spectral", PeriodicityMethod::Spectral)];
 
 /// Timing jitter stresses the spectral lattice; volume jitter stresses the
 /// Mean Shift feature space.
@@ -227,6 +271,10 @@ const JITTERS: [(f64, f64); 6] =
 
 fn detector(method: PeriodicityMethod) -> Categorizer {
     Categorizer::new(CategorizerConfig { periodicity_method: method, ..Default::default() })
+}
+
+fn stress_setting(timing: f64, volume: f64) -> String {
+    format!("stress, {:.0}% timing and {:.0}% volume jitter", timing * 100.0, volume * 100.0)
 }
 
 pub(crate) fn periodicity_method(_: &Inputs) -> Rows {
@@ -267,16 +315,15 @@ pub(crate) fn periodicity_method(_: &Inputs) -> Rows {
     let mut rng = ChaCha8Rng::seed_from_u64(77);
     rows.add("stress: trains per setting", Measured::Count(STRESS_TRIALS));
     for (timing, volume) in JITTERS {
-        let setting = format!(
-            "stress, {:.0}% timing and {:.0}% volume jitter",
-            timing * 100.0,
-            volume * 100.0
-        );
+        let setting = stress_setting(timing, volume);
+        let trains: Vec<OperationView> =
+            (0..STRESS_TRIALS).map(|_| jittered_train(&mut rng, timing, volume)).collect();
         for (name, method) in DETECTORS {
             let categorizer = detector(method);
-            let hits = (0..STRESS_TRIALS)
-                .filter(|_| {
-                    let report = categorizer.categorize(&jittered_train(&mut rng, timing, volume));
+            let hits = trains
+                .iter()
+                .filter(|train| {
+                    let report = categorizer.categorize(train);
                     report
                         .write
                         .periodic
@@ -290,10 +337,27 @@ pub(crate) fn periodicity_method(_: &Inputs) -> Rows {
             );
         }
     }
+
+    // §V's claim: the spectral detector does at least as well everywhere,
+    // and better where volume jitter scatters Mean Shift's features.
+    for quantity in ["periodic found, share", "magnitude correct"] {
+        let margin =
+            gap(&rows, &format!("spectral: {quantity}"), &format!("meanshift: {quantity}"));
+        rows.add(format!("spectral − meanshift: {quantity}"), Measured::pct(margin))
+            .check(Check::AtLeast(0.0));
+    }
+    let fewer_alarms = gap(&rows, "meanshift: false alarms", "spectral: false alarms");
+    rows.add("meanshift − spectral: false alarms", Measured::Num(fewer_alarms, 0, ""))
+        .check(Check::AtLeast(0.0));
+    let hardest = stress_setting(0.0, 2.0);
+    let margin = gap(&rows, &format!("{hardest}: spectral"), &format!("{hardest}: meanshift"));
+    rows.add(format!("spectral − meanshift, {hardest}"), Measured::pct(margin))
+        .check(Check::Above(0.0));
     rows
 }
 
-/// Jittered trains per stress setting, drawn from one rng for all.
+/// Jittered trains per stress setting; every detector runs on the same
+/// trains.
 const STRESS_TRIALS: usize = 40;
 
 /// 20 checkpoint writes 300 s apart, each start shifted by up to ±`timing`/2
@@ -355,5 +419,56 @@ pub(crate) fn thresholds(_: &Inputs) -> Rows {
             rows.add(format!("{at}: {name} steady"), Measured::pct(share));
         }
     }
+
+    // A share on one side of a `<` / `>` threshold can only move one way as
+    // the threshold moves, so each sweep's smallest step that way is ≥ 0.
+    let insignificant = smallest(["read", "write"].map(|name| {
+        let at = |mb| format!("significance {mb} MB: {name} insignificant");
+        smallest_step(&rows, SIGNIFICANCE_MB.map(at))
+    }));
+    // From the highest bar down, high_spike can only rise.
+    let at = |r: &u64| format!("high-spike threshold {r} req/s: high_spike");
+    let spike = smallest_step(&rows, SPIKE_REQUESTS.iter().rev().map(at));
+    let steady = smallest(["read", "write"].map(|name| {
+        let at = |cv| format!("steady CV {}: {name} steady", Measured::pct(cv));
+        smallest_step(&rows, STEADY_CVS.map(at))
+    }));
+    for (quantity, step) in [
+        ("significance rising: smallest step of an insignificant share", insignificant),
+        ("high-spike bar falling: smallest step of high_spike", spike),
+        ("steady CV rising: smallest step of a steady share", steady),
+    ] {
+        rows.add(quantity, Measured::pct(step)).check(Check::AtLeast(0.0));
+    }
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rows(values: &[(&str, f64)]) -> Rows {
+        let mut rows = Rows::new("t");
+        for &(quantity, v) in values {
+            rows.add(quantity, Measured::pct(v));
+        }
+        rows
+    }
+
+    #[test]
+    fn a_margin_is_one_row_minus_another() {
+        let rows = rows(&[("a", 0.975), ("b", 0.972)]);
+        assert!((gap(&rows, "a", "b") - 0.003).abs() < 1e-12);
+        assert!(gap(&rows, "b", "a") < 0.0);
+    }
+
+    #[test]
+    fn the_smallest_step_follows_the_given_order() {
+        let rows = rows(&[("10", 0.275), ("50", 0.408), ("100", 0.408), ("500", 0.503)]);
+        let up = ["10", "50", "100", "500"].map(String::from);
+        assert_eq!(smallest_step(&rows, up.clone()), 0.0);
+        let down = up.into_iter().rev();
+        assert!((smallest_step(&rows, down) + 0.133).abs() < 1e-12, "a fall is a negative step");
+        assert_eq!(smallest_step(&rows, ["10".to_owned()]), f64::INFINITY, "one setting, no step");
+    }
 }

@@ -4,9 +4,10 @@
 //! extensions) is one entry of [`FIGURES`]. Each entry turns its inputs into
 //! rows `{figure, quantity, paper, measured, check}` and says, from those
 //! rows alone, what they show. The `reproduce` binary builds every input
-//! once, writes all rows to `results/scorecard.json` and renders
-//! `results/scorecard.txt`; `tests/scorecard.rs` evaluates each figure's
-//! row checks.
+//! once; at the canonical scale it writes all rows to
+//! `results/scorecard.json` and renders `results/scorecard.txt`, at any
+//! other it prints the rendering. `tests/scorecard.rs` evaluates each
+//! figure's row checks.
 //!
 //! ```sh
 //! cargo run --release -p mosaic-bench --bin reproduce [-- --n 50000 | --full] [--seed 7]

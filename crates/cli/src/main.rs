@@ -8,7 +8,14 @@
 //!   per trace;
 //! * `analyze` — run the full pipeline on an in-memory dataset and print
 //!   the funnel, the category distribution tables, and the Jaccard matrix;
-//! * `evaluate` — sample-based accuracy against ground truth (§IV-E).
+//! * `stability`, `discover` — per-application stability (§III-B1) and
+//!   category discovery (§V) over a generated dataset;
+//! * `watch` — incremental analysis of a growing directory;
+//! * `verify` — the differential, metamorphic and golden conformance checks.
+//!
+//! The scorecard's protocols (§IV-E accuracy, interference, every ablation)
+//! run only in `reproduce`; `reproduce --seed S` measures them at another
+//! seed.
 //!
 //! Run `mosaic help` for usage.
 
@@ -22,7 +29,6 @@
 use mosaic_core::CategorizerConfig;
 use mosaic_pipeline::executor::{process, PipelineConfig};
 use mosaic_pipeline::source::{ClosureSource, TraceInput};
-use mosaic_synth::truth::AccuracyReport;
 use mosaic_synth::{Dataset, DatasetConfig, Payload};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -50,11 +56,8 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
         "categorize" => categorize(rest),
         // `run` is the production-flavoured alias for `analyze`.
         "analyze" | "run" => analyze(rest),
-        "evaluate" => evaluate(rest),
         "stability" => stability(rest),
-        "interference" => interference(rest),
         "discover" => discover_cmd(rest),
-        "diff" => diff(rest),
         "watch" => watch(rest),
         "verify" => verify(rest),
         "help" | "--help" | "-h" => {
@@ -77,11 +80,8 @@ USAGE:
                    [--trace-capacity N]
                    [--metrics-out FILE] [--metrics-format prom|json]
                                                         (alias: mosaic run)
-  mosaic evaluate  [--n N] [--sample K] [--seed S]
   mosaic stability [--n N] [--seed S] [--min-runs R]
-  mosaic interference [--n N] [--seed S] [--compress C] [--bandwidth-gbs B]
   mosaic discover  [--n N] [--seed S] [--k K]
-  mosaic diff      --seed-a A --seed-b B [--n N]
   mosaic watch     --dir DIR [--interval SECS] [--rounds R]
   mosaic verify    [--all | --differential --metamorphic --golden]
                    [--bless] [--golden-dir DIR] [--json]
@@ -91,11 +91,8 @@ SUBCOMMANDS:
   generate      write a synthetic dataset as .mdf files (+ truth.jsonl)
   categorize    run MOSAIC on .mdf files, one JSON report per trace
   analyze       funnel + category tables + Jaccard heatmap (alias: run)
-  evaluate      ground-truth accuracy by sampling (§IV-E)
   stability     per-application categorization stability (§III-B1)
-  interference  category contention analysis (§V future work)
   discover      automatic category discovery by clustering (§V future work)
-  diff          workload drift between two datasets (category-share drift)
   watch         incrementally analyze a growing directory of .mdf files
   verify        differential / metamorphic / golden-snapshot conformance
 
@@ -103,7 +100,6 @@ OPTIONS:
   --n N            dataset size in traces          (default 10000)
   --seed S         RNG seed                        (default 42)
   --corruption F   corrupted-trace fraction        (default 0.32)
-  --sample K       accuracy sample size            (default 512)
   --threads T      worker threads                  (default: all cores)
   --out DIR        output directory for generate
   --dir DIR        analyze .mdf files from a directory instead of generating
@@ -385,31 +381,6 @@ fn analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn evaluate(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse_flags(args)?;
-    let ds = dataset_from(&flags)?;
-    let sample: usize = flag(&flags, "sample", 512usize)?;
-    let categorizer = mosaic_core::Categorizer::new(CategorizerConfig::default());
-
-    // Sample valid traces deterministically by stepping through the run
-    // sequence (the dataset's order is already pseudo-random).
-    let mut pairs = Vec::new();
-    let mut i = 0;
-    while pairs.len() < sample && i < ds.len() {
-        let run = ds.generate(i);
-        if let (Some(truth), Payload::Log(log)) = (run.truth, &run.payload) {
-            pairs.push((truth, categorizer.categorize_log(log)));
-        }
-        i += 1;
-    }
-    let acc = AccuracyReport::score(pairs.iter().map(|(t, r)| (t, r)));
-    println!("sampled {} traces — accuracy {:.1}%", acc.total, 100.0 * acc.accuracy());
-    for (axis, count) in &acc.errors_by_axis {
-        println!("  {axis:<20} {count} errors");
-    }
-    Ok(())
-}
-
 fn pipeline_over(
     flags: &HashMap<String, String>,
 ) -> Result<mosaic_pipeline::PipelineResult, String> {
@@ -447,37 +418,6 @@ fn stability(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn interference(args: &[String]) -> Result<(), String> {
-    const GB: f64 = (1u64 << 30) as f64;
-    let (flags, _) = parse_flags(args)?;
-    let compress: f64 = flag(&flags, "compress", 400.0)?;
-    let bandwidth: f64 = flag(&flags, "bandwidth-gbs", 0.5)?;
-    let result = pipeline_over(&flags)?;
-    let mut outcomes = result.outcomes;
-    for o in &mut outcomes {
-        let offset = (o.start_time - mosaic_synth::dataset::YEAR_EPOCH) as f64 / compress;
-        let runtime = o.end_time - o.start_time;
-        o.start_time = mosaic_synth::dataset::YEAR_EPOCH + offset as i64;
-        o.end_time = o.start_time + runtime;
-    }
-    let report = mosaic_pipeline::interference::analyze(&outcomes, bandwidth * GB, 600.0);
-    println!(
-        "interference: {} contended of {} active bins; peak demand {:.2} GB/s",
-        report.contended_bins,
-        report.active_bins,
-        report.peak_demand / GB
-    );
-    println!("\ncontention participation by category:");
-    for (cat, score) in report.category_scores.iter().take(10) {
-        println!("  {:>10.2} TB*s  {}", score / (GB * 1024.0), cat.name());
-    }
-    println!("\nmost conflicting category pairs:");
-    for (a, b, score) in report.pair_scores.iter().take(10) {
-        println!("  {:>10.2} TB*s  {} x {}", score / (GB * 1024.0), a.name(), b.name());
-    }
-    Ok(())
-}
-
 fn discover_cmd(args: &[String]) -> Result<(), String> {
     use rand::SeedableRng;
     let (flags, _) = parse_flags(args)?;
@@ -505,52 +445,6 @@ fn discover_cmd(args: &[String]) -> Result<(), String> {
             profile.size,
             cats.join(", ")
         );
-    }
-    Ok(())
-}
-
-/// Compare the category mix of two datasets (e.g. two months of traces):
-/// total-variation distance plus the categories that moved the most — the
-/// operational "did our workload change?" question.
-fn diff(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse_flags(args)?;
-    let n: usize = flag(&flags, "n", 10_000)?;
-    let seed_a: u64 = flag(&flags, "seed-a", 42)?;
-    let seed_b: u64 = flag(&flags, "seed-b", 43)?;
-    let corruption: f64 = flag(&flags, "corruption", 0.32)?;
-
-    let analyze_one = |seed: u64| {
-        let ds = Dataset::new(DatasetConfig { n_traces: n, corruption_rate: corruption, seed });
-        let source = ClosureSource::new(ds.len(), move |i| match ds.generate(i).payload {
-            Payload::Log(log) => TraceInput::log(log),
-            Payload::Bytes(bytes) => TraceInput::bytes(bytes),
-        });
-        process(&source, &PipelineConfig::default())
-    };
-    let a = analyze_one(seed_a);
-    let b = analyze_one(seed_b);
-
-    for (view, ca, cb) in [
-        ("single-run", a.single_run_counts(), b.single_run_counts()),
-        ("all-runs", a.all_runs_counts(), b.all_runs_counts()),
-    ] {
-        println!(
-            "{view}: category-share drift (half-L1) {:.1} pts ({} vs {} traces)",
-            100.0 * ca.l1_drift(&cb),
-            ca.total,
-            cb.total
-        );
-        println!("  biggest movers (B share - A share):");
-        for (cat, delta) in ca.biggest_movers(&cb, 6) {
-            println!(
-                "    {:>+6.1} pts  {}  ({:.1}% -> {:.1}%)",
-                100.0 * delta,
-                cat.name(),
-                100.0 * ca.fraction(cat),
-                100.0 * cb.fraction(cat),
-            );
-        }
-        println!();
     }
     Ok(())
 }
@@ -666,7 +560,7 @@ mod tests {
 
     #[test]
     fn unlisted_subcommands_are_refused_before_reading_flags() {
-        for cmd in ["render", "figures", "bogus"] {
+        for cmd in ["render", "figures", "evaluate", "interference", "diff", "bogus"] {
             let err = dispatch(cmd, &["--out".to_string(), "x.svg".to_string()]).unwrap_err();
             assert_eq!(err, format!("unknown subcommand {cmd:?}; see `mosaic help`"));
             assert!(!USAGE.contains(&format!("mosaic {cmd}")), "USAGE lists {cmd}");

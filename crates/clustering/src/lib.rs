@@ -6,15 +6,15 @@
 //! *segments* — `(segment duration, operation volume)` pairs — with
 //! **Mean Shift** (Fukunaga & Hostetler 1975): every cluster of size > 1 is a
 //! periodic operation, and several periodic operations can coexist in one
-//! trace. This crate implements Mean Shift from scratch, plus **k-means** and
-//! a lightweight **DBSCAN** used by the design-choice ablation benches, and
-//! the feature-scaling and cluster-quality utilities both need.
+//! trace. This crate implements Mean Shift from scratch, plus **k-means**
+//! (which category discovery and the clustering ablation use), and the
+//! feature-scaling and cluster-quality utilities both need.
 //!
 //! All algorithms operate on fixed-dimension points `[f64; D]` so the hot
 //! loops stay allocation-free and auto-vectorizable.
 //!
 //! ```
-//! use mosaic_clustering::meanshift::{Kernel, MeanShift};
+//! use mosaic_clustering::meanshift::MeanShift;
 //!
 //! // Two tight groups and one straggler.
 //! let pts: Vec<[f64; 2]> = vec![
@@ -22,7 +22,7 @@
 //!     [9.0, 9.0], [9.1, 9.1],
 //!     [50.0, -3.0],
 //! ];
-//! let result = MeanShift::new(1.0).kernel(Kernel::Flat).fit(&pts);
+//! let result = MeanShift::new(1.0).fit(&pts);
 //! assert_eq!(result.n_clusters(), 3);
 //! assert_eq!(result.cluster_sizes().iter().filter(|&&s| s > 1).count(), 2);
 //! ```
@@ -45,12 +45,11 @@
     )
 )]
 
-pub mod dbscan;
 pub mod kmeans;
 pub mod meanshift;
 pub mod metrics;
 pub mod point;
 pub mod scale;
 
-pub use meanshift::{Kernel, MeanShift};
+pub use meanshift::MeanShift;
 pub use point::Clustering;

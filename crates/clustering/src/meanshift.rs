@@ -2,61 +2,61 @@
 //! uses to group trace segments that "share comparable duration and data
 //! size" (§III-B3a). Clusters of size > 1 indicate periodic operations.
 //!
-//! The implementation is the classic mode-seeking procedure: every point
-//! ascends the kernel density estimate by repeatedly moving to the
-//! kernel-weighted mean of its neighbourhood, and points whose ascents
-//! converge to the same mode form one cluster. It is exact (no binning or
-//! seeding heuristics) and deterministic.
+//! The implementation is the classic mode-seeking procedure with a flat
+//! kernel: every point repeatedly moves to the mean of the points within
+//! the bandwidth `h` of it, and points whose ascents converge to the same
+//! mode form one cluster. The flat kernel makes "comparable duration and
+//! volume" a hard window, matching how the paper describes its empirically
+//! set thresholds. It is exact (no binning or seeding heuristics) and
+//! deterministic.
 //!
 //! # Grid-indexed neighbourhoods
 //!
-//! A step only needs the points within the kernel's support `s` of the
-//! current position (`s = h` flat, `3h` Gaussian). [`MeanShift::fit`] keys
-//! every point by its uniform-grid cell `floor(x / side)`, with
-//! `side = s · (1 + 2⁻²⁰)`, on the first step that needs the grid. A step
-//! scans only the *block* of `3^D` cells around the position's cell.
-//! Blocks are built lazily and memoized for the rest of the fit, so a
-//! dense cluster's block is gathered once and then reused by every ascent
-//! that passes through it. A flat-kernel step first tries the whole input
+//! A step only needs the points within `h` of the current position.
+//! [`MeanShift::fit`] keys every point by its uniform-grid cell
+//! `floor(x / side)`, with `side = h · (1 + 2⁻²⁰)`, on the first step that
+//! needs the grid. A step scans only the *block* of `3^D` cells around the
+//! position's cell. Blocks are built lazily and memoized for the rest of
+//! the fit, so a dense cluster's block is gathered once and then reused by
+//! every ascent that passes through it. A step first tries the whole input
 //! as one block; a fit in which that settles every step never builds the
 //! grid.
 //!
 //! The result is bit-identical to the linear scan kept in [`reference`]:
 //!
 //! * **Complete.** After rounding, a point in range still lies within
-//!   `s · (1 + 4ε)` of the position on every axis. The `2⁻²⁰` margin
+//!   `h · (1 + 4ε)` of the position on every axis. The `2⁻²⁰` margin
 //!   absorbs that and the rounding of `x / side` (keys are capped at `2³⁰`),
 //!   so the two keys differ by at most one and the point is in the block.
 //! * **Same order.** A block holds its points in ascending input order, and
-//!   a step applies the scan's `d² > range²` test and weights to them. The
-//!   in-range points are therefore summed in the scan's order, with the
-//!   same floating-point result.
-//! * **Flat-kernel certificate.** Floating-point subtract, square and add
+//!   a step applies the scan's `d² > h²` test to them. The in-range points
+//!   are therefore summed in the scan's order, with the same floating-point
+//!   result.
+//! * **Block certificate.** Floating-point subtract, square and add
 //!   are monotone, so if the block's bounding-box corner farthest from the
 //!   position is within `h²`, so is every block point. The step then
-//!   returns the block's memoized flat mean, summed exactly as the scan
-//!   sums it.
+//!   returns the block's memoized mean, summed exactly as the scan sums
+//!   it.
 //! * **Whole-input certificate.** The whole input is one more block: its
-//!   bounding box and flat mean, built once per fit in O(n). A flat step
-//!   tries it before the grid. If the box corner farthest from the
-//!   position is within `h²`, the scan's own `d² > range²` test keeps
-//!   every point and sums them in input order, which is exactly how the
-//!   block's flat mean was summed, so the step returns that mean. A single
-//!   tight cluster settles every step this way and never keys or sorts its
-//!   points. A step the certificate does not settle scans its grid block,
-//!   or, when the input is not keyed, the whole input itself: below
-//!   [`GRID_MIN_POINTS`] points, if a coordinate is not finite or too
-//!   large to key, or if `h²` is not a normal float. That scan *is* the
-//!   linear scan, NaN semantics included. A non-finite coordinate also
-//!   leaves the whole input without a bounding box, which turns the
-//!   certificate off.
+//!   bounding box and mean, built once per fit in O(n). A step tries it
+//!   before the grid. If the box corner farthest from the position is
+//!   within `h²`, the scan's own `d² > h²` test keeps every point and sums
+//!   them in input order, which is exactly how the block's mean was
+//!   summed, so the step returns that mean. A single tight cluster settles
+//!   every step this way and never keys or sorts its points. A step the
+//!   certificate does not settle scans its grid block, or, when the input
+//!   is not keyed, the whole input itself: below [`GRID_MIN_POINTS`]
+//!   points, if a coordinate is not finite or too large to key, or if `h²`
+//!   is not a normal float. That scan *is* the linear scan, NaN semantics
+//!   included. A non-finite coordinate also leaves the whole input without
+//!   a bounding box, which turns the certificate off.
 
 use crate::point::{dist, dist2, Clustering};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-/// Relative margin by which a grid cell's side exceeds the kernel support
+/// Relative margin by which a grid cell's side exceeds the bandwidth
 /// (2⁻²⁰): room for the rounding of distances and of `x / side`.
 const CELL_MARGIN: f64 = 1.0 / 1_048_576.0;
 
@@ -77,19 +77,6 @@ const MAX_KEY: f64 = 1_073_741_824.0;
 /// below it.
 pub const GRID_MIN_POINTS: usize = 256;
 
-/// Kernel profile used to weight neighbourhood points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum Kernel {
-    /// Uniform weight inside the bandwidth, zero outside. This is the
-    /// classic "flat" Mean Shift and the default; it makes "comparable
-    /// duration and volume" a hard window, matching how the paper describes
-    /// its empirically set thresholds.
-    #[default]
-    Flat,
-    /// Gaussian weight `exp(-d²/2h²)`, truncated at `3h` for speed.
-    Gaussian,
-}
-
 /// Mean Shift configuration. Build with [`MeanShift::new`], then chain
 /// setters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -97,8 +84,6 @@ pub struct MeanShift {
     /// Kernel bandwidth `h` — the radius within which two segments count as
     /// "comparable".
     pub bandwidth: f64,
-    /// Kernel profile.
-    pub kernel: Kernel,
     /// Convergence threshold on the shift length, as a fraction of the
     /// bandwidth.
     pub tol: f64,
@@ -110,16 +95,10 @@ pub struct MeanShift {
 
 impl MeanShift {
     /// Mean Shift with the given bandwidth and default settings
-    /// (flat kernel, `tol = 1e-3`, `max_iter = 300`, `merge_frac = 0.5`).
+    /// (`tol = 1e-3`, `max_iter = 300`, `merge_frac = 0.5`).
     pub fn new(bandwidth: f64) -> Self {
         assert!(bandwidth > 0.0, "bandwidth must be positive");
-        MeanShift { bandwidth, kernel: Kernel::Flat, tol: 1e-3, max_iter: 300, merge_frac: 0.5 }
-    }
-
-    /// Set the kernel profile.
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
-        self
+        MeanShift { bandwidth, tol: 1e-3, max_iter: 300, merge_frac: 0.5 }
     }
 
     /// Set the convergence tolerance (fraction of bandwidth).
@@ -140,39 +119,23 @@ impl MeanShift {
         self
     }
 
-    /// `h²`, and the squared kernel support: `h²` flat, `9h²` for the
-    /// Gaussian truncated at `3h` (weights beyond are < e^-4.5).
-    fn ranges(&self) -> (f64, f64) {
-        let h2 = self.bandwidth * self.bandwidth;
-        let range2 = match self.kernel {
-            Kernel::Flat => h2,
-            Kernel::Gaussian => 9.0 * h2,
-        };
-        (h2, range2)
+    /// `h²`: the squared radius of a step's window.
+    fn h2(&self) -> f64 {
+        self.bandwidth * self.bandwidth
     }
 
-    /// One mean-shift step from `pos` over the block around it: the
-    /// kernel-weighted mean of the points in range, or `None` if the
-    /// neighbourhood is empty.
+    /// One mean-shift step from `pos` over the block around it: the mean
+    /// of the points within `h`, or `None` if the neighbourhood is empty.
     fn step<const D: usize>(
         &self,
         pos: &[f64; D],
         (block, points): (&Block<D>, &[[f64; D]]),
     ) -> Option<[f64; D]> {
-        let (h2, range2) = self.ranges();
-        if self.kernel == Kernel::Flat && block.within(pos, h2) {
-            return block.flat_mean;
+        let h2 = self.h2();
+        if block.within(pos, h2) {
+            return block.mean;
         }
-        weighted_mean(points, |p| {
-            let d2 = dist2(pos, p);
-            if d2 > range2 {
-                return None;
-            }
-            Some(match self.kernel {
-                Kernel::Flat => 1.0,
-                Kernel::Gaussian => (-d2 / (2.0 * h2)).exp(),
-            })
-        })
+        weighted_mean(points, |p| if dist2(pos, p) > h2 { None } else { Some(1.0) })
     }
 
     /// Run Mean Shift on `points`.
@@ -180,18 +143,14 @@ impl MeanShift {
     /// Returns one label per point plus the converged mode of each cluster.
     /// Empty input yields an empty clustering.
     pub fn fit<const D: usize>(&self, points: &[[f64; D]]) -> Clustering<D> {
-        let (h2, range2) = self.ranges();
-        let support = match self.kernel {
-            Kernel::Flat => self.bandwidth,
-            Kernel::Gaussian => 3.0 * self.bandwidth,
-        };
-        let keyable = points.len() >= GRID_MIN_POINTS && h2.is_normal() && range2.is_normal();
-        let side = keyable.then_some(support * (1.0 + CELL_MARGIN));
+        let h2 = self.h2();
+        let keyable = points.len() >= GRID_MIN_POINTS && h2.is_normal();
+        let side = keyable.then_some(self.bandwidth * (1.0 + CELL_MARGIN));
         let whole = Block::new(points);
         let mut grid = None;
         self.ascend_and_fuse(points, |pos| {
-            if self.kernel == Kernel::Flat && whole.within(pos, h2) {
-                return whole.flat_mean;
+            if whole.within(pos, h2) {
+                return whole.mean;
             }
             let grid = grid.get_or_insert_with(|| Grid::new(points, &whole, side));
             self.step(pos, grid.block(pos))
@@ -261,8 +220,8 @@ impl MeanShift {
 
 /// The mean of `points` weighted by `weight`, skipping points it maps to
 /// `None`, or `None` if it skips them all. Every step, and every memoized
-/// block mean, sums through this one function, so a certified flat step
-/// and a scanned one perform the same floating-point operations.
+/// block mean, sums through this one function, so a certified step and a
+/// scanned one perform the same floating-point operations.
 #[inline]
 fn weighted_mean<const D: usize>(
     points: &[[f64; D]],
@@ -286,14 +245,14 @@ fn weighted_mean<const D: usize>(
     Some(num)
 }
 
-/// What the flat-kernel certificate needs of one block: the points of the
+/// What the block certificate needs of one block: the points of the
 /// `3^D` grid cells around one cell, or of the whole input.
 struct Block<const D: usize> {
     /// Per-axis `(min, max)` of the points; `None` when the block is empty
     /// or holds a non-finite coordinate, which disables the certificate.
     bbox: Option<([f64; D], [f64; D])>,
-    /// Flat-kernel mean of all the points.
-    flat_mean: Option<[f64; D]>,
+    /// Mean of all the points.
+    mean: Option<[f64; D]>,
 }
 
 impl<const D: usize> Block<D> {
@@ -308,8 +267,8 @@ impl<const D: usize> Block<D> {
                 *u = u.max(x);
             }
         }
-        let flat_mean = weighted_mean(points, |_| Some(1.0));
-        Block { bbox: finite.then_some((lo, hi)), flat_mean }
+        let mean = weighted_mean(points, |_| Some(1.0));
+        Block { bbox: finite.then_some((lo, hi)), mean }
     }
 
     /// `true` when every block point is within `h2` of `pos` by the
@@ -444,7 +403,7 @@ fn gather<const D: usize>(
 /// tests hold [`MeanShift::fit`] to, bit for bit. Production code never
 /// calls it.
 pub mod reference {
-    use super::{Kernel, MeanShift};
+    use super::MeanShift;
     use crate::point::{dist2, Clustering};
 
     /// Run `ms` on `points`, every step a full linear scan.
@@ -452,34 +411,24 @@ pub mod reference {
         ms.ascend_and_fuse(points, |pos| step(ms, pos, points))
     }
 
-    /// One mean-shift step from `pos`: the kernel-weighted mean of the
-    /// points in range, or `None` if the neighbourhood is empty.
+    /// One mean-shift step from `pos`: the mean of the points within the
+    /// bandwidth, or `None` if the neighbourhood is empty.
     fn step<const D: usize>(
         ms: &MeanShift,
         pos: &[f64; D],
         points: &[[f64; D]],
     ) -> Option<[f64; D]> {
         let h2 = ms.bandwidth * ms.bandwidth;
-        // Gaussian support truncated at 3h: weights beyond are < e^-4.5.
-        let range2 = match ms.kernel {
-            Kernel::Flat => h2,
-            Kernel::Gaussian => 9.0 * h2,
-        };
         let mut num = [0.0; D];
         let mut den = 0.0;
         for p in points {
-            let d2 = dist2(pos, p);
-            if d2 > range2 {
+            if dist2(pos, p) > h2 {
                 continue;
             }
-            let w = match ms.kernel {
-                Kernel::Flat => 1.0,
-                Kernel::Gaussian => (-d2 / (2.0 * h2)).exp(),
-            };
             for (n, x) in num.iter_mut().zip(p) {
-                *n += w * x;
+                *n += x;
             }
-            den += w;
+            den += 1.0;
         }
         if den == 0.0 {
             return None;
@@ -513,12 +462,6 @@ mod tests {
         // Modes land near blob centers.
         assert!(dist(&c.centers[0], &[1.045, 1.955]) < 0.1);
         assert!(dist(&c.centers[1], &[9.955, 20.045]) < 0.1);
-    }
-
-    #[test]
-    fn separates_two_blobs_gaussian() {
-        let c = MeanShift::new(0.5).kernel(Kernel::Gaussian).fit(&two_blobs());
-        assert_eq!(c.n_clusters(), 2);
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub fn centroid<const D: usize>(points: &[[f64; D]], idxs: &[usize]) -> [f64; D]
 /// Result of a clustering run: a label per input point and one representative
 /// point (mode or centroid) per cluster.
 ///
-/// Labels are dense `0..n_clusters`. DBSCAN additionally uses
-/// [`Clustering::NOISE`] for unclustered points.
+/// Labels are dense `0..n_clusters`, or [`Clustering::NOISE`] for a point
+/// in no cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Clustering<const D: usize> {
     /// `labels[i]` is the cluster of input point `i` (or [`Clustering::NOISE`]).
@@ -45,7 +45,7 @@ pub struct Clustering<const D: usize> {
 }
 
 impl<const D: usize> Clustering<D> {
-    /// Label for points not assigned to any cluster (DBSCAN noise).
+    /// Label for points not assigned to any cluster.
     pub const NOISE: usize = usize::MAX;
 
     /// Number of clusters found.

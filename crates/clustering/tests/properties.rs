@@ -1,12 +1,11 @@
 //! Property-based tests for the clustering substrate: structural invariants
 //! that must hold for any input, not just the curated fixtures.
 
-use mosaic_clustering::dbscan::Dbscan;
 use mosaic_clustering::kmeans::KMeans;
 use mosaic_clustering::meanshift::{reference, GRID_MIN_POINTS};
 use mosaic_clustering::metrics::{inertia, rand_index};
 use mosaic_clustering::scale::{scale_uniform, ScaleKind};
-use mosaic_clustering::{Clustering, Kernel, MeanShift};
+use mosaic_clustering::{Clustering, MeanShift};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -14,8 +13,6 @@ fn arb_points() -> impl Strategy<Value = Vec<[f64; 2]>> {
     prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 0..80)
         .prop_map(|v| v.into_iter().map(|(a, b)| [a, b]).collect())
 }
-
-const KERNELS: [Kernel; 2] = [Kernel::Flat, Kernel::Gaussian];
 
 /// The grid-indexed fit must equal the linear-scan reference bit for bit:
 /// the same labels and the same center bits. NaN is the one exception:
@@ -29,29 +26,19 @@ fn agrees_with_reference<const D: usize>(ms: &MeanShift, points: &[[f64; D]]) ->
         let canonical = |x: f64| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() };
         c.centers.iter().map(|p| p.map(canonical)).collect()
     };
-    prop_assert_eq!(
-        &grid.labels,
-        &scan.labels,
-        "labels, kernel {:?} h {}",
-        ms.kernel,
-        ms.bandwidth
-    );
-    prop_assert_eq!(bits(&grid), bits(&scan), "centers, kernel {:?} h {}", ms.kernel, ms.bandwidth);
+    prop_assert_eq!(&grid.labels, &scan.labels, "labels, h {}", ms.bandwidth);
+    prop_assert_eq!(bits(&grid), bits(&scan), "centers, h {}", ms.bandwidth);
     Ok(())
 }
 
-/// Both kernels at bandwidth `h`.
-fn agrees_for_both_kernels<const D: usize>(h: f64, points: &[[f64; D]]) -> TestCaseResult {
-    for kernel in KERNELS {
-        agrees_with_reference(&MeanShift::new(h).kernel(kernel), points)?;
-    }
-    Ok(())
+/// The fit at bandwidth `h` against the reference.
+fn agrees_at<const D: usize>(h: f64, points: &[[f64; D]]) -> TestCaseResult {
+    agrees_with_reference(&MeanShift::new(h), points)
 }
 
-/// A lattice coordinate `k · unit`, where `unit` is the bandwidth, one of
-/// the two kernels' grid-cell sides (support × (1 + 2⁻²⁰)) or the support
-/// itself, optionally nudged one ulp: points exactly `h` apart and on exact
-/// cell boundaries.
+/// A lattice coordinate `k · unit`, where `unit` is the bandwidth, the
+/// grid-cell side (`h · (1 + 2⁻²⁰)`) or three times either, optionally
+/// nudged one ulp: points exactly `h` apart and on exact cell boundaries.
 fn lattice(h: f64, k: i64, unit: usize) -> f64 {
     let side = |support: f64| support * (1.0 + 1.0 / 1_048_576.0);
     let x = k as f64;
@@ -137,15 +124,6 @@ proptest! {
     }
 
     #[test]
-    fn dbscan_noise_label_is_consistent(points in arb_points()) {
-        let c = Dbscan::new(1.5, 3).fit(&points);
-        prop_assert_eq!(c.labels.len(), points.len());
-        for &l in &c.labels {
-            prop_assert!(l == Clustering::<2>::NOISE || l < c.centers.len());
-        }
-    }
-
-    #[test]
     fn rand_index_is_symmetric_and_reflexive(points in arb_points()) {
         prop_assume!(points.len() >= 2);
         let a = MeanShift::new(3.0).fit(&points).labels;
@@ -205,7 +183,7 @@ proptest! {
         h in 0.05f64..2.0,
     ) {
         let points: Vec<[f64; 1]> = xs.into_iter().map(|x| [x]).collect();
-        agrees_for_both_kernels(h, &points)?;
+        agrees_at(h, &points)?;
     }
 
     #[test]
@@ -214,9 +192,9 @@ proptest! {
         h in 0.05f64..1.0,
     ) {
         let points: Vec<[f64; 2]> = xy.into_iter().map(|(x, y)| [x, y]).collect();
-        agrees_for_both_kernels(h, &points)?;
+        agrees_at(h, &points)?;
         // The production bandwidth on the same shape.
-        agrees_for_both_kernels(0.15, &points)?;
+        agrees_at(0.15, &points)?;
     }
 
     #[test]
@@ -229,9 +207,9 @@ proptest! {
     ) {
         let points: Vec<[f64; 2]> =
             ks.iter().map(|&(a, b, ua, ub)| [lattice(h, a, ua), lattice(h, b, ub)]).collect();
-        agrees_for_both_kernels(h, &points)?;
+        agrees_at(h, &points)?;
         let line: Vec<[f64; 1]> = ks.iter().map(|&(a, _, ua, _)| [lattice(h, a, ua)]).collect();
-        agrees_for_both_kernels(h, &line)?;
+        agrees_at(h, &line)?;
     }
 
     #[test]
@@ -247,7 +225,7 @@ proptest! {
             .enumerate()
             .map(|(i, &(a, b))| [(i as f64 * 7.0 + a) * h, -((i % 11) as f64 * 5.0 + b) * h])
             .collect();
-        agrees_for_both_kernels(h, &points)?;
+        agrees_at(h, &points)?;
     }
 }
 
@@ -276,7 +254,6 @@ proptest! {
             }
         }
         agrees_with_reference(&MeanShift::new(0.15), &points)?;
-        agrees_with_reference(&MeanShift::new(0.15).kernel(Kernel::Gaussian), &points[..n / 3])?;
     }
 
     #[test]
@@ -294,11 +271,9 @@ proptest! {
             raw.iter().map(|&(code, x, y)| [hostile(family, code, x), y]).collect();
         let line: Vec<[f64; 1]> =
             raw.iter().map(|&(code, x, _)| [hostile(family, code, x)]).collect();
-        for kernel in KERNELS {
-            let ms = MeanShift::new(h).kernel(kernel).max_iter(8);
-            agrees_with_reference(&ms, &points)?;
-            agrees_with_reference(&ms, &line)?;
-        }
+        let ms = MeanShift::new(h).max_iter(8);
+        agrees_with_reference(&ms, &points)?;
+        agrees_with_reference(&ms, &line)?;
     }
 }
 
@@ -336,7 +311,7 @@ fn arb_unit_cube(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(f64,
     prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), len)
 }
 
-// The whole-input certificate: one flat-kernel cluster large enough to be
+// The whole-input certificate: one cluster large enough to be
 // keyed, at D = 1, 2 and 3. The reference fit is quadratic, hence the few
 // cases.
 proptest! {

@@ -237,46 +237,11 @@ impl Categorizer {
 
     /// Periodicity detection on one direction's merged operations.
     fn detect_periodicity(&self, merged: &[Operation], runtime: f64) -> Vec<PeriodicPattern> {
-        {
-            let segments = segment(merged, runtime);
-            match self.config.periodicity_method {
-                PeriodicityMethod::MeanShift => detect_periodic(&segments, &self.config),
-                PeriodicityMethod::Spectral => {
-                    crate::spectral::detect_periodic_spectral(&segments, runtime, &self.config)
-                }
-                PeriodicityMethod::Hybrid => {
-                    // Clustering first; the spectral pass then only gets the
-                    // segments clustering did not explain, so the two
-                    // methods complement rather than double-report.
-                    let mut patterns = detect_periodic(&segments, &self.config);
-                    let explained: std::collections::BTreeSet<usize> =
-                        patterns.iter().flat_map(|p| p.members.iter().copied()).collect();
-                    let (leftover_idx, leftovers): (Vec<usize>, Vec<_>) = segments
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| !explained.contains(i))
-                        .map(|(i, s)| (i, *s))
-                        .unzip();
-                    let mut extra = crate::spectral::detect_periodic_spectral(
-                        &leftovers,
-                        runtime,
-                        &self.config,
-                    );
-                    // Remap member indices back into the full segment list.
-                    for p in &mut extra {
-                        // Member indices are < leftovers.len() == leftover_idx.len().
-                        for m in &mut p.members {
-                            if let Some(&i) = leftover_idx.get(*m) {
-                                *m = i;
-                            }
-                        }
-                    }
-                    patterns.extend(extra);
-                    patterns.sort_by(|a, b| {
-                        b.occurrences.cmp(&a.occurrences).then(a.period.total_cmp(&b.period))
-                    });
-                    patterns
-                }
+        let segments = segment(merged, runtime);
+        match self.config.periodicity_method {
+            PeriodicityMethod::MeanShift => detect_periodic(&segments, &self.config),
+            PeriodicityMethod::Spectral => {
+                crate::spectral::detect_periodic_spectral(&segments, runtime, &self.config)
             }
         }
     }
@@ -320,41 +285,6 @@ mod tests {
 
     fn categorizer() -> Categorizer {
         Categorizer::new(CategorizerConfig::default())
-    }
-
-    #[test]
-    fn hybrid_members_index_the_full_segment_list() {
-        use rand::{Rng, SeedableRng};
-        let hybrid = Categorizer::new(CategorizerConfig {
-            periodicity_method: crate::config::PeriodicityMethod::Hybrid,
-            min_periodic_occurrences: 8,
-            ..CategorizerConfig::default()
-        });
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        // A checkpoint train Mean Shift clusters (identical ops every
-        // 600 s), and a 60 s train whose volumes and durations scatter
-        // over orders of magnitude, so only the spectral pass can find it.
-        let mut ops: Vec<Operation> = (0..12)
-            .map(|i| op(OpKind::Write, 600.0 * i as f64 + 5.0, 600.0 * i as f64 + 29.0, 2 << 30))
-            .collect();
-        ops.extend((0..110).map(|i| {
-            let start = 60.0 * i as f64 + 31.0;
-            let bytes = 1u64 << rng.gen_range(24..30);
-            let duration = 10f64.powf(rng.gen_range(-1.3..1.6));
-            op(OpKind::Write, start, start + duration, bytes)
-        }));
-        ops.sort_by(|a, b| a.start.total_cmp(&b.start));
-        let runtime = 7_200.0;
-        let segments = crate::segment::segment(&ops, runtime);
-        let patterns = hybrid.detect_periodicity(&ops, runtime);
-        let clustered = detect_periodic(&segments, &hybrid.config);
-        assert!(!clustered.is_empty(), "Mean Shift found no pattern");
-        assert!(patterns.len() > clustered.len(), "the spectral pass added no pattern");
-        crate::periodicity::tests::assert_member_statistics(&segments, &patterns);
-        let mut seen = BTreeSet::new();
-        for m in patterns.iter().flat_map(|p| &p.members) {
-            assert!(*m < segments.len() && seen.insert(*m), "member {m}");
-        }
     }
 
     #[test]

@@ -12,9 +12,6 @@ pub enum PeriodicityMethod {
     /// Periodogram peaks + time-domain lattice verification — the paper's
     /// planned signal-processing upgrade.
     Spectral,
-    /// Run Mean Shift first, then let the spectral detector claim whatever
-    /// operations clustering left unexplained.
-    Hybrid,
 }
 
 /// All thresholds of the MOSAIC categorization pipeline. Defaults are the

@@ -81,29 +81,6 @@ impl CategoryCounts {
         out
     }
 
-    /// Half-L1 drift between the per-category share marginals: 0 means
-    /// identical mixes, larger means more drift. Because MOSAIC categories
-    /// are **non-exclusive** (a trace carries several), this is a sum over
-    /// marginals, not a probability-distribution distance — it can exceed
-    /// 1 when many categories move at once.
-    pub fn l1_drift(&self, other: &CategoryCounts) -> f64 {
-        let cats: std::collections::BTreeSet<Category> =
-            self.counts.keys().chain(other.counts.keys()).copied().collect();
-        0.5 * cats.into_iter().map(|c| (self.fraction(c) - other.fraction(c)).abs()).sum::<f64>()
-    }
-
-    /// The categories whose share moved the most between `self` and
-    /// `other`, as `(category, share delta)` sorted by |delta| descending.
-    pub fn biggest_movers(&self, other: &CategoryCounts, top: usize) -> Vec<(Category, f64)> {
-        let cats: std::collections::BTreeSet<Category> =
-            self.counts.keys().chain(other.counts.keys()).copied().collect();
-        let mut moves: Vec<(Category, f64)> =
-            cats.into_iter().map(|c| (c, other.fraction(c) - self.fraction(c))).collect();
-        moves.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
-        moves.truncate(top);
-        moves
-    }
-
     /// Render a `name  count  percent` table, the terminal stand-in for the
     /// paper's distribution tables.
     pub fn render_table(&self, title: &str) -> String {
@@ -187,36 +164,6 @@ mod tests {
         let csv = CategoryCounts::from_sets(&sets).to_csv();
         assert!(csv.starts_with("category,count,fraction\n"));
         assert!(csv.contains("read_on_start,1,0.500000"));
-    }
-
-    #[test]
-    fn l1_drift_distance() {
-        let a = CategoryCounts::from_sets(&[
-            [c_read_start()].into_iter().collect::<BTreeSet<Category>>(),
-            [c_read_start()].into_iter().collect(),
-        ]);
-        let b = CategoryCounts::from_sets(&[
-            [c_read_start()].into_iter().collect::<BTreeSet<Category>>(),
-            [c_spike()].into_iter().collect(),
-        ]);
-        // a: read 100%, spike 0%; b: read 50%, spike 50% → TV = 0.5.
-        assert!((a.l1_drift(&b) - 0.5).abs() < 1e-12);
-        assert_eq!(a.l1_drift(&a), 0.0);
-        // Symmetry.
-        assert_eq!(a.l1_drift(&b), b.l1_drift(&a));
-    }
-
-    #[test]
-    fn biggest_movers_ranked_by_magnitude() {
-        let a = CategoryCounts::from_sets(&[[c_read_start()]
-            .into_iter()
-            .collect::<BTreeSet<Category>>()]);
-        let b =
-            CategoryCounts::from_sets(&[[c_spike()].into_iter().collect::<BTreeSet<Category>>()]);
-        let movers = a.biggest_movers(&b, 5);
-        assert_eq!(movers.len(), 2);
-        assert!(movers.iter().any(|&(c, d)| c == c_read_start() && d == -1.0));
-        assert!(movers.iter().any(|&(c, d)| c == c_spike() && d == 1.0));
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! volume, busy time) the clustering path produces, and it filters out
 //! harmonics, which match fewer operations than their fundamental.
 //!
-//! Select it with [`crate::config::PeriodicityMethod::Spectral`], or run
-//! both and merge with [`crate::config::PeriodicityMethod::Hybrid`].
+//! Select it with [`crate::config::PeriodicityMethod::Spectral`].
 
 use crate::category::PeriodMagnitude;
 use crate::config::CategorizerConfig;

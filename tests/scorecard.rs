@@ -11,8 +11,12 @@
 //! valid trace, and §IV-E's accuracy floor. The extensions keep the claims
 //! their EXPERIMENTS paragraphs state: §II-B's MOSAIC-vs-FFT split, §IV-A's
 //! DXT majority, §V discovery's purity, §V interference's staggering gain
-//! and the online verdict by half the runtime. Each extension's test of its
-//! checked rows' presence fails when the entry stops measuring one.
+//! and the online verdict by half the runtime. Each ablation checks the
+//! choice DESIGN.md states, as a margin over its alternatives: 4 chunks,
+//! Mean Shift on log features, both merges, the spectral detector's edge
+//! under volume jitter, and the one-way move of each threshold sweep. Each
+//! extension's and ablation's test of its checked rows' presence fails when
+//! the entry stops measuring one.
 
 use mosaic_bench::scorecard::render_text;
 use mosaic_bench::{figure, Inputs, Scale, FIGURES};
@@ -78,6 +82,60 @@ fn interference_keeps_both_staggering_checks() {
 #[test]
 fn online_keeps_the_half_runtime_check() {
     keeps_checked("online", &["final verdict by half the runtime"]);
+}
+
+#[test]
+fn ablation_chunks_keeps_the_four_chunk_margin() {
+    keeps_checked("ablation: chunks", &["4 chunks − best other count, temporality accuracy"]);
+}
+
+#[test]
+fn ablation_clustering_keeps_both_margins_at_two_and_three_behaviours() {
+    keeps_checked(
+        "ablation: clustering",
+        &[
+            "mean shift (log) − best other method: 2 behaviours",
+            "log − linear features: 2 behaviours",
+            "mean shift (log) − best other method: 3 behaviours",
+            "log − linear features: 3 behaviours",
+        ],
+    );
+}
+
+#[test]
+fn ablation_merging_keeps_both_merge_margins() {
+    keeps_checked(
+        "ablation: merging",
+        &[
+            "both merges − no merge, smallest over desyncs",
+            "both merges − concurrent only, smallest over desyncs",
+        ],
+    );
+}
+
+#[test]
+fn ablation_periodicity_method_keeps_the_spectral_margins() {
+    keeps_checked(
+        "ablation: periodicity method",
+        &[
+            "spectral − meanshift: periodic found, share",
+            "spectral − meanshift: magnitude correct",
+            "meanshift − spectral: false alarms",
+            "spectral − meanshift, stress, 0% timing and 200% volume jitter",
+        ],
+    );
+}
+
+#[test]
+fn ablation_thresholds_keeps_a_monotone_check_per_sweep() {
+    keeps_checked(
+        "ablation: thresholds",
+        &[
+            "significance rising: smallest step of an insignificant share",
+            "high-spike bar falling: smallest step of high_spike",
+            "steady CV rising: smallest step of a steady share",
+        ],
+    );
 }
 
 macro_rules! entries {
